@@ -7,16 +7,18 @@ Two input formats are understood:
 * temporal - one record per line as ``u v w ts op`` with op ``+`` or ``-``
   (a missing op means ``+``); records are ordered by timestamp (ties keep
   file order).  Lines starting with ``#`` are comments; ``# n=K`` sets the
-  vertex count when ids alone underestimate it.
+  vertex count when ids alone underestimate it, up to MAX_N_HINT.
 
 Cleaning is the same for both: self-loops are dropped, duplicate inserts
 and deletes of absent edges are dropped (first occurrence wins), and every
-drop is counted in the returned warnings.  Weights must be >= 1; inputs
-with smaller positive weights should be normalized before parsing.
+drop is counted in the returned warnings.  Weights must be finite and
+>= 1; inputs with smaller positive weights should be normalized before
+parsing.  Timestamps must be finite.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -29,6 +31,10 @@ DELETE = "delete"
 
 GEN_WEIGHT_LO = 1
 GEN_WEIGHT_HI = 100
+
+# Ceiling on the ``# n=K`` hint of temporal input: the replay allocates
+# O(K) per graph (and per level under LevelMwm) before reading any op.
+MAX_N_HINT = 10**6
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,8 @@ def _parse_weight(token: str, line_no: int) -> Weight:
             w = float(token)
         except ValueError:
             raise StreamParseError(line_no, f"bad weight {token!r}") from None
+        if not math.isfinite(w):
+            raise StreamParseError(line_no, f"non-finite weight {token!r}")
     if w < 1:
         raise StreamParseError(
             line_no, f"weight {w!r} < 1; normalize weights to >= 1 first"
@@ -138,7 +146,12 @@ def parse_temporal(text: str) -> UpdateStream:
         if line.startswith("#"):
             hint = line[1:].replace(" ", "")
             if hint.startswith("n="):
-                n_hint = max(n_hint, _parse_vertex(hint[2:], line_no))
+                k = _parse_vertex(hint[2:], line_no)
+                if k > MAX_N_HINT:
+                    raise StreamParseError(
+                        line_no, f"vertex count hint n={k} exceeds {MAX_N_HINT}"
+                    )
+                n_hint = max(n_hint, k)
             continue
         parts = line.split()
         if len(parts) not in (4, 5):
@@ -153,6 +166,8 @@ def parse_temporal(text: str) -> UpdateStream:
             ts = float(parts[3])
         except ValueError:
             raise StreamParseError(line_no, f"bad timestamp {parts[3]!r}") from None
+        if not math.isfinite(ts):
+            raise StreamParseError(line_no, f"non-finite timestamp {parts[3]!r}")
         if u == v:
             warnings["self_loops"] += 1
             continue

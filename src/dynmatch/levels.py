@@ -217,10 +217,17 @@ class LevelMwm:
             level.worker.handle_insert(u, v)
 
     def handle_delete(self, u: int, v: int) -> None:
-        """React to edge (u, v) having been deleted from the master graph."""
-        for level in reversed(self.levels):
-            if level.graph.delete_edge(u, v):
-                level.worker.handle_delete(u, v)
+        """React to edge (u, v) having been deleted from the master graph.
+
+        The edge lives in levels 0..level_index(w), a contiguous run from
+        the bottom, so the levels are walked upward and the walk stops at
+        the first one without it.
+        """
+        for level in self.levels:
+            if not level.graph.has_edge(u, v):
+                break
+            level.graph.delete_edge(u, v)
+            level.worker.handle_delete(u, v)
 
     # -- merged view -------------------------------------------------------------
 

@@ -4,11 +4,13 @@ These are the per-level workers of the weight-bucketed matcher, but stand on
 their own for unweighted graphs.  Two augmentation strategies share the same
 update handlers:
 
-* ``walk`` - a random walker that mutates eagerly (match the free neighbor,
-  or steal a matched one and continue at its displaced mate) and journals
-  every change so a failed attempt can be rolled back;
+* ``walk`` - a random walker (match the free neighbor, or steal a matched
+  one and continue at its displaced mate) that simulates its steps in a
+  small overlay of the vertices it has touched and writes the matching only
+  when it ends at a free vertex, so a failed attempt leaves no trace;
 * ``bfs`` - depth-bounded alternating breadth-first search without blossom
-  contraction, which only mutates once a full augmenting path is in hand.
+  contraction, which likewise only mutates once a full augmenting path is
+  in hand.
 
 No blossom handling means the BFS can miss augmenting paths through odd
 cycles; it is exact on bipartite graphs only, and that is the only place
@@ -24,9 +26,6 @@ from dataclasses import dataclass
 
 from .graph import DynamicGraph
 from .matching import FREE, MatchingState, assert_matching_consistent
-
-# Journal entries: (vertex, partner, was_unmatch).  Undo replays in reverse.
-_Journal = list[tuple[int, int, bool]]
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ class DynamicMcm:
         """React to edge (u, v) having been inserted.
 
         Both endpoints free: match directly.  Exactly one matched: swap the
-        new edge in and try to re-augment from the displaced mate, undoing
-        everything on failure.  Both matched: nothing, unless safe_mode
+        new edge in and try to re-augment from the displaced mate, swapping
+        back on failure.  Both matched: nothing, unless safe_mode
         locates a free vertex alternating-reachable from u (through u's
         matched edge) and augments from there with a fresh budget.
         """
@@ -113,11 +112,11 @@ class DynamicMcm:
             return
         a, b = (u, v) if fv else (v, u)  # a matched, b free
         displaced = st.mate_of(a)
-        journal: _Journal = []
-        self._log_unmatch(a, journal)
-        self._log_match(a, b, journal)
+        st.unmatch(a)
+        st.match_edge(a, b, 1)
         if not self.augment_from(displaced):
-            self._undo(journal)
+            st.unmatch(a)
+            st.match_edge(a, displaced, 1)
 
     def handle_delete(self, u: int, v: int) -> None:
         """React to edge (u, v) having been deleted.
@@ -142,8 +141,8 @@ class DynamicMcm:
         """Try to grow the matching from free vertex ``start``.
 
         Dispatches on config.kind; failed attempts leave the matching
-        exactly as it was (walk failures are rolled back via the journal,
-        the BFS mutates only after finding a complete path).
+        exactly as it was, since both strategies write it only once they
+        hold a complete augmenting path.
         """
         if self.state.mate_of(start) != FREE:
             raise ValueError(f"augment_from requires a free vertex, got {start}")
@@ -158,45 +157,63 @@ class DynamicMcm:
 
     def _walk_augment(self, start: int) -> bool:
         for _ in range(self.config.repetitions):
-            journal: _Journal = []
-            if self._walk_once(start, journal):
+            overlay = self._walk_once(start)
+            if overlay is not None:
+                self._commit(overlay)
                 return True
-            self._undo(journal)
         return False
 
-    def _walk_once(self, start: int, journal: _Journal) -> bool:
-        """One eager random walk of at most search_depth steps.
+    def _walk_once(self, start: int) -> dict[int, int] | None:
+        """Simulate one random walk of at most search_depth steps.
 
         At the current free vertex: with delta_settling, first scan the
         whole neighborhood for a free partner; otherwise (and failing that)
         pick one uniformly random neighbor - match it if free, else steal it
         from its mate and continue the walk at the displaced vertex.
+
+        The steps go to an overlay {vertex: mate} over the touched vertices
+        (FREE for one a steal displaced); every other mate is read from the
+        state, which is not written.  Returns the overlay when the walk ends
+        in a match, None when it fails.
         """
         g = self.graph
-        st = self.state
+        base = self.state._mate
         rng = self.rng
+        settle = self.config.delta_settling
+        over: dict[int, int] = {}
         cur = start
         for _ in range(self.config.search_depth):
-            if self.config.delta_settling:
-                partner = None
+            if settle:
                 for nb in g.neighbors(cur):
-                    if st.mate_of(nb) == FREE:
-                        partner = nb
-                        break
-                if partner is not None:
-                    self._log_match(cur, partner, journal)
-                    return True
+                    if over.get(nb, base[nb]) == FREE:
+                        over[cur] = nb
+                        over[nb] = cur
+                        return over
             nb = g.random_neighbor(cur, rng)
             if nb is None:
-                return False
-            if st.mate_of(nb) == FREE:
-                self._log_match(cur, nb, journal)
-                return True
-            displaced = st.mate_of(nb)
-            self._log_unmatch(nb, journal)
-            self._log_match(cur, nb, journal)
+                return None
+            displaced = over.get(nb, base[nb])
+            over[cur] = nb
+            over[nb] = cur
+            if displaced == FREE:
+                return over
+            over[displaced] = FREE
             cur = displaced
-        return False
+        return None
+
+    def _commit(self, overlay: dict[int, int]) -> None:
+        """Write an augmenting path, given as {vertex: new mate}, to the
+        state: first unmatch every pair it breaks, then match the pairs it
+        makes."""
+        st = self.state
+        mate = st._mate
+        moved = [(x, y) for x, y in overlay.items() if mate[x] != y]
+        for x, _ in moved:
+            if mate[x] != FREE:
+                st.unmatch(x)
+        for x, y in moved:
+            if y != FREE and mate[x] == FREE:
+                st.match_edge(x, y, 1)
 
     def _bfs_augment(self, start: int) -> bool:
         """Alternating BFS from a free vertex; flips the first augmenting
@@ -234,18 +251,15 @@ class DynamicMcm:
         parent_odd: dict[int, int],
         parent_even: dict[int, int],
     ) -> None:
-        st = self.state
-        to_unmatch: list[int] = []
-        to_match: list[tuple[int, int]] = [(x, y)]
-        while parent_even[x] != -1:
+        overlay: dict[int, int] = {}
+        while True:
+            overlay[x] = y
+            overlay[y] = x
             odd = parent_even[x]  # x's mate, entered via unmatched edge
-            to_unmatch.append(odd)
-            to_match.append((parent_odd[odd], odd))
-            x = parent_odd[odd]
-        for v in to_unmatch:
-            st.unmatch(v)
-        for a, b in to_match:
-            st.match_edge(a, b, 1)
+            if odd == -1:
+                break
+            x, y = parent_odd[odd], odd
+        self._commit(overlay)
 
     def _alternating_free_node(self, u: int) -> int | None:
         """First free vertex reachable from matched u by an alternating path
@@ -274,24 +288,6 @@ class DynamicMcm:
                     seen.add(z)
                     queue.append((z, d + 2))
         return None
-
-    # -- journal ---------------------------------------------------------------
-
-    def _log_match(self, a: int, b: int, journal: _Journal) -> None:
-        self.state.match_edge(a, b, 1)
-        journal.append((a, b, False))
-
-    def _log_unmatch(self, a: int, journal: _Journal) -> None:
-        b = self.state.mate_of(a)
-        self.state.unmatch(a)
-        journal.append((a, b, True))
-
-    def _undo(self, journal: _Journal) -> None:
-        for a, b, was_unmatch in reversed(journal):
-            if was_unmatch:
-                self.state.match_edge(a, b, 1)
-            else:
-                self.state.unmatch(a)
 
     # -- reporting ---------------------------------------------------------------
 

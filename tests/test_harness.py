@@ -28,6 +28,7 @@ from dynmatch.harness.replay import (
 from dynmatch.harness.streams import (
     DELETE,
     INSERT,
+    MAX_N_HINT,
     UpdateOp,
     UpdateStream,
     final_graph,
@@ -122,6 +123,27 @@ def test_temporal_errors():
         parse_temporal("0 1 5 1.0 x\n")
     with pytest.raises(StreamParseError, match="bad timestamp"):
         parse_temporal("0 1 5 soon +\n")
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "NaN", "1e400"])
+def test_non_finite_weight_rejected_with_its_line(token):
+    with pytest.raises(StreamParseError, match="line 2: non-finite weight"):
+        parse_temporal(f"0 1 5 1 +\n1 2 {token} 2 +\n")
+    with pytest.raises(StreamParseError, match="line 3: non-finite weight"):
+        parse_static_edgelist(f"3\n0 1 5\n1 2 {token}\n")
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e400"])
+def test_non_finite_timestamp_rejected_with_its_line(token):
+    with pytest.raises(StreamParseError, match="line 2: non-finite timestamp"):
+        parse_temporal(f"0 1 5 1 +\n1 2 4 {token} +\n")
+
+
+def test_vertex_hint_above_ceiling_rejected():
+    # Only the parser runs: the hint is refused before any O(n) structure.
+    with pytest.raises(StreamParseError, match="line 1: vertex count hint"):
+        parse_temporal(f"# n={10**12}\n0 1 5 1 +\n")
+    assert parse_temporal(f"# n={MAX_N_HINT}\n0 1 5 1 +\n").n == MAX_N_HINT
 
 
 def test_temporal_round_trip_through_format_stream():
@@ -628,6 +650,22 @@ def test_cli_temporal_cleaning_leaves_runnable_stream(tmp_path, capsys):
     ]) == 0
     captured = capsys.readouterr()
     assert "cleaned temporal input" in captured.err
+
+
+@pytest.mark.parametrize("algo", ["random", "level-walk"])
+@pytest.mark.parametrize("record", ["0 1 inf 0 +", "0 1 nan 0 +", "0 1 3 nan +"])
+def test_cli_non_finite_temporal_input_exits_2(tmp_path, capsys, algo, record):
+    bad = tmp_path / "bad.stream"
+    bad.write_text(f"{record}\n1 2 4 1 +\n0 2 5 2 +\n")
+    code = main([
+        "run", "--input", str(bad), "--temporal", "--algo", algo,
+        "--seed", "1", "--reps", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: line 1: non-finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert "nan" not in captured.out
 
 
 def test_cli_default_seed_env(static_file, monkeypatch, capsys):

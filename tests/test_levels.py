@@ -148,6 +148,33 @@ def test_delete_leaves_exactly_the_levels_containing_the_edge():
     algo.audit(deep=True)
 
 
+def test_delete_calls_delete_edge_only_on_levels_holding_the_edge(monkeypatch):
+    g = build_graph(6, [])
+    algo = make_level_algo(g, epsilon=1.0)
+    for (u, v, w) in ((0, 1, 1), (2, 3, 8), (4, 5, 100)):
+        g.insert_edge(u, v, w)
+        algo.handle_insert(u, v, w)
+    assert len(algo.levels) == 7
+    calls = []
+    original = DynamicGraph.delete_edge
+
+    def recording_delete(graph, u, v):
+        held = graph.has_edge(u, v)
+        calls.append((graph, held))
+        return original(graph, u, v)
+
+    monkeypatch.setattr(DynamicGraph, "delete_edge", recording_delete)
+    for (u, v), top in (((2, 3), 3), ((0, 1), 0), ((4, 5), 6)):
+        calls.clear()
+        g.delete_edge(u, v)
+        algo.handle_delete(u, v)
+        level_graphs = [lvl.graph for lvl in algo.levels]
+        assert [graph for graph, _ in calls[1:]] == level_graphs[: top + 1]
+        assert all(held for _, held in calls)
+    assert level_edge_sets(algo) == [[]] * 7
+    algo.audit(deep=True)
+
+
 def test_merged_cache_invalidated_by_updates():
     g = build_graph(4, [])
     algo = make_level_algo(g)
@@ -184,7 +211,6 @@ def set_level_matchings(algo, per_level):
     for i, pairs in per_level.items():
         for u, v in pairs:
             algo.levels[i].state.match_edge(u, v, 1)
-    algo._merged = None
 
 
 def test_merge_single_nonempty_level():

@@ -148,6 +148,52 @@ def test_bfs_depth_budget_four_misses_length_five_path():
     assert snapshot(mcm) == before
 
 
+# -- failed attempts ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        dict(kind="walk"),
+        dict(kind="walk", delta_settling=True),
+        dict(kind="bfs"),
+    ],
+    ids=["walk", "walk-settling", "bfs"],
+)
+def test_failed_augment_writes_nothing(cfg):
+    # P5 with (1,2) and (3,4) matched has no augmenting path from 0, yet a
+    # walk from 0 can steal along it for the whole depth budget.
+    for seed in range(20):
+        g = build_graph(5, [(i, i + 1, 1) for i in range(4)])
+        mcm = make_mcm(g, seed=seed, epsilon=0.2, repetitions=3, **cfg)
+        mcm.state.match_edge(1, 2, 1)
+        mcm.state.match_edge(3, 4, 1)
+        watchers = [mcm.state.watch(), mcm.state.watch()]
+        version = mcm.state.version
+        before = snapshot(mcm)
+        assert mcm.augment_from(0) is False
+        assert mcm.state.version == version
+        assert watchers == [set(), set()]
+        assert snapshot(mcm) == before
+
+
+@pytest.mark.parametrize("kind", ["walk", "bfs"])
+def test_failed_insert_swap_restores_the_original_pair(kind):
+    # (0,1) matched and 0 has no other neighbor: inserting (1,2) swaps 2 in,
+    # the displaced 0 cannot re-augment, and the swap is taken back.
+    for seed in range(10):
+        g = build_graph(3, [(0, 1, 1)])
+        mcm = make_mcm(g, seed=seed, kind=kind, epsilon=0.2)
+        mcm.state.match_edge(0, 1, 1)
+        g.insert_edge(1, 2, 1)
+        mcm.handle_insert(1, 2)
+        assert sorted(mcm.state.matched_pairs()) == [(0, 1)]
+        assert mcm.state.mate_of(2) == FREE
+        assert mcm.state.total_weight == 1
+        assert (mcm.attempts, mcm.successes) == (1, 0)
+        mcm.audit()
+
+
 # -- update handlers -----------------------------------------------------------
 
 
