@@ -7,7 +7,9 @@ Two input formats are understood:
 * temporal - one record per line as ``u v w ts op`` with op ``+`` or ``-``
   (a missing op means ``+``); records are ordered by timestamp (ties keep
   file order).  Lines starting with ``#`` are comments; ``# n=K`` sets the
-  vertex count when ids alone underestimate it, up to MAX_N_HINT.
+  vertex count when ids alone underestimate it.
+
+Either way the vertex count is at most MAX_N_HINT, so ids are below it.
 
 Cleaning is the same for both: self-loops are dropped, duplicate inserts
 and deletes of absent edges are dropped (first occurrence wins), and every
@@ -32,8 +34,10 @@ DELETE = "delete"
 GEN_WEIGHT_LO = 1
 GEN_WEIGHT_HI = 100
 
-# Ceiling on the ``# n=K`` hint of temporal input: the replay allocates
-# O(K) per graph (and per level under LevelMwm) before reading any op.
+# Ceiling on the vertex count of either format, whether given (the static
+# first line, the temporal ``# n=K`` hint) or implied by the largest id: the
+# replay allocates O(n) per graph (and per level under LevelMwm) before
+# reading any op.
 MAX_N_HINT = 10**6
 
 
@@ -111,6 +115,10 @@ def parse_static_edgelist(text: str) -> EdgeListFile:
             if len(parts) != 1:
                 raise StreamParseError(line_no, "expected vertex count on first line")
             n = _parse_vertex(parts[0], line_no)
+            if n > MAX_N_HINT:
+                raise StreamParseError(
+                    line_no, f"vertex count {n} exceeds {MAX_N_HINT}"
+                )
             continue
         if len(parts) not in (2, 3):
             raise StreamParseError(line_no, f"expected 'u v [w]', got {line!r}")
@@ -158,6 +166,11 @@ def parse_temporal(text: str) -> UpdateStream:
             raise StreamParseError(line_no, f"expected 'u v w ts [op]', got {line!r}")
         u = _parse_vertex(parts[0], line_no)
         v = _parse_vertex(parts[1], line_no)
+        if u >= MAX_N_HINT or v >= MAX_N_HINT:
+            raise StreamParseError(
+                line_no,
+                f"vertex id {max(u, v)} >= vertex count ceiling {MAX_N_HINT}",
+            )
         op = parts[4] if len(parts) == 5 else "+"
         if op not in ("+", "-"):
             raise StreamParseError(line_no, f"bad op {op!r}, expected '+' or '-'")

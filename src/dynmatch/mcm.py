@@ -1,16 +1,19 @@
 """Dynamic maximum-cardinality matching subroutines.
 
 These are the per-level workers of the weight-bucketed matcher, but stand on
-their own for unweighted graphs.  Two augmentation strategies share the same
-update handlers:
+their own for unweighted graphs.  Two search strategies share the same
+update handlers and the same kernel, ``augment_from``:
 
 * ``walk`` - a random walker (match the free neighbor, or steal a matched
-  one and continue at its displaced mate) that simulates its steps in a
-  small overlay of the vertices it has touched and writes the matching only
-  when it ends at a free vertex, so a failed attempt leaves no trace;
+  one and continue at its displaced mate);
 * ``bfs`` - depth-bounded alternating breadth-first search without blossom
-  contraction, which likewise only mutates once a full augmenting path is
-  in hand.
+  contraction.
+
+Neither writes the matching while it searches.  Both read mates through an
+overlay {vertex: mate} that holds only what the search has changed so far,
+on top of an optional seed overlay (the edge swap of an insert), and return
+the overlay once it holds an augmenting path; ``_commit`` then writes seed
+and path together.  A failed attempt, the swap included, leaves no trace.
 
 No blossom handling means the BFS can miss augmenting paths through odd
 cycles; it is exact on bipartite graphs only, and that is the only place
@@ -34,11 +37,14 @@ class McmConfig:
 
     epsilon sets the search depth ceil(2/epsilon - 1) used by both
     strategies (when depth_bounded); repetitions retries the random walk
-    that many times per augmentation attempt.  lazy_threshold suppresses
-    deletion-triggered searches from a vertex until that many updates have
-    touched it since its last search.  safe_mode handles the insert case
-    where both endpoints are matched (otherwise ignored, which can lose
-    optimality even on bipartite graphs).
+    that many times per augmentation attempt, each retry from the attempt's
+    seed overlay again.  delta_settling makes the walk scan the current
+    vertex's neighborhood for a free partner before each random step.
+    lazy_threshold suppresses deletion-triggered searches from a vertex
+    until that many updates have touched it since its last search.
+    safe_mode handles the insert case where both endpoints are matched
+    (otherwise ignored, which can lose optimality even on bipartite
+    graphs).
     """
 
     epsilon: float = 1.0
@@ -90,11 +96,13 @@ class DynamicMcm:
     def handle_insert(self, u: int, v: int) -> None:
         """React to edge (u, v) having been inserted.
 
-        Both endpoints free: match directly.  Exactly one matched: swap the
-        new edge in and try to re-augment from the displaced mate, swapping
-        back on failure.  Both matched: nothing, unless safe_mode
-        locates a free vertex alternating-reachable from u (through u's
-        matched edge) and augments from there with a fresh budget.
+        Both endpoints free: match directly.  Exactly one matched: search
+        from the displaced mate with the new edge swapped in only in the
+        search's seed overlay, so the swap is written together with an
+        augmenting path or not at all.  Both matched: nothing, unless
+        safe_mode locates a free vertex alternating-reachable from u
+        (through u's matched edge) and augments from there with a fresh
+        budget.
         """
         st = self.state
         self._touched[u] += 1
@@ -112,11 +120,7 @@ class DynamicMcm:
             return
         a, b = (u, v) if fv else (v, u)  # a matched, b free
         displaced = st.mate_of(a)
-        st.unmatch(a)
-        st.match_edge(a, b, 1)
-        if not self.augment_from(displaced):
-            st.unmatch(a)
-            st.match_edge(a, displaced, 1)
+        self.augment_from(displaced, {a: b, b: a, displaced: FREE})
 
     def handle_delete(self, u: int, v: int) -> None:
         """React to edge (u, v) having been deleted.
@@ -137,33 +141,37 @@ class DynamicMcm:
 
     # -- augmentation ----------------------------------------------------------
 
-    def augment_from(self, start: int) -> bool:
-        """Try to grow the matching from free vertex ``start``.
+    def augment_from(self, start: int, seed: dict[int, int] | None = None) -> bool:
+        """Try to grow the matching from vertex ``start``.
 
-        Dispatches on config.kind; failed attempts leave the matching
-        exactly as it was, since both strategies write it only once they
-        hold a complete augmenting path.
+        ``seed`` is an overlay {vertex: mate} of changes not yet written to
+        the state (handle_insert's swap); the search reads every mate
+        through it, and ``start`` must be free there.  The search, a walk
+        (each repetition from a fresh copy of the seed) or a BFS per
+        config.kind, extends the overlay to an augmenting path, which
+        ``_commit`` writes together with the seed.  A failed attempt writes
+        nothing, so the matching, its version and every watch() set stay as
+        they were.
         """
-        if self.state.mate_of(start) != FREE:
+        if seed is None:
+            seed = {}
+        if seed.get(start, self.state._mate[start]) != FREE:
             raise ValueError(f"augment_from requires a free vertex, got {start}")
         self.attempts += 1
         if self.config.kind == "walk":
-            ok = self._walk_augment(start)
+            for _ in range(self.config.repetitions):
+                overlay = self._walk_once(start, seed)
+                if overlay is not None:
+                    break
         else:
-            ok = self._bfs_augment(start)
-        if ok:
-            self.successes += 1
-        return ok
+            overlay = self._bfs(start, seed)
+        if overlay is None:
+            return False
+        self._commit(overlay)
+        self.successes += 1
+        return True
 
-    def _walk_augment(self, start: int) -> bool:
-        for _ in range(self.config.repetitions):
-            overlay = self._walk_once(start)
-            if overlay is not None:
-                self._commit(overlay)
-                return True
-        return False
-
-    def _walk_once(self, start: int) -> dict[int, int] | None:
+    def _walk_once(self, start: int, seed: dict[int, int]) -> dict[int, int] | None:
         """Simulate one random walk of at most search_depth steps.
 
         At the current free vertex: with delta_settling, first scan the
@@ -171,27 +179,35 @@ class DynamicMcm:
         pick one uniformly random neighbor - match it if free, else steal it
         from its mate and continue the walk at the displaced vertex.
 
-        The steps go to an overlay {vertex: mate} over the touched vertices
-        (FREE for one a steal displaced); every other mate is read from the
-        state, which is not written.  Returns the overlay when the walk ends
-        in a match, None when it fails.
+        The steps go to a copy of ``seed``, an overlay {vertex: mate} over
+        the touched vertices (FREE for one a steal displaced); every other
+        mate is read from the state, which is not written.  Returns the
+        overlay when the walk ends in a match, None when it fails.
         """
-        g = self.graph
+        adjs = self.graph._adj
         base = self.state._mate
-        rng = self.rng
+        getrandbits = self.rng.getrandbits
         settle = self.config.delta_settling
-        over: dict[int, int] = {}
+        over = dict(seed)
         cur = start
         for _ in range(self.config.search_depth):
+            adj = adjs[cur]
             if settle:
-                for nb in g.neighbors(cur):
+                for nb in adj:
                     if over.get(nb, base[nb]) == FREE:
                         over[cur] = nb
                         over[nb] = cur
                         return over
-            nb = g.random_neighbor(cur, rng)
-            if nb is None:
+            k = len(adj)
+            if not k:
                 return None
+            # rng.randrange(k), drawn the way CPython draws it, so the RNG
+            # stream is the one DynamicGraph.random_neighbor would consume.
+            bits = k.bit_length()
+            r = getrandbits(bits)
+            while r >= k:
+                r = getrandbits(bits)
+            nb = adj[r]
             displaced = over.get(nb, base[nb])
             over[cur] = nb
             over[nb] = cur
@@ -202,9 +218,9 @@ class DynamicMcm:
         return None
 
     def _commit(self, overlay: dict[int, int]) -> None:
-        """Write an augmenting path, given as {vertex: new mate}, to the
-        state: first unmatch every pair it breaks, then match the pairs it
-        makes."""
+        """Write a search's overlay {vertex: new mate} (its seed plus the
+        augmenting path) to the state: first unmatch every pair it breaks,
+        then match the pairs it makes."""
         st = self.state
         mate = st._mate
         moved = [(x, y) for x, y in overlay.items() if mate[x] != y]
@@ -215,12 +231,14 @@ class DynamicMcm:
             if y != FREE and mate[x] == FREE:
                 st.match_edge(x, y, 1)
 
-    def _bfs_augment(self, start: int) -> bool:
-        """Alternating BFS from a free vertex; flips the first augmenting
-        path found within the depth budget.  No blossom contraction: odd
-        cycles can hide paths, so this is exact only on bipartite inputs."""
-        g = self.graph
-        st = self.state
+    def _bfs(self, start: int, seed: dict[int, int]) -> dict[int, int] | None:
+        """Alternating BFS from a free vertex, reading mates through
+        ``seed``; returns the seed plus the first augmenting path found
+        within the depth budget, flipped, or None.  No blossom contraction:
+        odd cycles can hide paths, so this is exact only on bipartite
+        inputs."""
+        adjs = self.graph._adj
+        base = self.state._mate
         budget = self.config.search_depth if self.config.depth_bounded else None
         # parent_odd[y] = even vertex that reached y; parent_even[z] = odd y
         # with mate z.  Even vertices extend via unmatched edges only.
@@ -231,35 +249,24 @@ class DynamicMcm:
             x, d = queue.popleft()
             if budget is not None and d + 1 > budget:
                 continue
-            mx = st.mate_of(x)
-            for y in g.neighbors(x):
+            mx = seed.get(x, base[x])
+            for y in adjs[x]:
                 if y == mx or y in parent_odd or y in parent_even:
                     continue
-                if st.mate_of(y) == FREE:
-                    self._flip_bfs_path(x, y, parent_odd, parent_even)
-                    return True
+                z = seed.get(y, base[y])
+                if z == FREE:
+                    overlay = dict(seed)
+                    while True:
+                        overlay[x] = y
+                        overlay[y] = x
+                        odd = parent_even[x]  # x's mate, entered via unmatched edge
+                        if odd == -1:
+                            return overlay
+                        x, y = parent_odd[odd], odd
                 parent_odd[y] = x
-                z = st.mate_of(y)
                 parent_even[z] = y
                 queue.append((z, d + 2))
-        return False
-
-    def _flip_bfs_path(
-        self,
-        x: int,
-        y: int,
-        parent_odd: dict[int, int],
-        parent_even: dict[int, int],
-    ) -> None:
-        overlay: dict[int, int] = {}
-        while True:
-            overlay[x] = y
-            overlay[y] = x
-            odd = parent_even[x]  # x's mate, entered via unmatched edge
-            if odd == -1:
-                break
-            x, y = parent_odd[odd], odd
-        self._commit(overlay)
+        return None
 
     def _alternating_free_node(self, u: int) -> int | None:
         """First free vertex reachable from matched u by an alternating path

@@ -15,6 +15,7 @@ import pytest
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.streams import INSERT
 from dynmatch.levels import LevelConfig, LevelMwm
+from dynmatch.mcm import McmConfig
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
 from test_acceptance import churn_stream
@@ -29,6 +30,26 @@ GOLDEN = {
         lambda g: LevelMwm(g, LevelConfig(), 2026),
         20480,
         "f8531c5104d34e66f446cf96892de7d31b080f05068a9b9e86cd5a8532e90a2b",
+    ),
+    # The churn-level-walk benchmark config: 49 levels, walks 19 steps deep.
+    "level-walk-0.1": (
+        lambda g: LevelMwm(g, LevelConfig(epsilon=0.1, allow_small_epsilon=True), 2026),
+        21259,
+        "42c23ba061d2c00f98045dd76a67b75cfb6d9297890a4f1d4571529b0bee0d9d",
+    ),
+    # Two repetitions per attempt, each restarting from the same seed
+    # overlay, and a settling scan before every random step.
+    "level-walk-0.5-settling-reps2": (
+        lambda g: LevelMwm(
+            g,
+            LevelConfig(
+                epsilon=0.5,
+                mcm=McmConfig(epsilon=0.5, repetitions=2, delta_settling=True),
+            ),
+            2026,
+        ),
+        21224,
+        "9cb3d0d8997637280184671223b42740713892f31d39ed61ff7fe1185574040d",
     ),
     "level-bfs-0.5": (
         lambda g: LevelMwm(g, LevelConfig(epsilon=0.5, mcm_kind="bfs"), 2026),

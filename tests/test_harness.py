@@ -146,6 +146,22 @@ def test_vertex_hint_above_ceiling_rejected():
     assert parse_temporal(f"# n={MAX_N_HINT}\n0 1 5 1 +\n").n == MAX_N_HINT
 
 
+def test_vertex_id_at_or_above_ceiling_rejected():
+    # Only the parser runs: a huge id would otherwise set n the way a huge
+    # hint does.
+    with pytest.raises(StreamParseError, match="line 2: vertex id 1000000000000"):
+        parse_temporal(f"0 1 5 0 +\n0 {10**12} 5 1 +\n")
+    with pytest.raises(StreamParseError, match="line 1: vertex id"):
+        parse_temporal(f"{MAX_N_HINT} 0 5 0 +\n")
+    assert parse_temporal(f"{MAX_N_HINT - 1} 0 5 0 +\n").n == MAX_N_HINT
+
+
+def test_static_vertex_count_above_ceiling_rejected():
+    with pytest.raises(StreamParseError, match="line 2: vertex count"):
+        parse_static_edgelist(f"# big\n{10**12}\n0 1 5\n")
+    assert parse_static_edgelist(f"{MAX_N_HINT}\n0 1 5\n").n == MAX_N_HINT
+
+
 def test_temporal_round_trip_through_format_stream():
     stream = gen_insertion_stream(6, [(0, 1, 5), (2, 3, None), (4, 5, 9)], seed=3)
     stream = gen_undo_suffix(stream, 50, seed=4)
@@ -666,6 +682,29 @@ def test_cli_non_finite_temporal_input_exits_2(tmp_path, capsys, algo, record):
     assert "error: line 1: non-finite" in captured.err
     assert "Traceback" not in captured.err
     assert "nan" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "temporal, text, message",
+    [
+        (True, f"0 1 5 0 +\n0 {10**12} 5 1 +\n", "error: line 2: vertex id"),
+        (False, f"{10**12}\n0 1 5\n", "error: line 1: vertex count"),
+    ],
+    ids=["temporal-id", "static-count"],
+)
+def test_cli_vertex_count_above_ceiling_exits_2(
+    tmp_path, capsys, temporal, text, message
+):
+    bad = tmp_path / "big.input"
+    bad.write_text(text)
+    code = main([
+        "run", "--input", str(bad), "--algo", "level-walk",
+        "--seed", "1", "--reps", "1",
+    ] + (["--temporal"] if temporal else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_cli_default_seed_env(static_file, monkeypatch, capsys):

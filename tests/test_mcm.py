@@ -103,6 +103,98 @@ def test_delta_settling_prefers_free_neighbor_over_steal():
         assert sorted(mcm.state.matched_pairs()) == [(0, 3), (1, 2)]
 
 
+def reference_walk(mcm, start, seed):
+    """Reference for DynamicMcm._walk_once: neighbors drawn through
+    DynamicGraph.random_neighbor (rng.randrange), mates read through a copy
+    of seed."""
+    g = mcm.graph
+    base = mcm.state._mate
+    over = dict(seed)
+    cur = start
+    for _ in range(mcm.config.search_depth):
+        if mcm.config.delta_settling:
+            for nb in g.neighbors(cur):
+                if over.get(nb, base[nb]) == FREE:
+                    over[cur] = nb
+                    over[nb] = cur
+                    return over
+        nb = g.random_neighbor(cur, mcm.rng)
+        if nb is None:
+            return None
+        displaced = over.get(nb, base[nb])
+        over[cur] = nb
+        over[nb] = cur
+        if displaced == FREE:
+            return over
+        over[displaced] = FREE
+        cur = displaced
+    return None
+
+
+def assert_walk_matches_reference(mcm, start, seed):
+    # Same overlay and same RNG state afterwards, from the same RNG state.
+    state = mcm.rng.getstate()
+    got = mcm._walk_once(start, seed)
+    after = mcm.rng.getstate()
+    mcm.rng.setstate(state)
+    assert got == reference_walk(mcm, start, seed)
+    assert mcm.rng.getstate() == after
+
+
+@pytest.mark.parametrize("settle", [False, True], ids=["plain", "settling"])
+def test_walk_kernel_draws_like_random_neighbor(settle):
+    # The walk inlines rng.randrange(k); the golden digests rest on it
+    # consuming the RNG exactly as randrange does.  Vertex 0 is a hub whose
+    # degree runs over 1 and powers of two, where k.bit_length() makes the
+    # rejection loop redraw most often.
+    rng = random.Random(77)
+    degrees = set()
+    for trial in range(300):
+        hub_degree = rng.choice((1, 2, 3, 4, 5, 7, 8, 9, 16, 17))
+        n = hub_degree + rng.randint(2, 8)
+        g = DynamicGraph(n)
+        for x in range(1, hub_degree + 1):
+            g.insert_edge(0, x, 1)
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.sample(range(1, n), 2)
+            if not g.has_edge(u, v):
+                g.insert_edge(u, v, 1)
+        mcm = make_mcm(
+            g, seed=trial, epsilon=rng.choice((1.0, 0.5, 0.2)),
+            delta_settling=settle,
+        )
+        for u, v, _w in sorted(g.edges()):  # the hub stays free
+            free = mcm.state.is_free(u) and mcm.state.is_free(v)
+            if free and u != 0 and rng.random() < 0.6:
+                mcm.state.match_edge(u, v, 1)
+        for start in [x for x in range(n) if mcm.state.is_free(x)]:
+            degrees.add(g.degree(start))
+            assert_walk_matches_reference(mcm, start, {})
+    assert {1, 2, 4, 8, 16} <= degrees
+
+
+def test_walk_kernel_reads_mates_through_its_seed():
+    # handle_insert's swap as a seed: (0,1) matched in the state, 2 inserted
+    # next to 1, so the walk starts at the displaced 0 with {1: 2, 2: 1}.
+    rng = random.Random(5)
+    for trial in range(200):
+        n = 8
+        g = build_graph(n, [(0, 1, 1), (1, 2, 1)])
+        for _ in range(10):
+            u, v = rng.sample(range(n), 2)
+            if not g.has_edge(u, v):
+                g.insert_edge(u, v, 1)
+        mcm = make_mcm(g, seed=trial, epsilon=0.2)
+        mcm.state.match_edge(0, 1, 1)
+        for u, v, _w in sorted(g.edges()):
+            free = mcm.state.is_free(u) and mcm.state.is_free(v)
+            if free and 2 not in (u, v) and rng.random() < 0.5:
+                mcm.state.match_edge(u, v, 1)
+        seed = {1: 2, 2: 1, 0: FREE}
+        assert_walk_matches_reference(mcm, 0, seed)
+        assert seed == {1: 2, 2: 1, 0: FREE}  # each repetition copies it
+
+
 # -- bounded BFS augmentation ------------------------------------------------
 
 
@@ -192,6 +284,29 @@ def test_failed_insert_swap_restores_the_original_pair(kind):
         assert mcm.state.total_weight == 1
         assert (mcm.attempts, mcm.successes) == (1, 0)
         mcm.audit()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [dict(kind="walk"), dict(kind="walk", repetitions=2), dict(kind="bfs")],
+    ids=["walk", "walk-reps2", "bfs"],
+)
+def test_failed_insert_swap_writes_nothing(cfg):
+    # Same setting as above: the swap lives only in the search's seed, so a
+    # failure neither bumps the version nor marks a vertex as changed.
+    for seed in range(10):
+        g = build_graph(3, [(0, 1, 1)])
+        mcm = make_mcm(g, seed=seed, epsilon=0.2, **cfg)
+        mcm.state.match_edge(0, 1, 1)
+        watcher = mcm.state.watch()
+        version = mcm.state.version
+        before = snapshot(mcm)
+        g.insert_edge(1, 2, 1)
+        mcm.handle_insert(1, 2)
+        assert mcm.state.version == version
+        assert watcher == set()
+        assert snapshot(mcm) == before
+        assert (mcm.attempts, mcm.successes) == (1, 0)
 
 
 # -- update handlers -----------------------------------------------------------
