@@ -38,7 +38,6 @@ from .oracle import (
 )
 from .paths import (
     EligibilityArray,
-    PathEdge,
     WalkPath,
     apply_path_matching,
     extend_walk,
@@ -63,7 +62,6 @@ __all__ = [
     "McmConfig",
     "OracleLimitError",
     "OracleLimits",
-    "PathEdge",
     "RandomConfig",
     "RandomWalkMwm",
     "ReplayError",

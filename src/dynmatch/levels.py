@@ -221,12 +221,14 @@ class LevelMwm:
 
         The edge lives in levels 0..level_index(w), a contiguous run from
         the bottom, so the levels are walked upward and the walk stops at
-        the first one without it.
+        the first one without it.  Membership is one lookup in the level
+        graph's position dict, so delete_edge runs only where it succeeds.
         """
         for level in self.levels:
-            if not level.graph.has_edge(u, v):
+            graph = level.graph
+            if v not in graph._pos[u]:
                 break
-            level.graph.delete_edge(u, v)
+            graph.delete_edge(u, v)
             level.worker.handle_delete(u, v)
 
     # -- merged view -------------------------------------------------------------

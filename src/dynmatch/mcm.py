@@ -105,10 +105,11 @@ class DynamicMcm:
         budget.
         """
         st = self.state
+        mate = st._mate
         self._touched[u] += 1
         self._touched[v] += 1
-        fu = st.mate_of(u) == FREE
-        fv = st.mate_of(v) == FREE
+        fu = mate[u] == FREE
+        fv = mate[v] == FREE
         if fu and fv:
             st.match_edge(u, v, 1)
             return
@@ -119,7 +120,7 @@ class DynamicMcm:
                     self.augment_from(free_node)
             return
         a, b = (u, v) if fv else (v, u)  # a matched, b free
-        displaced = st.mate_of(a)
+        displaced = mate[a]
         self.augment_from(displaced, {a: b, b: a, displaced: FREE})
 
     def handle_delete(self, u: int, v: int) -> None:
@@ -130,12 +131,13 @@ class DynamicMcm:
         allows a search.
         """
         st = self.state
-        if st.mate_of(u) == v:
+        mate = st._mate
+        if mate[u] == v:
             st.unmatch(u)
         self._touched[u] += 1
         self._touched[v] += 1
         for x in (u, v):
-            if st.mate_of(x) == FREE and self._touched[x] >= self.config.lazy_threshold:
+            if mate[x] == FREE and self._touched[x] >= self.config.lazy_threshold:
                 self._touched[x] = 0
                 self.augment_from(x)
 

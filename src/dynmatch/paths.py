@@ -17,7 +17,7 @@ subset of path edges cannot double-match a vertex elsewhere.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from itertools import compress
 
 from .graph import DynamicGraph, Weight
 from .matching import FREE, MatchingState
@@ -26,13 +26,6 @@ from .matching import FREE, MatchingState
 # over all neighbors with rejection, so each step stays O(1); matched-edge
 # traversal never consumes attempts.
 SAMPLE_ATTEMPTS = 5
-
-
-class PathEdge(NamedTuple):
-    u: int
-    v: int
-    weight: Weight
-    matched: bool
 
 
 class EligibilityArray:
@@ -66,13 +59,21 @@ class EligibilityArray:
 
 
 class WalkPath:
-    """Edge path under construction; ``nodes[i], nodes[i+1]`` frame ``edges[i]``."""
+    """Path under construction, as parallel lists: edge i joins ``nodes[i]``
+    and ``nodes[i+1]``, weighs ``weights[i]`` and is on the matching iff
+    ``matched[i]``."""
 
-    __slots__ = ("nodes", "edges")
+    __slots__ = ("nodes", "weights", "matched")
 
-    def __init__(self) -> None:
-        self.nodes: list[int] = []
-        self.edges: list[PathEdge] = []
+    def __init__(
+        self,
+        nodes: list[int] | None = None,
+        weights: list[Weight] | None = None,
+        matched: list[bool] | None = None,
+    ) -> None:
+        self.nodes: list[int] = [] if nodes is None else nodes
+        self.weights: list[Weight] = [] if weights is None else weights
+        self.matched: list[bool] = [] if matched is None else matched
 
     def start(self, u: int) -> None:
         if self.nodes:
@@ -82,64 +83,50 @@ class WalkPath:
     def append_step(self, to: int, w: Weight, matched: bool) -> None:
         if not self.nodes:
             raise ValueError("path has no start vertex")
-        self.edges.append(PathEdge(self.nodes[-1], to, w, matched))
         self.nodes.append(to)
+        self.weights.append(w)
+        self.matched.append(matched)
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def last_vertex(self) -> int:
-        return self.nodes[-1]
+        return len(self.weights)
 
     def matched_weight(self) -> Weight:
         """Total weight of path edges currently flagged matched."""
-        return sum(e.weight for e in self.edges if e.matched)
-
-    def last_edge_is(self, u: int, v: int) -> bool:
-        if not self.edges:
-            return False
-        e = self.edges[-1]
-        return (e.u == u and e.v == v) or (e.u == v and e.v == u)
+        return sum(compress(self.weights, self.matched))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WalkPath({self.nodes})"
 
 
 def validate_walk_path(path: WalkPath, state: MatchingState) -> None:
-    """Assert simplicity, chain coherence, and closure; test/audit helper."""
-    if len(set(path.nodes)) != len(path.nodes):
-        raise AssertionError(f"path repeats a vertex: {path.nodes}")
-    for i, e in enumerate(path.edges):
-        if (e.u, e.v) != (path.nodes[i], path.nodes[i + 1]):
-            raise AssertionError(f"edge {i} does not chain: {e} vs {path.nodes}")
-        if e.matched != (state.mate_of(e.u) == e.v):
-            raise AssertionError(f"edge {i} matched flag stale: {e}")
-    for x in path.nodes:
-        m = state.mate_of(x)
+    """Assert simplicity, list coherence, and closure; test/audit helper."""
+    nodes = path.nodes
+    if len(set(nodes)) != len(nodes):
+        raise AssertionError(f"path repeats a vertex: {nodes}")
+    k = len(path.weights)
+    if len(path.matched) != k or len(nodes) != (k + 1 if nodes else 0):
+        raise AssertionError(
+            f"path lists out of step: {len(nodes)} nodes, {k} weights, "
+            f"{len(path.matched)} matched flags"
+        )
+    mate = state._mate
+    for i, flag in enumerate(path.matched):
+        if flag != (mate[nodes[i]] == nodes[i + 1]):
+            raise AssertionError(
+                f"edge {i} ({nodes[i]}, {nodes[i + 1]}) matched flag stale: {flag}"
+            )
+    for x in nodes:
+        m = mate[x]
         if m != FREE and not _pair_on_path(path, x, m):
             raise AssertionError(
-                f"closure violated: matched edge ({x}, {m}) off path {path.nodes}"
+                f"closure violated: matched edge ({x}, {m}) off path {nodes}"
             )
 
 
 def _pair_on_path(path: WalkPath, u: int, v: int) -> bool:
-    return any((e.u == u and e.v == v) or (e.u == v and e.v == u) for e in path.edges)
-
-
-def _sample_eligible(
-    graph: DynamicGraph, u: int, elig: EligibilityArray, rng: random.Random
-) -> int | None:
-    adj = graph.neighbors(u)
-    if not adj:
-        return None
-    flags = elig.flags
-    for _ in range(SAMPLE_ATTEMPTS):
-        v = adj[rng.randrange(len(adj))]
-        if flags[v]:
-            return v
-    return None
+    pairs = zip(path.nodes, path.nodes[1:])
+    return any((a == u and b == v) or (a == v and b == u) for a, b in pairs)
 
 
 def extend_walk(
@@ -165,30 +152,60 @@ def extend_walk(
     later rewrite could double-match the off-path mate.  Callers must pass an
     eligibility array consistent with the path (all path vertices except
     ``current`` marked) and reset it once done with the path.
+
+    The loop reads the graph, matching and eligibility internals directly
+    and draws each neighbor index with CPython's ``randrange(k)`` rejection
+    loop over ``getrandbits``, so it consumes the RNG exactly as
+    ``rng.randrange`` would.
     """
-    if path.nodes and path.last_vertex != current:
-        raise ValueError(
-            f"current vertex {current} is not the path head {path.last_vertex}"
-        )
-    if not path.nodes:
-        path.start(current)
+    nodes = path.nodes
+    if not nodes:
+        nodes.append(current)
+    elif nodes[-1] != current:
+        raise ValueError(f"current vertex {current} is not the path head {nodes[-1]}")
+    weights = path.weights
+    matched = path.matched
     mate = state._mate
+    pairs = state._pairs
+    adjs = graph._adj
+    gw = graph._weight
+    flags = elig.flags
+    marked = elig._marked
+    getrandbits = rng.getrandbits
+    # The path's other end of the last edge; FREE (never a mate) if none.
+    prev = nodes[-2] if len(nodes) > 1 else FREE
     while True:
         m = mate[current]
-        if m != FREE and not path.last_edge_is(current, m):
-            if not elig.eligible(m):
+        if m != FREE and m != prev:
+            if not flags[m]:
                 break
-            path.append_step(m, state.stored_weight(current), True)
-            elig.mark_ineligible(current)
-            current = m
-            continue
-        if path.edge_count >= max_len:
-            break
-        nxt = _sample_eligible(graph, current, elig, rng)
-        if nxt is None:
-            break
-        path.append_step(nxt, graph.weight(current, nxt), False)
-        elig.mark_ineligible(current)
+            nxt = m
+            weights.append(pairs[(current, m) if current < m else (m, current)])
+            matched.append(True)
+        else:
+            if len(weights) >= max_len:
+                break
+            adj = adjs[current]
+            k = len(adj)
+            if not k:
+                break
+            bits = k.bit_length()
+            for _ in range(SAMPLE_ATTEMPTS):
+                r = getrandbits(bits)
+                while r >= k:
+                    r = getrandbits(bits)
+                nxt = adj[r]
+                if flags[nxt]:
+                    break
+            else:
+                break
+            weights.append(gw[(current, nxt) if current < nxt else (nxt, current)])
+            matched.append(False)
+        nodes.append(nxt)
+        if flags[current]:
+            flags[current] = 0
+            marked.append(current)
+        prev = current
         current = nxt
     return path
 
@@ -201,16 +218,16 @@ def mwm_on_path(path: WalkPath) -> tuple[list[int], Weight]:
     ties keep the earlier-prefix solution.  Selection is recovered by
     backtracking over the take flags.
     """
-    edges = path.edges
-    k = len(edges)
+    weights = path.weights
+    k = len(weights)
     if k == 0:
         return [], 0
     best_prev: Weight = 0  # W[i-2] while scanning
-    best: Weight = edges[0].weight  # W[i-1]
+    best: Weight = weights[0]  # W[i-1]
     take = [False] * (k + 1)
     take[1] = True
     for i in range(2, k + 1):
-        cand = edges[i - 1].weight + best_prev
+        cand = weights[i - 1] + best_prev
         if cand > best:
             take[i] = True
             best_prev, best = best, cand
@@ -233,13 +250,15 @@ def apply_path_matching(
 ) -> None:
     """Replace the path's matched edges with the selected edge subset.
 
-    ``selected`` holds indices into ``path.edges`` and must be independent
+    ``selected`` holds edge indices into the path and must be independent
     within the path (no two consecutive indices).  Path closure guarantees
     the rewrite cannot collide with matched edges off the path.
     """
+    nodes = path.nodes
+    weights = path.weights
     prev = -2
     for i in selected:
-        if not 0 <= i < len(path.edges):
+        if not 0 <= i < len(weights):
             raise ValueError(f"selected index {i} out of range")
         if i <= prev:
             raise ValueError("selected indices must be strictly increasing")
@@ -248,12 +267,12 @@ def apply_path_matching(
                 f"selected edges {prev} and {i} share a vertex on the path"
             )
         prev = i
-    for e in path.edges:
-        if e.matched and state.mate_of(e.u) == e.v:
-            state.unmatch(e.u)
+    mate = state._mate
+    for i in compress(range(len(weights)), path.matched):
+        if mate[nodes[i]] == nodes[i + 1]:
+            state.unmatch(nodes[i])
     for i in selected:
-        e = path.edges[i]
-        state.match_edge(e.u, e.v, e.weight)
+        state.match_edge(nodes[i], nodes[i + 1], weights[i])
 
 
 def improve_along_path(state: MatchingState, path: WalkPath) -> bool:

@@ -88,7 +88,7 @@ class RandomWalkMwm:
         in, built from the endpoints' current mates, and continues walking
         from the seed's open end.
         """
-        self.run_walk_campaign(lambda: self._seed_insert(u, v, w))
+        self.run_walk_campaign(self._seed_insert, u, v, w)
 
     def handle_delete(self, u: int, v: int) -> None:
         """React to edge (u, v) having been deleted.
@@ -98,30 +98,43 @@ class RandomWalkMwm:
         try to repair around each endpoint; a matched anchor's walk starts by
         traversing its matched edge.
         """
-        if self.state.mate_of(u) == v:
+        if self.state._mate[u] == v:
             self.state.unmatch(u)
-        self.run_walk_campaign(lambda: self._seed_anchor(u))
-        self.run_walk_campaign(lambda: self._seed_anchor(v))
+        self.run_walk_campaign(self._seed_anchor, u)
+        self.run_walk_campaign(self._seed_anchor, v)
 
     # -- campaign machinery -------------------------------------------------
 
-    def run_walk_campaign(self, seed_builder) -> int:
+    def run_walk_campaign(self, seed_builder, *args) -> int:
         """Run up to the configured number of walks; returns success count.
 
-        With stop_early, beta consecutive failures abort the campaign; the
-        failure counter resets on every success and is local to this
-        campaign.
+        Each walk starts from ``seed_builder(*args)``, a fresh seed path and
+        the vertex to walk on from.  With stop_early, beta consecutive
+        failures abort the campaign; the failure counter resets on every
+        success and is local to this campaign.
         """
         budget = self._walk_budget()
+        cfg = self.config
+        graph = self.graph
+        state = self.state
+        rng = self.rng
+        max_len = cfg.walk_length
+        elig = self._elig
         successes = 0
         consecutive_failures = 0
         for _ in range(budget):
-            if self._single_walk(seed_builder):
+            path, start = seed_builder(*args)
+            extend_walk(graph, state, path, start, max_len, elig, rng)
+            improved = improve_along_path(state, path)
+            elig.reset()
+            self.walks_run += 1
+            if improved:
+                self.walks_improved += 1
                 successes += 1
                 consecutive_failures = 0
             else:
                 consecutive_failures += 1
-                if self.config.stop_early and consecutive_failures >= self.config.beta:
+                if cfg.stop_early and consecutive_failures >= cfg.beta:
                     break
         return successes
 
@@ -133,24 +146,6 @@ class RandomWalkMwm:
         n = max(self.graph.n, 2)
         return max(1, math.ceil(delta ** (2.0 / cfg.epsilon + 3.0) * math.log(n)))
 
-    def _single_walk(self, seed_builder) -> bool:
-        path, start = seed_builder()
-        extend_walk(
-            self.graph,
-            self.state,
-            path,
-            start,
-            self.config.walk_length,
-            self._elig,
-            self.rng,
-        )
-        improved = improve_along_path(self.state, path)
-        self._elig.reset()
-        self.walks_run += 1
-        if improved:
-            self.walks_improved += 1
-        return improved
-
     # -- seed paths ----------------------------------------------------------
 
     def _seed_insert(self, u: int, v: int, w: Weight) -> tuple[WalkPath, int]:
@@ -161,49 +156,49 @@ class RandomWalkMwm:
         matched: both matched edges flank the new edge and the walk
         continues at v's mate.  Earlier walks of the same campaign may have
         matched the new edge itself; it then seeds as a single matched edge.
+        Every seed vertex but the open end is marked ineligible.
         """
-        state = self.state
-        elig = self._elig
-        path = WalkPath()
-        mu = state.mate_of(u)
-        mv = state.mate_of(v)
-        if mu == v:
+        mate = self.state._mate
+        pairs = self.state._pairs
+        flags = self._elig.flags
+        marked = self._elig._marked
+        mu = mate[u]
+        mv = mate[v]
+        if mu == v or (mu == FREE and mv == FREE):
             a, b = (u, v) if self.rng.random() < 0.5 else (v, u)
-            path.start(a)
-            path.append_step(b, state.stored_weight(a), True)
-            elig.mark_ineligible(a)
-            return path, b
-        if mu == FREE and mv == FREE:
-            a, b = (u, v) if self.rng.random() < 0.5 else (v, u)
-            path.start(a)
-            path.append_step(b, w, False)
-            elig.mark_ineligible(a)
+            if mu == v:
+                path = WalkPath([a, b], [pairs[(u, v) if u < v else (v, u)]], [True])
+            else:
+                path = WalkPath([a, b], [w], [False])
+            flags[a] = 0
+            marked.append(a)
             return path, b
         if mu != FREE and mv != FREE:
-            path.start(mu)
-            path.append_step(u, state.stored_weight(u), True)
-            path.append_step(v, w, False)
-            path.append_step(mv, state.stored_weight(v), True)
-            elig.mark_ineligible(mu)
-            elig.mark_ineligible(u)
-            elig.mark_ineligible(v)
+            path = WalkPath(
+                [mu, u, v, mv],
+                [
+                    pairs[(u, mu) if u < mu else (mu, u)],
+                    w,
+                    pairs[(v, mv) if v < mv else (mv, v)],
+                ],
+                [True, False, True],
+            )
+            flags[mu] = flags[u] = flags[v] = 0
+            marked += (mu, u, v)
             return path, mv
         # Exactly one endpoint matched; orient so a is the matched one.
         a, b = (u, v) if mu != FREE else (v, u)
-        ma = state.mate_of(a)
-        path.start(ma)
-        path.append_step(a, state.stored_weight(a), True)
-        path.append_step(b, w, False)
-        elig.mark_ineligible(ma)
-        elig.mark_ineligible(a)
+        ma = mate[a]
+        wa = pairs[(a, ma) if a < ma else (ma, a)]
+        path = WalkPath([ma, a, b], [wa, w], [True, False])
+        flags[ma] = flags[a] = 0
+        marked += (ma, a)
         return path, b
 
     def _seed_anchor(self, anchor: int) -> tuple[WalkPath, int]:
-        """Empty path starting at a deletion endpoint; extend_walk traverses
-        the anchor's matched edge first when there is one."""
-        path = WalkPath()
-        path.start(anchor)
-        return path, anchor
+        """Path holding only a deletion endpoint; extend_walk traverses the
+        anchor's matched edge first when there is one."""
+        return WalkPath([anchor]), anchor
 
     # -- reporting -----------------------------------------------------------
 

@@ -26,6 +26,20 @@ GOLDEN = {
         21437,
         "7460e9aa308bc46c84d278129b163330fd82a8e64d7bff7ef4fa8c898562a3b4",
     ),
+    # The undo-rw benchmark config: five walks per campaign.
+    "random-5walks": (
+        lambda g: RandomWalkMwm(g, RandomConfig(epsilon=1.0, num_walks=5), 2026),
+        21758,
+        "583bf7d742a3388cfbd1c3e144934f9f7de5d6099daea055b0254cf7b06c27e5",
+    ),
+    # Longer walks (7 edges) and every campaign runs its full budget.
+    "random-0.5-3walks-no-stop-early": (
+        lambda g: RandomWalkMwm(
+            g, RandomConfig(epsilon=0.5, num_walks=3, stop_early=False), 2026
+        ),
+        21645,
+        "76cdeb057506fe737cdcc1a8813946547cae2b89739780d3e612014082874488",
+    ),
     "level-walk": (
         lambda g: LevelMwm(g, LevelConfig(), 2026),
         20480,

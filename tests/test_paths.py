@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dynmatch.graph import DynamicGraph
 from dynmatch.matching import FREE, MatchingState
 from dynmatch.paths import (
+    SAMPLE_ATTEMPTS,
     EligibilityArray,
     WalkPath,
     apply_path_matching,
@@ -107,11 +108,13 @@ def test_walkpath_bookkeeping():
         p.start(1)
     p.append_step(3, 2, False)
     assert p.nodes == [0, 3]
+    assert p.weights == [2]
+    assert p.matched == [False]
     assert p.edge_count == 1
-    assert p.last_vertex == 3
-    assert p.last_edge_is(3, 0) and p.last_edge_is(0, 3)
-    assert not p.last_edge_is(0, 1)
     p.append_step(5, 4, True)
+    assert p.nodes == [0, 3, 5]
+    assert p.weights == [2, 4]
+    assert p.matched == [False, True]
     assert p.matched_weight() == 4
 
 
@@ -200,10 +203,8 @@ def test_walk_two_path_all_free():
     elig = EligibilityArray(3)
     path = extend_walk(g, st_, WalkPath(), 0, 5, elig, random.Random(3))
     assert path.nodes == [0, 1, 2]
-    assert [(e.u, e.v, e.matched) for e in path.edges] == [
-        (0, 1, False),
-        (1, 2, False),
-    ]
+    assert path.weights == [4, 6]
+    assert path.matched == [False, False]
 
 
 def test_walk_triangle_traverses_matched_edge_then_stops():
@@ -217,9 +218,8 @@ def test_walk_triangle_traverses_matched_edge_then_stops():
         # first step samples 1 or 2; the matched edge follows immediately;
         # then both neighbors of the last vertex are ineligible
         assert path.edge_count == 2
-        assert not path.edges[0].matched
-        assert path.edges[1].matched
-        assert {path.edges[1].u, path.edges[1].v} == {1, 2}
+        assert path.matched == [False, True]
+        assert set(path.nodes[1:]) == {1, 2}
         validate_walk_path(path, st_)
 
 
@@ -230,10 +230,8 @@ def test_walk_appends_pending_matched_edge_beyond_cap():
     elig = EligibilityArray(3)
     path = extend_walk(g, st_, WalkPath(), 0, 1, elig, random.Random(0))
     # cap is 1 edge, but stopping at matched vertex 1 would break closure
-    assert [(e.u, e.v, e.matched) for e in path.edges] == [
-        (0, 1, False),
-        (1, 2, True),
-    ]
+    assert path.nodes == [0, 1, 2]
+    assert path.matched == [False, True]
     validate_walk_path(path, st_)
 
 
@@ -254,6 +252,90 @@ def test_walk_rejects_mismatched_current():
     p.start(0)
     with pytest.raises(ValueError):
         extend_walk(g, st_, p, 2, 5, EligibilityArray(3), random.Random(0))
+
+
+def reference_extend_walk(graph, state, path, current, max_len, elig, rng):
+    """extend_walk through the public accessors and rng.randrange."""
+    nodes, weights, matched = path.nodes, path.weights, path.matched
+    if not nodes:
+        nodes.append(current)
+    while True:
+        m = state.mate_of(current)
+        on_path = len(nodes) > 1 and {nodes[-2], nodes[-1]} == {current, m}
+        if m != FREE and not on_path:
+            if not elig.eligible(m):
+                break
+            nxt, w, flag = m, state.stored_weight(current), True
+        else:
+            if len(weights) >= max_len:
+                break
+            adj = graph.neighbors(current)
+            nxt = None
+            for _ in range(SAMPLE_ATTEMPTS if adj else 0):
+                x = adj[rng.randrange(len(adj))]
+                if elig.eligible(x):
+                    nxt = x
+                    break
+            if nxt is None:
+                break
+            w, flag = graph.weight(current, nxt), False
+        nodes.append(nxt)
+        weights.append(w)
+        matched.append(flag)
+        elig.mark_ineligible(current)
+        current = nxt
+    return path
+
+
+def test_walk_kernel_draws_like_randrange():
+    # extend_walk inlines rng.randrange(k); the golden digests rest on it
+    # consuming the RNG exactly as randrange does.  Vertex 0 is a hub whose
+    # degree runs over 1 and powers of two, where k.bit_length() makes the
+    # rejection loop redraw most often.  Some vertices start ineligible, so
+    # the sampling attempts run out too.
+    rng = random.Random(78)
+    degrees = set()
+    for trial in range(300):
+        hub_degree = rng.choice((1, 2, 3, 4, 5, 7, 8, 9, 16, 17))
+        n = hub_degree + rng.randint(2, 8)
+        g = DynamicGraph(n)
+        for x in range(1, hub_degree + 1):
+            g.insert_edge(0, x, rng.randint(1, 50))
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.sample(range(1, n), 2)
+            if not g.has_edge(u, v):
+                g.insert_edge(u, v, rng.randint(1, 50))
+        st_ = MatchingState(n)
+        for u, v, w in sorted(g.edges()):
+            if st_.is_free(u) and st_.is_free(v) and rng.random() < 0.4:
+                st_.match_edge(u, v, w)
+        walk_rng = random.Random(trial)
+        for start in range(n):
+            degrees.add(g.degree(start))
+            blocked = [x for x in range(n) if x != start and rng.random() < 0.2]
+            max_len = rng.randint(1, 9)
+            # A matched start may come with its matched edge already on the
+            # path, as _seed_insert lays it; the walk must not take it again.
+            mate = st_.mate_of(start)
+            seeded = mate != FREE and rng.random() < 0.5
+            runs = []
+            for walk in (extend_walk, reference_extend_walk):
+                state = walk_rng.getstate()
+                elig = EligibilityArray(n)
+                for x in blocked:
+                    elig.mark_ineligible(x)
+                path = WalkPath()
+                if seeded:
+                    path.start(mate)
+                    path.append_step(start, st_.stored_weight(start), True)
+                    elig.mark_ineligible(mate)
+                path = walk(g, st_, path, start, max_len, elig, walk_rng)
+                runs.append((path.nodes, path.weights, path.matched,
+                             bytes(elig.flags), elig._marked, walk_rng.getstate()))
+                walk_rng.setstate(state)
+            assert runs[0] == runs[1]
+            walk_rng.setstate(runs[0][-1])
+    assert {1, 2, 3, 4, 5, 7, 8, 9, 16, 17} <= degrees
 
 
 # -- apply_path_matching / improve_along_path ---------------------------------
