@@ -10,7 +10,6 @@ which keeps the list dense and the dict in sync.
 
 from __future__ import annotations
 
-import random
 from typing import Iterator, Sequence
 
 from .errors import AbsentEdgeError
@@ -137,13 +136,6 @@ class DynamicGraph:
         """Live view of u's neighbor list; do not mutate."""
         self._check_vertex(u)
         return self._adj[u]
-
-    def random_neighbor(self, u: int, rng: random.Random) -> int | None:
-        """Uniformly random neighbor of u, or None for isolated u."""
-        adj = self._adj[u]
-        if not adj:
-            return None
-        return adj[rng.randrange(len(adj))]
 
     def edge_count(self) -> int:
         return self._m

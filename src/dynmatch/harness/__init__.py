@@ -1,69 +1,1 @@
 """Benchmark harness: stream I/O, replay, aggregation, CLI."""
-
-from dynmatch.harness.profiles import (
-    PerfProfile,
-    default_tau_grid,
-    geometric_mean,
-    parse_tau_grid,
-    perf_profile,
-)
-from dynmatch.harness.replay import (
-    RESULT_FIELDS,
-    AlgoFactory,
-    MatchingAlgorithm,
-    OracleRecompute,
-    ReplayOutcome,
-    RunResult,
-    level_factory,
-    oracle_factory,
-    random_walk_factory,
-    rep_seed,
-    replay,
-    result_row,
-    run_repetitions,
-)
-from dynmatch.harness.streams import (
-    DELETE,
-    INSERT,
-    EdgeListFile,
-    UpdateOp,
-    UpdateStream,
-    final_graph,
-    format_stream,
-    gen_insertion_stream,
-    gen_undo_suffix,
-    parse_static_edgelist,
-    parse_temporal,
-)
-
-__all__ = [
-    "AlgoFactory",
-    "DELETE",
-    "EdgeListFile",
-    "INSERT",
-    "MatchingAlgorithm",
-    "OracleRecompute",
-    "PerfProfile",
-    "RESULT_FIELDS",
-    "ReplayOutcome",
-    "RunResult",
-    "UpdateOp",
-    "UpdateStream",
-    "default_tau_grid",
-    "final_graph",
-    "format_stream",
-    "gen_insertion_stream",
-    "gen_undo_suffix",
-    "geometric_mean",
-    "level_factory",
-    "oracle_factory",
-    "parse_static_edgelist",
-    "parse_tau_grid",
-    "parse_temporal",
-    "perf_profile",
-    "random_walk_factory",
-    "rep_seed",
-    "replay",
-    "result_row",
-    "run_repetitions",
-]

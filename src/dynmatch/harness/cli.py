@@ -6,15 +6,16 @@ Subcommands:
            undo suffix)
   profile  turn a results CSV into a performance-profile TSV
 
-Exit codes: 0 on success, 2 on parse errors, replay errors, invariant
-violations found in audit mode, or an oracle-limit breach when the exact
-baseline itself must solve the instance (--algo oracle).
+Exit codes: 0 on success, 2 on bad arguments, parse errors, replay errors,
+invariant violations found in audit mode, or an oracle-limit breach when the
+exact baseline itself must solve the instance (--algo oracle).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import random
 import sys
@@ -57,12 +58,26 @@ from dynmatch.random_walk import RandomConfig
 ALGO_CHOICES = ("random", "level-walk", "level-bfs", "oracle")
 
 
-def _default_seed() -> int:
+def _default_seed(args) -> int:
     raw = os.environ.get("DYNMATCH_SEED", "1")
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"DYNMATCH_SEED must be an integer, got {raw!r}")
+        args.error(f"DYNMATCH_SEED must be an integer, got {raw!r}")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def percent(text: str) -> float:
+    value = float(text)
+    if not 0 <= value <= 100:
+        raise argparse.ArgumentTypeError(f"must be in [0, 100], got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,10 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="master seed (default: $DYNMATCH_SEED or 1)",
     )
-    p_run.add_argument("--reps", type=int, default=10, help="repetitions")
+    p_run.add_argument("--reps", type=positive_int, default=10, help="repetitions")
     p_run.add_argument(
         "--undo-percent",
-        type=float,
+        type=percent,
         default=0.0,
         help="append an undo suffix reverting the last X%% of ops",
     )
@@ -103,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--opt",
         default="auto",
         help="'auto' solves the final graph exactly (skipped with a warning "
-        "beyond oracle limits), 'none' disables ratios, a number supplies a "
-        "precomputed OPT",
+        "beyond oracle limits), 'none' disables ratios, a finite number > 0 "
+        "supplies a precomputed OPT",
     )
     p_run.add_argument("--out", help="append result rows to this CSV file")
     p_run.add_argument("--label", help="instance label for result rows")
@@ -127,16 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lvl = p_run.add_argument_group("level options")
     lvl.add_argument("--level-epsilon", type=float, default=1.0)
-    lvl.add_argument(
-        "--mcm",
-        choices=("walk", "bfs"),
-        default=None,
-        help="per-level matching subroutine (defaults to the --algo suffix)",
-    )
     lvl.add_argument("--mcm-epsilon", type=float, default=None)
-    lvl.add_argument("--mcm-repetitions", type=int, default=None)
-    lvl.add_argument("--delta-settling", action="store_true")
-    lvl.add_argument("--lazy-threshold", type=int, default=None)
     lvl.add_argument("--safe-mode", action="store_true")
     lvl.add_argument(
         "--mcm-depth-unbounded",
@@ -147,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run.add_argument(
         "--oracle-interval",
-        type=int,
+        type=positive_int,
         default=100,
         help="ops between exact recomputes for --algo oracle",
     )
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, error=p_run.error)
 
     p_gen = sub.add_parser("gen", help="generate an update stream file")
     src = p_gen.add_mutually_exclusive_group(required=True)
@@ -166,12 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument(
         "--undo-percent",
-        type=float,
+        type=percent,
         default=0.0,
         help="append an undo suffix reverting the last X%% of ops",
     )
     p_gen.add_argument("--out", help="output path (default: stdout)")
-    p_gen.set_defaults(func=cmd_gen)
+    p_gen.set_defaults(func=cmd_gen, error=p_gen.error)
 
     p_prof = sub.add_parser("profile", help="results CSV -> profile TSV")
     p_prof.add_argument("--results", required=True, help="results CSV from run")
@@ -181,13 +187,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="'0.8,0.9,1.0' or 'start:stop:step' (default 0.50:1.00:0.01)",
     )
     p_prof.add_argument("--out", help="output path (default: stdout)")
-    p_prof.set_defaults(func=cmd_profile)
+    p_prof.set_defaults(func=cmd_profile, error=p_prof.error)
 
     return parser
 
 
+def _read_input(args) -> str:
+    try:
+        return Path(args.input).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        args.error(f"cannot read --input: {exc}")
+
+
 def _load_stream(args) -> UpdateStream:
-    text = Path(args.input).read_text()
+    text = _read_input(args)
     if args.temporal:
         stream = parse_temporal(text)
         dropped = {
@@ -204,7 +217,8 @@ def _load_stream(args) -> UpdateStream:
 
 
 def _build_factory(args) -> tuple[object, str]:
-    """Returns (factory, config label) for the chosen algorithm."""
+    """Returns (factory, config label) for the chosen algorithm; raises
+    ValueError on a bad option value."""
     if args.algo == "random":
         config = RandomConfig(
             epsilon=args.epsilon,
@@ -216,30 +230,13 @@ def _build_factory(args) -> tuple[object, str]:
         return random_walk_factory(config), config.label()
     if args.algo in ("level-walk", "level-bfs"):
         kind = args.algo.split("-", 1)[1]
-        if args.mcm is not None and args.mcm != kind:
-            raise SystemExit(f"--mcm {args.mcm} contradicts --algo {args.algo}")
         mcm = None
-        explicit = (
-            args.mcm_epsilon is not None
-            or args.mcm_repetitions is not None
-            or args.lazy_threshold is not None
-            or args.delta_settling
-            or args.safe_mode
-            or args.mcm_depth_unbounded
-        )
-        if explicit:
+        if args.mcm_epsilon is not None or args.safe_mode or args.mcm_depth_unbounded:
             mcm = McmConfig(
                 epsilon=(
                     args.mcm_epsilon
                     if args.mcm_epsilon is not None
                     else args.level_epsilon
-                ),
-                repetitions=(
-                    args.mcm_repetitions if args.mcm_repetitions is not None else 1
-                ),
-                delta_settling=args.delta_settling,
-                lazy_threshold=(
-                    args.lazy_threshold if args.lazy_threshold is not None else 0
                 ),
                 safe_mode=args.safe_mode,
                 depth_bounded=not args.mcm_depth_unbounded,
@@ -252,35 +249,41 @@ def _build_factory(args) -> tuple[object, str]:
             allow_small_epsilon=args.allow_small_epsilon,
         )
         return level_factory(config), config.label()
-    if args.algo == "oracle":
-        return (
-            oracle_factory(args.oracle_interval),
-            f"interval={args.oracle_interval}",
+    return oracle_factory(args.oracle_interval), f"interval={args.oracle_interval}"
+
+
+def _numeric_opt(args) -> float | None:
+    """The --opt value as a number, None for 'auto' and 'none'."""
+    if args.opt in ("auto", "none"):
+        return None
+    try:
+        opt = float(args.opt)
+    except ValueError:
+        opt = math.nan
+    if not 0 < opt < math.inf:
+        args.error(
+            f"--opt must be 'auto', 'none', or a finite number > 0, got {args.opt!r}"
         )
-    raise SystemExit(f"unknown algorithm {args.algo!r}")
+    return opt
 
 
 def cmd_run(args) -> int:
     if args.seed is None:
-        args.seed = _default_seed()
+        args.seed = _default_seed(args)
+    try:
+        factory, config_label = _build_factory(args)
+    except ValueError as exc:
+        args.error(str(exc))
+    opt = _numeric_opt(args)
     stream = _load_stream(args)
     if args.undo_percent:
         stream = gen_undo_suffix(stream, args.undo_percent, args.seed + 1)
-    factory, config_label = _build_factory(args)
 
-    opt = None
     if args.opt == "auto":
         try:
             _, opt = exact_mwm(final_graph(stream))
         except OracleLimitError as exc:
             print(f"warning: skipping OPT: {exc}", file=sys.stderr)
-    elif args.opt != "none":
-        try:
-            opt = float(args.opt)
-        except ValueError:
-            raise SystemExit(
-                f"--opt must be 'auto', 'none', or a number, got {args.opt!r}"
-            )
 
     instance = args.label or Path(args.input).name
     results = run_repetitions(
@@ -330,13 +333,13 @@ def cmd_run(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.seed is None:
-        args.seed = _default_seed()
+        args.seed = _default_seed(args)
     if args.random:
         n, m = args.random
         if n < 2:
-            raise SystemExit("--random needs at least 2 vertices")
+            args.error("--random needs at least 2 vertices")
         if m > n * (n - 1) // 2:
-            raise SystemExit(f"{m} edges do not fit in a simple graph on {n} vertices")
+            args.error(f"{m} edges do not fit in a simple graph on {n} vertices")
         rng = random.Random(args.seed)
         seen: set[tuple[int, int]] = set()
         while len(seen) < m:
@@ -346,7 +349,7 @@ def cmd_gen(args) -> int:
                 seen.add((min(u, v), max(u, v)))
         edges = [(u, v, None) for u, v in sorted(seen)]
     else:
-        parsed = parse_static_edgelist(Path(args.input).read_text())
+        parsed = parse_static_edgelist(_read_input(args))
         n, edges = parsed.n, parsed.edges
     stream = gen_insertion_stream(n, edges, args.seed)
     if args.undo_percent:
@@ -361,11 +364,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    taus = parse_tau_grid(args.tau_grid) if args.tau_grid else default_tau_grid()
-    with open(args.results, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    try:
+        taus = parse_tau_grid(args.tau_grid) if args.tau_grid else default_tau_grid()
+    except ValueError as exc:
+        args.error(str(exc))
+    try:
+        with open(args.results, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        args.error(f"cannot read --results: {exc}")
     if not rows:
-        raise SystemExit(f"no result rows in {args.results}")
+        args.error(f"no result rows in {args.results}")
     profile = perf_profile(rows, taus)
     if profile.skipped_no_opt:
         print(
@@ -373,7 +382,7 @@ def cmd_profile(args) -> int:
             file=sys.stderr,
         )
     if not profile.fractions:
-        raise SystemExit("no rows with OPT values; nothing to profile")
+        args.error("no rows with OPT values; nothing to profile")
     text = profile.to_tsv()
     if args.out:
         Path(args.out).write_text(text)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MatchingCorruptionError
 from .graph import DynamicGraph, Weight, edge_key
@@ -27,7 +27,6 @@ from .matching import (
     assert_matching_consistent,
 )
 from .mcm import DynamicMcm, McmConfig
-from .oracle import OracleLimits, exact_mcm_matching
 
 # Below this, level counts explode (levels scale with 1/eps); callers who
 # accept the cost say so explicitly.
@@ -38,16 +37,15 @@ MIN_SAFE_EPSILON = 0.1
 class LevelConfig:
     """Level granularity plus the per-level subroutine choice.
 
-    mcm_kind selects the per-level worker: 'walk' or 'bfs' (see mcm.py), or
-    'exact' for the oracle-backed reference used in verification.  The
-    nested McmConfig defaults to the level epsilon when not given.
+    mcm_kind selects the per-level worker, 'walk' or 'bfs' (see mcm.py).
+    The nested McmConfig defaults to the level epsilon when not given; a
+    given one must be of kind mcm_kind.
     """
 
     epsilon: float = 1.0
     mcm_kind: str = "walk"
     mcm: McmConfig | None = None
     allow_small_epsilon: bool = False
-    oracle_limits: OracleLimits = field(default_factory=OracleLimits)
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -58,14 +56,17 @@ class LevelConfig:
                 "levels per billion weight units; pass allow_small_epsilon=True "
                 "to accept the cost"
             )
-        if self.mcm_kind not in ("walk", "bfs", "exact"):
+        if self.mcm_kind not in ("walk", "bfs"):
             raise ValueError(
-                f"mcm_kind must be 'walk', 'bfs', or 'exact', got {self.mcm_kind!r}"
+                f"mcm_kind must be 'walk' or 'bfs', got {self.mcm_kind!r}"
             )
         if self.mcm is None:
-            kind = self.mcm_kind if self.mcm_kind != "exact" else "walk"
             object.__setattr__(
-                self, "mcm", McmConfig(epsilon=self.epsilon, kind=kind)
+                self, "mcm", McmConfig(epsilon=self.epsilon, kind=self.mcm_kind)
+            )
+        elif self.mcm.kind != self.mcm_kind:
+            raise ValueError(
+                f"mcm.kind {self.mcm.kind!r} contradicts mcm_kind {self.mcm_kind!r}"
             )
 
     def level_count_for(self, max_weight: float) -> int:
@@ -90,38 +91,6 @@ def level_index(w: Weight, epsilon: float) -> int:
     while i > 0 and base**i > w:
         i -= 1
     return i
-
-
-class _ExactMcmBackend:
-    """Reference per-level worker: recomputes an exact maximum-cardinality
-    matching after every level update.  Desk scale only."""
-
-    def __init__(
-        self, graph: DynamicGraph, limits: OracleLimits
-    ) -> None:
-        self.graph = graph
-        self.state = MatchingState(graph.n)
-        self.limits = limits
-        self.attempts = 0
-        self.successes = 0
-
-    def _recompute(self) -> None:
-        self.attempts += 1
-        before = self.state.matched_count()
-        self.state.clear()
-        for u, v in exact_mcm_matching(self.graph, self.limits):
-            self.state.match_edge(u, v, 1)
-        if self.state.matched_count() > before:
-            self.successes += 1
-
-    def handle_insert(self, u: int, v: int) -> None:
-        self._recompute()
-
-    def handle_delete(self, u: int, v: int) -> None:
-        self._recompute()
-
-    def audit(self) -> None:
-        assert_matching_consistent(self.state, self.graph)
 
 
 class _Level:
@@ -168,7 +137,6 @@ class LevelMwm:
         # _cover[x]: index of the level whose kept pair covers x in the view,
         # or -1 when x is free there.
         self._cover = [-1] * graph.n
-        self._snapshot: MatchingState | None = None
         self._auditor: MatchingAuditor | None = None
 
     # -- level plumbing -----------------------------------------------------
@@ -178,14 +146,9 @@ class LevelMwm:
 
     def _make_level(self, i: int) -> _Level:
         lvl_graph = DynamicGraph(self.graph.n)
-        if self.config.mcm_kind == "exact":
-            worker = _ExactMcmBackend(lvl_graph, self.config.oracle_limits)
-        else:
-            # Independent stream per level, derived from (seed, index) so
-            # creation order cannot matter.
-            worker = DynamicMcm(
-                lvl_graph, self.config.mcm, self.seed * 1_000_003 + i
-            )
+        # Independent stream per level, derived from (seed, index) so
+        # creation order cannot matter.
+        worker = DynamicMcm(lvl_graph, self.config.mcm, self.seed * 1_000_003 + i)
         return _Level(i, lvl_graph, worker)
 
     def _ensure_levels(self, top: int) -> int:
@@ -309,19 +272,6 @@ class LevelMwm:
                 cover[x] = cover[y] = i
             elif cover[x] < 0 and i > 0:
                 push(heap, (neg_i + 1, x))
-
-    @property
-    def merged(self) -> MatchingState:
-        """Snapshot of the merged matching at the view's current version.
-
-        The same object is returned until the view changes, however the
-        refresh that brought it up to date was triggered.
-        """
-        self._refresh()
-        snap = self._snapshot
-        if snap is None or snap.version != self._view.version:
-            snap = self._snapshot = self._view.copy()
-        return snap
 
     @property
     def weight(self) -> Weight:

@@ -10,7 +10,7 @@ left the graph and still need to subtract its weight.
 from __future__ import annotations
 
 import math
-from typing import Iterable, KeysView
+from typing import KeysView
 
 from .errors import MatchingCorruptionError
 from .graph import DynamicGraph, Weight, edge_key
@@ -43,15 +43,6 @@ class MatchingState:
         changed: set[int] = set()
         self._watchers.append(changed)
         return changed
-
-    def copy(self) -> "MatchingState":
-        """Independent snapshot with the same pairs, weights and version."""
-        out = MatchingState(self.n)
-        out._mate = self._mate.copy()
-        out._pairs = self._pairs.copy()
-        out.total_weight = self.total_weight
-        out.version = self.version
-        return out
 
     def mate_of(self, u: int) -> int:
         """Partner of u, or FREE (-1)."""
@@ -123,25 +114,6 @@ class MatchingState:
             f"MatchingState(n={self.n}, matched={len(self._pairs)}, "
             f"weight={self.total_weight})"
         )
-
-
-def matching_weight_recompute(state: MatchingState, graph: DynamicGraph) -> Weight:
-    """Sum matched-edge weights read back from the graph.
-
-    Independent of the incrementally maintained total; used by audits to
-    catch drift.  Raises MatchingCorruptionError when a matched pair is not
-    an edge of the graph.
-    """
-    total: Weight = 0
-    gw = graph._weight
-    for pair in state._pairs:
-        try:
-            total += gw[pair]
-        except KeyError:
-            raise MatchingCorruptionError(
-                f"matched pair {pair} is not an edge of the graph"
-            ) from None
-    return total
 
 
 def assert_matching_consistent(state: MatchingState, graph: DynamicGraph) -> None:
@@ -279,8 +251,3 @@ class MatchingAuditor:
         self._mate = self.state._mate.copy()
         self._weights = self.state._pairs.copy()
         self._total = sum(self._weights.values())
-
-
-def matching_weight_of(pairs: Iterable[tuple[int, int]], graph: DynamicGraph) -> Weight:
-    """Weight of an explicit pair list under current graph weights."""
-    return sum(graph.weight(u, v) for u, v in pairs)

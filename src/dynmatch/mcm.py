@@ -4,8 +4,8 @@ These are the per-level workers of the weight-bucketed matcher, but stand on
 their own for unweighted graphs.  Two search strategies share the same
 update handlers and the same kernel, ``augment_from``:
 
-* ``walk`` - a random walker (match the free neighbor, or steal a matched
-  one and continue at its displaced mate);
+* ``walk`` - one random walk per attempt (match the free neighbor, or steal
+  a matched one and continue at its displaced mate);
 * ``bfs`` - depth-bounded alternating breadth-first search without blossom
   contraction.
 
@@ -36,21 +36,12 @@ class McmConfig:
     """Knobs for the cardinality subroutines.
 
     epsilon sets the search depth ceil(2/epsilon - 1) used by both
-    strategies (when depth_bounded); repetitions retries the random walk
-    that many times per augmentation attempt, each retry from the attempt's
-    seed overlay again.  delta_settling makes the walk scan the current
-    vertex's neighborhood for a free partner before each random step.
-    lazy_threshold suppresses deletion-triggered searches from a vertex
-    until that many updates have touched it since its last search.
-    safe_mode handles the insert case where both endpoints are matched
-    (otherwise ignored, which can lose optimality even on bipartite
-    graphs).
+    strategies (when depth_bounded).  safe_mode handles the insert case
+    where both endpoints are matched (otherwise ignored, which can lose
+    optimality even on bipartite graphs).  kind selects the search.
     """
 
     epsilon: float = 1.0
-    repetitions: int = 1
-    delta_settling: bool = False
-    lazy_threshold: int = 0
     safe_mode: bool = False
     depth_bounded: bool = True
     kind: str = "walk"
@@ -58,12 +49,6 @@ class McmConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.repetitions < 1:
-            raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
-        if self.lazy_threshold < 0:
-            raise ValueError(
-                f"lazy_threshold must be >= 0, got {self.lazy_threshold}"
-            )
         if self.kind not in ("walk", "bfs"):
             raise ValueError(f"kind must be 'walk' or 'bfs', got {self.kind!r}")
 
@@ -85,9 +70,6 @@ class DynamicMcm:
         self.config = config
         self.state = MatchingState(graph.n)
         self.rng = random.Random(seed)
-        # Updates touching a vertex since its last search; starts at the
-        # threshold so the first search is never suppressed.
-        self._touched = [config.lazy_threshold] * graph.n
         self.attempts = 0
         self.successes = 0
 
@@ -106,8 +88,6 @@ class DynamicMcm:
         """
         st = self.state
         mate = st._mate
-        self._touched[u] += 1
-        self._touched[v] += 1
         fu = mate[u] == FREE
         fv = mate[v] == FREE
         if fu and fv:
@@ -127,18 +107,14 @@ class DynamicMcm:
         """React to edge (u, v) having been deleted.
 
         A matched edge is unmatched unconditionally; augmentation then
-        restarts from each endpoint that is free and whose lazy counter
-        allows a search.
+        restarts from each endpoint that is free.
         """
         st = self.state
         mate = st._mate
         if mate[u] == v:
             st.unmatch(u)
-        self._touched[u] += 1
-        self._touched[v] += 1
         for x in (u, v):
-            if mate[x] == FREE and self._touched[x] >= self.config.lazy_threshold:
-                self._touched[x] = 0
+            if mate[x] == FREE:
                 self.augment_from(x)
 
     # -- augmentation ----------------------------------------------------------
@@ -149,11 +125,10 @@ class DynamicMcm:
         ``seed`` is an overlay {vertex: mate} of changes not yet written to
         the state (handle_insert's swap); the search reads every mate
         through it, and ``start`` must be free there.  The search, a walk
-        (each repetition from a fresh copy of the seed) or a BFS per
-        config.kind, extends the overlay to an augmenting path, which
-        ``_commit`` writes together with the seed.  A failed attempt writes
-        nothing, so the matching, its version and every watch() set stay as
-        they were.
+        or a BFS per config.kind, extends a copy of the seed to an
+        augmenting path, which ``_commit`` writes together with the seed.
+        A failed attempt writes nothing, so the matching, its version and
+        every watch() set stay as they were.
         """
         if seed is None:
             seed = {}
@@ -161,10 +136,7 @@ class DynamicMcm:
             raise ValueError(f"augment_from requires a free vertex, got {start}")
         self.attempts += 1
         if self.config.kind == "walk":
-            for _ in range(self.config.repetitions):
-                overlay = self._walk_once(start, seed)
-                if overlay is not None:
-                    break
+            overlay = self._walk_once(start, seed)
         else:
             overlay = self._bfs(start, seed)
         if overlay is None:
@@ -176,10 +148,9 @@ class DynamicMcm:
     def _walk_once(self, start: int, seed: dict[int, int]) -> dict[int, int] | None:
         """Simulate one random walk of at most search_depth steps.
 
-        At the current free vertex: with delta_settling, first scan the
-        whole neighborhood for a free partner; otherwise (and failing that)
-        pick one uniformly random neighbor - match it if free, else steal it
-        from its mate and continue the walk at the displaced vertex.
+        At the current free vertex, pick one uniformly random neighbor:
+        match it if free, else steal it from its mate and continue the walk
+        at the displaced vertex.
 
         The steps go to a copy of ``seed``, an overlay {vertex: mate} over
         the touched vertices (FREE for one a steal displaced); every other
@@ -189,22 +160,15 @@ class DynamicMcm:
         adjs = self.graph._adj
         base = self.state._mate
         getrandbits = self.rng.getrandbits
-        settle = self.config.delta_settling
         over = dict(seed)
         cur = start
         for _ in range(self.config.search_depth):
             adj = adjs[cur]
-            if settle:
-                for nb in adj:
-                    if over.get(nb, base[nb]) == FREE:
-                        over[cur] = nb
-                        over[nb] = cur
-                        return over
             k = len(adj)
             if not k:
                 return None
             # rng.randrange(k), drawn the way CPython draws it, so the RNG
-            # stream is the one DynamicGraph.random_neighbor would consume.
+            # stream is the one rng.randrange would consume.
             bits = k.bit_length()
             r = getrandbits(bits)
             while r >= k:

@@ -41,14 +41,6 @@ class EligibilityArray:
         self.flags = bytearray(b"\x01" * n)
         self._marked: list[int] = []
 
-    def eligible(self, u: int) -> bool:
-        return bool(self.flags[u])
-
-    def mark_ineligible(self, u: int) -> None:
-        if self.flags[u]:
-            self.flags[u] = 0
-            self._marked.append(u)
-
     def reset(self) -> None:
         for u in self._marked:
             self.flags[u] = 1
@@ -75,18 +67,6 @@ class WalkPath:
         self.weights: list[Weight] = [] if weights is None else weights
         self.matched: list[bool] = [] if matched is None else matched
 
-    def start(self, u: int) -> None:
-        if self.nodes:
-            raise ValueError("path already started")
-        self.nodes.append(u)
-
-    def append_step(self, to: int, w: Weight, matched: bool) -> None:
-        if not self.nodes:
-            raise ValueError("path has no start vertex")
-        self.nodes.append(to)
-        self.weights.append(w)
-        self.matched.append(matched)
-
     @property
     def edge_count(self) -> int:
         return len(self.weights)
@@ -97,36 +77,6 @@ class WalkPath:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WalkPath({self.nodes})"
-
-
-def validate_walk_path(path: WalkPath, state: MatchingState) -> None:
-    """Assert simplicity, list coherence, and closure; test/audit helper."""
-    nodes = path.nodes
-    if len(set(nodes)) != len(nodes):
-        raise AssertionError(f"path repeats a vertex: {nodes}")
-    k = len(path.weights)
-    if len(path.matched) != k or len(nodes) != (k + 1 if nodes else 0):
-        raise AssertionError(
-            f"path lists out of step: {len(nodes)} nodes, {k} weights, "
-            f"{len(path.matched)} matched flags"
-        )
-    mate = state._mate
-    for i, flag in enumerate(path.matched):
-        if flag != (mate[nodes[i]] == nodes[i + 1]):
-            raise AssertionError(
-                f"edge {i} ({nodes[i]}, {nodes[i + 1]}) matched flag stale: {flag}"
-            )
-    for x in nodes:
-        m = mate[x]
-        if m != FREE and not _pair_on_path(path, x, m):
-            raise AssertionError(
-                f"closure violated: matched edge ({x}, {m}) off path {nodes}"
-            )
-
-
-def _pair_on_path(path: WalkPath, u: int, v: int) -> bool:
-    pairs = zip(path.nodes, path.nodes[1:])
-    return any((a == u and b == v) or (a == v and b == u) for a, b in pairs)
 
 
 def extend_walk(

@@ -62,7 +62,7 @@ def flip_path(state, graph, path_edges) -> None:
 def eliminate_augmenting_paths(graph, state, k_max: int) -> None:
     """Flip weight-augmenting paths with <= k_max unmatched edges until none
     remain.  Each flip strictly increases the weight, so this terminates."""
-    from dynmatch.oracle import find_weight_augmenting_kpath
+    from support.oracle import find_weight_augmenting_kpath
 
     while True:
         found = find_weight_augmenting_kpath(graph, state, k_max)

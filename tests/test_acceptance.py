@@ -28,6 +28,8 @@ from conftest import (
     random_graph,
     random_greedy_matching,
 )
+from support.levels import ExactLevelMwm
+from support.oracle import exact_mcm, verify_proposition1
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.profiles import geometric_mean
 from dynmatch.harness.replay import (
@@ -45,9 +47,9 @@ from dynmatch.harness.streams import (
     gen_insertion_stream,
     gen_undo_suffix,
 )
-from dynmatch.levels import LevelConfig, LevelMwm
+from dynmatch.levels import LevelConfig
 from dynmatch.mcm import DynamicMcm, McmConfig
-from dynmatch.oracle import exact_mcm, exact_mwm, verify_proposition1
+from dynmatch.oracle import exact_mwm
 from dynmatch.paths import WalkPath, mwm_on_path
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
@@ -245,10 +247,7 @@ def test_01_path_dp_equals_exhaustive_enumeration():
     for trial in range(1000):
         length = rng.randint(1, 14)
         ws = [rng.randint(1, 100) for _ in range(length)]
-        path = WalkPath()
-        path.start(0)
-        for i, w in enumerate(ws):
-            path.append_step(i + 1, w, False)
+        path = WalkPath(list(range(length + 1)), ws, [False] * length)
         selected, dp_weight = mwm_on_path(path)
         assert all(b - a >= 2 for a, b in zip(selected, selected[1:]))
         assert sum(ws[i] for i in selected) == dp_weight
@@ -356,7 +355,7 @@ def test_05_exact_level_backend_meets_merged_weight_bound():
         )
         for eps in (1.0, 0.5):
             g = DynamicGraph(n)
-            algo = LevelMwm(g, LevelConfig(epsilon=eps, mcm_kind="exact"), seed=77 + i)
+            algo = ExactLevelMwm(g, LevelConfig(epsilon=eps), seed=77 + i)
             for kind, u, v, w in ops:
                 if kind == "i":
                     g.insert_edge(u, v, w)

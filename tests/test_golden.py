@@ -51,24 +51,26 @@ GOLDEN = {
         21259,
         "42c23ba061d2c00f98045dd76a67b75cfb6d9297890a4f1d4571529b0bee0d9d",
     ),
-    # Two repetitions per attempt, each restarting from the same seed
-    # overlay, and a settling scan before every random step.
-    "level-walk-0.5-settling-reps2": (
-        lambda g: LevelMwm(
-            g,
-            LevelConfig(
-                epsilon=0.5,
-                mcm=McmConfig(epsilon=0.5, repetitions=2, delta_settling=True),
-            ),
-            2026,
-        ),
-        21224,
-        "9cb3d0d8997637280184671223b42740713892f31d39ed61ff7fe1185574040d",
-    ),
     "level-bfs-0.5": (
         lambda g: LevelMwm(g, LevelConfig(epsilon=0.5, mcm_kind="bfs"), 2026),
         21084,
         "fecf683db767227bf94dab2ca503d5c3c835a7cf69af72847e015f218006ba06",
+    ),
+    # Safe-mode handlers with an unbounded augmenting-path search.
+    "level-bfs-0.5-safe-unbounded": (
+        lambda g: LevelMwm(
+            g,
+            LevelConfig(
+                epsilon=0.5,
+                mcm_kind="bfs",
+                mcm=McmConfig(
+                    epsilon=0.5, kind="bfs", safe_mode=True, depth_bounded=False
+                ),
+            ),
+            2026,
+        ),
+        21307,
+        "0c5e2a26389d1ac448f0936d8dfd27a3655c4c30cbd861f42f6abb16f9d7823e",
     ),
 }
 

@@ -7,6 +7,7 @@ from dynmatch.errors import AbsentEdgeError
 from dynmatch.graph import DynamicGraph, edge_key
 
 from conftest import random_graph
+from support.graph import random_neighbor
 
 
 def test_edge_key_canonical():
@@ -70,7 +71,7 @@ def test_max_degree_seen_is_monotone():
 
 def test_random_neighbor_none_when_isolated():
     g = DynamicGraph(2)
-    assert g.random_neighbor(0, random.Random(1)) is None
+    assert random_neighbor(g, 0, random.Random(1)) is None
 
 
 def test_random_neighbor_uniform_on_degree_3():
@@ -80,7 +81,7 @@ def test_random_neighbor_uniform_on_degree_3():
     for v in (1, 2, 3):
         g.insert_edge(0, v, 1)
     rng = random.Random(12345)
-    counts = Counter(g.random_neighbor(0, rng) for _ in range(30000))
+    counts = Counter(random_neighbor(g, 0, rng) for _ in range(30000))
     sigma = (30000 * (1 / 3) * (2 / 3)) ** 0.5
     for v in (1, 2, 3):
         assert abs(counts[v] - 10000) < 3 * sigma, counts

@@ -42,6 +42,8 @@ from dynmatch.levels import LevelConfig
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig
 
+from support.paths import mark_ineligible
+
 
 def walk_factory(**cfg):
     return random_walk_factory(RandomConfig(**cfg))
@@ -384,7 +386,7 @@ def test_deep_audit_flags_tampering_the_op_did_not_touch(name):
 
 def test_every_deep_audit_raises_matching_corruption():
     g, algo = audited_algo("random")
-    algo._elig.mark_ineligible(0)
+    mark_ineligible(algo._elig, 0)
     with pytest.raises(MatchingCorruptionError, match="eligibility"):
         algo.audit(deep=True)
     g, algo = audited_algo("level")
@@ -607,11 +609,13 @@ def test_cli_run_level_flags(static_file):
 
 
 def test_cli_mcm_flag_contradiction_rejected(static_file):
-    with pytest.raises(SystemExit):
+    # --algo alone names the per-level subroutine; there is no --mcm flag.
+    with pytest.raises(SystemExit) as exc:
         main([
             "run", "--input", str(static_file), "--algo", "level-walk",
             "--mcm", "bfs", "--reps", "1",
         ])
+    assert exc.value.code == 2
 
 
 def test_cli_opt_flag_forms(static_file, capsys):
@@ -625,11 +629,52 @@ def test_cli_opt_flag_forms(static_file, capsys):
         "--seed", "1", "--reps", "1", "--opt", "none",
     ]) == 0
     assert "ratio" not in capsys.readouterr().out
-    with pytest.raises(SystemExit):
-        main([
-            "run", "--input", str(static_file), "--algo", "random",
-            "--reps", "1", "--opt", "eighteen",
-        ])
+
+
+RUN = ["run", "--input", "{input}", "--reps", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0"], "1",
+                     id="level-epsilon-zero"),
+        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0.05"], "1",
+                     id="level-epsilon-small"),
+        pytest.param(RUN + ["--algo", "random", "--walks", "0"], "1",
+                     id="walks-zero"),
+        pytest.param(RUN + ["--algo", "random", "--epsilon", "nan"], "1",
+                     id="epsilon-nan"),
+        pytest.param(RUN + ["--algo", "oracle", "--oracle-interval", "0"], "1",
+                     id="oracle-interval-zero"),
+        pytest.param(RUN + ["--algo", "random", "--opt", "foo"], "1",
+                     id="opt-word"),
+        pytest.param(RUN + ["--algo", "random", "--opt", "nan"], "1", id="opt-nan"),
+        pytest.param(RUN + ["--algo", "random", "--opt", "-5"], "1",
+                     id="opt-negative"),
+        pytest.param(RUN + ["--algo", "random", "--reps", "0"], "1",
+                     id="reps-zero"),
+        pytest.param(RUN + ["--algo", "random", "--undo-percent", "150"], "1",
+                     id="undo-percent-above-100"),
+        pytest.param(RUN + ["--algo", "random", "--input", "no-such.graph"], "1",
+                     id="input-missing"),
+        pytest.param(RUN + ["--algo", "random"], "x", id="env-seed-not-int"),
+        pytest.param(["profile", "--results", "no-such.csv"], "1",
+                     id="profile-results-missing"),
+        pytest.param(["profile", "--results", "{input}", "--tau-grid", "2"], "1",
+                     id="profile-tau-above-1"),
+    ],
+)
+def test_cli_bad_arguments_exit_2(static_file, monkeypatch, capsys, argv, env_seed):
+    # A bad argument is a usage error: exit 2 with a one-line message, raised
+    # before any replay starts.
+    monkeypatch.setenv("DYNMATCH_SEED", env_seed)
+    with pytest.raises(SystemExit) as exc:
+        main([str(static_file) if a == "{input}" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert ": error: " in captured.err.splitlines()[-1]
+    assert captured.out == ""
 
 
 def test_cli_parse_error_exit_code(tmp_path):
@@ -712,11 +757,6 @@ def test_cli_default_seed_env(static_file, monkeypatch, capsys):
     assert main([
         "run", "--input", str(static_file), "--algo", "random", "--reps", "1",
     ]) == 0
-    monkeypatch.setenv("DYNMATCH_SEED", "ninety")
-    with pytest.raises(SystemExit):
-        main([
-            "run", "--input", str(static_file), "--algo", "random", "--reps", "1",
-        ])
 
 
 def test_cli_profile_subcommand(tmp_path, static_file, capsys):
@@ -749,5 +789,6 @@ def test_cli_gen_random_graph(tmp_path):
     assert stream.n == 10
     assert len(stream.ops) == 20
     assert final_graph(stream).edge_count() == 20
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["gen", "--random", "3", "99"])  # too many edges to fit
+    assert exc.value.code == 2

@@ -12,9 +12,11 @@ from dynmatch.levels import (
     level_index,
     merge_levels,
 )
+from dynmatch.mcm import McmConfig
 from dynmatch.oracle import exact_mwm
 
 from conftest import build_graph
+from support.levels import ExactLevelMwm
 
 
 def make_level_algo(graph, *, seed=13, **cfg):
@@ -69,6 +71,14 @@ def test_config_validation():
         LevelConfig(epsilon=0)
     with pytest.raises(ValueError):
         LevelConfig(mcm_kind="exactish")
+    with pytest.raises(ValueError):
+        LevelConfig(mcm_kind="exact")
+    with pytest.raises(ValueError):
+        LevelConfig(mcm_kind="bfs", mcm=McmConfig(kind="walk"))
+    with pytest.raises(ValueError):
+        LevelConfig(mcm=McmConfig(kind="bfs"))
+    cfg = LevelConfig(mcm_kind="bfs", mcm=McmConfig(epsilon=0.5, kind="bfs"))
+    assert cfg.label() == "eps=1,mcm=bfs"
 
 
 def test_config_small_epsilon_guard():
@@ -173,33 +183,6 @@ def test_delete_calls_delete_edge_only_on_levels_holding_the_edge(monkeypatch):
         assert all(held for _, held in calls)
     assert level_edge_sets(algo) == [[]] * 7
     algo.audit(deep=True)
-
-
-def test_merged_cache_invalidated_by_updates():
-    g = build_graph(4, [])
-    algo = make_level_algo(g)
-    g.insert_edge(0, 1, 5)
-    algo.handle_insert(0, 1, 5)
-    first = algo.merged
-    assert algo.merged is first  # cached between updates
-    g.insert_edge(2, 3, 7)
-    algo.handle_insert(2, 3, 7)
-    assert algo.merged is not first
-    assert algo.weight == 12
-
-
-def test_merged_snapshot_follows_a_refresh_done_by_audit():
-    g = build_graph(4, [])
-    algo = make_level_algo(g)
-    g.insert_edge(0, 1, 5)
-    algo.handle_insert(0, 1, 5)
-    first = algo.merged
-    g.insert_edge(2, 3, 7)
-    algo.handle_insert(2, 3, 7)
-    algo.audit()  # brings the view up to date before `merged` is read
-    assert algo.merged is not first
-    assert algo.merged.total_weight == algo.weight == 12
-    assert sorted(algo.merged.matched_pairs()) == algo.matched_pairs()
 
 
 # -- merge ---------------------------------------------------------------------
@@ -315,7 +298,7 @@ def test_exact_backend_meets_half_times_one_plus_eps_bound():
     for eps, denom_num, denom_den in ((1.0, 1, 4), (0.5, 1, 3)):
         for seed in (11, 12, 13, 14, 15):
             g = DynamicGraph(10)
-            algo = make_level_algo(g, epsilon=eps, mcm_kind="exact")
+            algo = ExactLevelMwm(g, LevelConfig(epsilon=eps), seed=13)
 
             def check(a, gr):
                 _, opt = exact_mwm(gr)

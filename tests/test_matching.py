@@ -9,11 +9,10 @@ from dynmatch.matching import (
     MatchingAuditor,
     MatchingState,
     assert_matching_consistent,
-    matching_weight_of,
-    matching_weight_recompute,
 )
 
 from conftest import build_graph
+from support.matching import matching_weight_of, matching_weight_recompute
 
 
 def test_match_and_mate_symmetry():

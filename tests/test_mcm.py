@@ -1,6 +1,5 @@
 """Cardinality-matching subroutines: walks, bounded BFS, update handlers."""
 
-import math
 import random
 
 import pytest
@@ -8,9 +7,10 @@ import pytest
 from dynmatch.graph import DynamicGraph
 from dynmatch.matching import FREE
 from dynmatch.mcm import DynamicMcm, McmConfig
-from dynmatch.oracle import exact_mcm
 
 from conftest import build_graph, random_bipartite_edges
+from support.graph import random_neighbor
+from support.oracle import exact_mcm
 
 
 def make_mcm(graph, *, seed=11, **cfg):
@@ -32,10 +32,6 @@ def snapshot(mcm):
 def test_config_validation():
     with pytest.raises(ValueError):
         McmConfig(epsilon=0)
-    with pytest.raises(ValueError):
-        McmConfig(repetitions=0)
-    with pytest.raises(ValueError):
-        McmConfig(lazy_threshold=-1)
     with pytest.raises(ValueError):
         McmConfig(kind="dfs")
 
@@ -67,21 +63,27 @@ def test_walk_from_isolated_vertex_fails_without_mutation():
 
 
 def test_walk_augments_along_p4():
-    # 0-1-2-3 with (1,2) matched; with settling the trajectory is forced:
-    # steal 1 from 2, then the scan at 2 finds free 3.
+    # 0-1-2-3 with (1,2) matched: a walk from 0 steals 1 from 2, then at 2
+    # either matches free 3 or steals 1 back and runs out of depth.  Every
+    # success is the augmentation; a failure leaves the matching as it was.
+    successes = 0
     for seed in range(20):
         g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-        mcm = make_mcm(g, seed=seed, epsilon=0.5, delta_settling=True)
+        mcm = make_mcm(g, seed=seed, epsilon=0.5)
         mcm.state.match_edge(1, 2, 1)
-        assert mcm.augment_from(0) is True
-        assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
+        if mcm.augment_from(0):
+            successes += 1
+            assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
+        else:
+            assert sorted(mcm.state.matched_pairs()) == [(1, 2)]
+    assert successes > 0
 
 
 def test_walk_augments_along_p4_with_retries():
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    mcm = make_mcm(g, seed=3, epsilon=0.5, repetitions=30)
+    mcm = make_mcm(g, seed=3, epsilon=0.5)
     mcm.state.match_edge(1, 2, 1)
-    assert mcm.augment_from(0) is True
+    assert any(mcm.augment_from(0) for _ in range(30))
     assert mcm.cardinality() == 2
 
 
@@ -93,32 +95,15 @@ def test_augment_from_matched_vertex_rejected():
         mcm.augment_from(0)
 
 
-def test_delta_settling_prefers_free_neighbor_over_steal():
-    # 0 sees matched 1 and free 3; settling must pick 3 on every seed.
-    for seed in range(20):
-        g = build_graph(4, [(0, 1, 1), (1, 2, 1), (0, 3, 1)])
-        mcm = make_mcm(g, seed=seed, delta_settling=True)
-        mcm.state.match_edge(1, 2, 1)
-        assert mcm.augment_from(0) is True
-        assert sorted(mcm.state.matched_pairs()) == [(0, 3), (1, 2)]
-
-
 def reference_walk(mcm, start, seed):
     """Reference for DynamicMcm._walk_once: neighbors drawn through
-    DynamicGraph.random_neighbor (rng.randrange), mates read through a copy
-    of seed."""
+    random_neighbor (rng.randrange), mates read through a copy of seed."""
     g = mcm.graph
     base = mcm.state._mate
     over = dict(seed)
     cur = start
     for _ in range(mcm.config.search_depth):
-        if mcm.config.delta_settling:
-            for nb in g.neighbors(cur):
-                if over.get(nb, base[nb]) == FREE:
-                    over[cur] = nb
-                    over[nb] = cur
-                    return over
-        nb = g.random_neighbor(cur, mcm.rng)
+        nb = random_neighbor(g, cur, mcm.rng)
         if nb is None:
             return None
         displaced = over.get(nb, base[nb])
@@ -141,8 +126,7 @@ def assert_walk_matches_reference(mcm, start, seed):
     assert mcm.rng.getstate() == after
 
 
-@pytest.mark.parametrize("settle", [False, True], ids=["plain", "settling"])
-def test_walk_kernel_draws_like_random_neighbor(settle):
+def test_walk_kernel_draws_like_random_neighbor():
     # The walk inlines rng.randrange(k); the golden digests rest on it
     # consuming the RNG exactly as randrange does.  Vertex 0 is a hub whose
     # degree runs over 1 and powers of two, where k.bit_length() makes the
@@ -159,10 +143,7 @@ def test_walk_kernel_draws_like_random_neighbor(settle):
             u, v = rng.sample(range(1, n), 2)
             if not g.has_edge(u, v):
                 g.insert_edge(u, v, 1)
-        mcm = make_mcm(
-            g, seed=trial, epsilon=rng.choice((1.0, 0.5, 0.2)),
-            delta_settling=settle,
-        )
+        mcm = make_mcm(g, seed=trial, epsilon=rng.choice((1.0, 0.5, 0.2)))
         for u, v, _w in sorted(g.edges()):  # the hub stays free
             free = mcm.state.is_free(u) and mcm.state.is_free(v)
             if free and u != 0 and rng.random() < 0.6:
@@ -192,7 +173,7 @@ def test_walk_kernel_reads_mates_through_its_seed():
                 mcm.state.match_edge(u, v, 1)
         seed = {1: 2, 2: 1, 0: FREE}
         assert_walk_matches_reference(mcm, 0, seed)
-        assert seed == {1: 2, 2: 1, 0: FREE}  # each repetition copies it
+        assert seed == {1: 2, 2: 1, 0: FREE}  # the walk copies it
 
 
 # -- bounded BFS augmentation ------------------------------------------------
@@ -245,19 +226,15 @@ def test_bfs_depth_budget_four_misses_length_five_path():
 
 @pytest.mark.parametrize(
     "cfg",
-    [
-        dict(kind="walk"),
-        dict(kind="walk", delta_settling=True),
-        dict(kind="bfs"),
-    ],
-    ids=["walk", "walk-settling", "bfs"],
+    [dict(kind="walk"), dict(kind="bfs")],
+    ids=["walk", "bfs"],
 )
 def test_failed_augment_writes_nothing(cfg):
     # P5 with (1,2) and (3,4) matched has no augmenting path from 0, yet a
     # walk from 0 can steal along it for the whole depth budget.
     for seed in range(20):
         g = build_graph(5, [(i, i + 1, 1) for i in range(4)])
-        mcm = make_mcm(g, seed=seed, epsilon=0.2, repetitions=3, **cfg)
+        mcm = make_mcm(g, seed=seed, epsilon=0.2, **cfg)
         mcm.state.match_edge(1, 2, 1)
         mcm.state.match_edge(3, 4, 1)
         watchers = [mcm.state.watch(), mcm.state.watch()]
@@ -288,8 +265,8 @@ def test_failed_insert_swap_restores_the_original_pair(kind):
 
 @pytest.mark.parametrize(
     "cfg",
-    [dict(kind="walk"), dict(kind="walk", repetitions=2), dict(kind="bfs")],
-    ids=["walk", "walk-reps2", "bfs"],
+    [dict(kind="walk"), dict(kind="bfs")],
+    ids=["walk", "bfs"],
 )
 def test_failed_insert_swap_writes_nothing(cfg):
     # Same setting as above: the swap lives only in the search's seed, so a
@@ -388,29 +365,6 @@ def test_delete_unmatched_edge_keeps_matching():
     assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
 
 
-def test_lazy_threshold_suppresses_then_allows_searches():
-    g = build_graph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1)])
-    mcm = make_mcm(g, lazy_threshold=3)
-    mcm.state.match_edge(0, 1, 1)
-    mcm._touched = [0] * 4  # pretend both endpoints were searched recently
-
-    g.delete_edge(0, 1)
-    mcm.handle_delete(0, 1)
-    # One touch each: below the threshold, no search despite free edges.
-    assert mcm.cardinality() == 0
-    assert mcm.attempts == 0
-
-    g.insert_edge(0, 1, 1)
-    mcm.handle_insert(0, 1)
-    assert mcm.cardinality() == 1
-
-    g.delete_edge(0, 1)
-    mcm.handle_delete(0, 1)
-    # Third touch reaches the threshold: both endpoints re-augment.
-    assert sorted(mcm.state.matched_pairs()) == [(0, 2), (1, 3)]
-    assert mcm.attempts == 2
-
-
 # -- properties ----------------------------------------------------------------
 
 
@@ -432,8 +386,6 @@ def test_failed_attempts_are_side_effect_free():
             seed=rng.randrange(1 << 30),
             kind=kind,
             epsilon=rng.choice((2.0, 1.0, 0.5)),
-            delta_settling=rng.random() < 0.3,
-            repetitions=rng.choice((1, 2)),
         )
         # Random partial matching over the edges.
         for u, v, _w in sorted(g.edges()):
@@ -449,51 +401,6 @@ def test_failed_attempts_are_side_effect_free():
                 failures += 1
                 assert snapshot(mcm) == before
         assert trials < 30_000, "not enough failing attempts generated"
-
-
-def test_desk_scale_maximality_with_degree_scaled_repetitions():
-    # Walks of length 1 with ceil(max_degree * ln n) retries: after a mixed
-    # update stream the matching should be maximal nearly always.
-    base = random.Random(515)
-    n = 10
-    maximal = 0
-    for trial in range(100):
-        rng = random.Random(1000 + trial)
-        ops = []
-        present = set()
-        for _ in range(60):
-            if present and rng.random() < 0.35:
-                e = rng.choice(sorted(present))
-                present.remove(e)
-                ops.append(("d", *e))
-            else:
-                u, v = rng.sample(range(n), 2)
-                key = (min(u, v), max(u, v))
-                if key not in present:
-                    present.add(key)
-                    ops.append(("i", *key))
-        degree = [0] * n
-        for kind, u, v in ops:
-            if kind == "i":
-                degree[u] += 1
-                degree[v] += 1
-        reps = max(1, math.ceil(max(degree) * math.log(n)))
-        g = DynamicGraph(n)
-        mcm = make_mcm(g, seed=base.randrange(1 << 30), epsilon=1.0, repetitions=reps)
-        for kind, u, v in ops:
-            if kind == "i":
-                g.insert_edge(u, v, 1)
-                mcm.handle_insert(u, v)
-            else:
-                g.delete_edge(u, v)
-                mcm.handle_delete(u, v)
-        mcm.audit()
-        if all(
-            not (mcm.state.is_free(u) and mcm.state.is_free(v))
-            for u, v, _w in g.edges()
-        ):
-            maximal += 1
-    assert maximal >= 99
 
 
 def test_safe_unbounded_bfs_is_exact_on_bipartite_streams():

@@ -4,17 +4,8 @@ import pytest
 
 from dynmatch.errors import OracleLimitError
 from dynmatch.graph import DynamicGraph
-from dynmatch.matching import MatchingState, matching_weight_of
-from dynmatch.oracle import (
-    ENUMERATE_MAX_EDGES,
-    OracleLimits,
-    exact_mcm,
-    exact_mcm_matching,
-    exact_mwm,
-    exact_mwm_enumerate,
-    find_weight_augmenting_kpath,
-    verify_proposition1,
-)
+from dynmatch.matching import MatchingState
+from dynmatch.oracle import OracleLimits, exact_mwm
 
 from conftest import (
     build_graph,
@@ -22,6 +13,15 @@ from conftest import (
     flip_path,
     random_graph,
     random_greedy_matching,
+)
+from support.matching import matching_weight_of
+from support.oracle import (
+    ENUMERATE_MAX_EDGES,
+    exact_mcm,
+    exact_mcm_matching,
+    exact_mwm_enumerate,
+    find_weight_augmenting_kpath,
+    verify_proposition1,
 )
 
 

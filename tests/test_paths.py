@@ -14,19 +14,25 @@ from dynmatch.paths import (
     extend_walk,
     improve_along_path,
     mwm_on_path,
-    validate_walk_path,
 )
 
 from conftest import build_graph
+from support.paths import (
+    append_step,
+    eligible,
+    mark_ineligible,
+    start_path,
+    validate_walk_path,
+)
 
 
 def make_path(weights, matched_flags=None, start=0):
     """A chain path start-(start+1)-... with the given edge weights."""
     path = WalkPath()
-    path.start(start)
+    start_path(path, start)
     for i, w in enumerate(weights):
         m = bool(matched_flags[i]) if matched_flags else False
-        path.append_step(start + i + 1, w, m)
+        append_step(path, start + i + 1, w, m)
     return path
 
 
@@ -102,16 +108,16 @@ def test_dp_matches_enumeration_property(weights):
 def test_walkpath_bookkeeping():
     p = WalkPath()
     with pytest.raises(ValueError):
-        p.append_step(1, 2, False)
-    p.start(0)
+        append_step(p, 1, 2, False)
+    start_path(p, 0)
     with pytest.raises(ValueError):
-        p.start(1)
-    p.append_step(3, 2, False)
+        start_path(p, 1)
+    append_step(p, 3, 2, False)
     assert p.nodes == [0, 3]
     assert p.weights == [2]
     assert p.matched == [False]
     assert p.edge_count == 1
-    p.append_step(5, 4, True)
+    append_step(p, 5, 4, True)
     assert p.nodes == [0, 3, 5]
     assert p.weights == [2, 4]
     assert p.matched == [False, True]
@@ -121,10 +127,10 @@ def test_walkpath_bookkeeping():
 def test_eligibility_mark_reset():
     e = EligibilityArray(4)
     assert e.all_eligible()
-    e.mark_ineligible(2)
-    e.mark_ineligible(2)
-    assert not e.eligible(2)
-    assert e.eligible(1)
+    mark_ineligible(e, 2)
+    mark_ineligible(e, 2)
+    assert not eligible(e, 2)
+    assert eligible(e, 1)
     assert not e.all_eligible()
     e.reset()
     assert e.all_eligible()
@@ -163,9 +169,9 @@ def test_validate_accepts_good_path():
 def test_validate_rejects_repeat_vertex():
     st_ = MatchingState(4)
     p = WalkPath()
-    p.start(0)
-    p.append_step(1, 1, False)
-    p.append_step(0, 1, False)
+    start_path(p, 0)
+    append_step(p, 1, 1, False)
+    append_step(p, 0, 1, False)
     with pytest.raises(AssertionError):
         validate_walk_path(p, st_)
 
@@ -240,7 +246,7 @@ def test_walk_stops_when_needed_mate_ineligible():
     st_ = MatchingState(3)
     st_.match_edge(1, 2, 5)
     elig = EligibilityArray(3)
-    elig.mark_ineligible(2)
+    mark_ineligible(elig, 2)
     path = extend_walk(g, st_, WalkPath(), 0, 5, elig, random.Random(0))
     assert path.nodes == [0, 1]
 
@@ -249,7 +255,7 @@ def test_walk_rejects_mismatched_current():
     g = build_graph(3, [(0, 1, 2)])
     st_ = MatchingState(3)
     p = WalkPath()
-    p.start(0)
+    start_path(p, 0)
     with pytest.raises(ValueError):
         extend_walk(g, st_, p, 2, 5, EligibilityArray(3), random.Random(0))
 
@@ -263,7 +269,7 @@ def reference_extend_walk(graph, state, path, current, max_len, elig, rng):
         m = state.mate_of(current)
         on_path = len(nodes) > 1 and {nodes[-2], nodes[-1]} == {current, m}
         if m != FREE and not on_path:
-            if not elig.eligible(m):
+            if not eligible(elig, m):
                 break
             nxt, w, flag = m, state.stored_weight(current), True
         else:
@@ -273,7 +279,7 @@ def reference_extend_walk(graph, state, path, current, max_len, elig, rng):
             nxt = None
             for _ in range(SAMPLE_ATTEMPTS if adj else 0):
                 x = adj[rng.randrange(len(adj))]
-                if elig.eligible(x):
+                if eligible(elig, x):
                     nxt = x
                     break
             if nxt is None:
@@ -282,7 +288,7 @@ def reference_extend_walk(graph, state, path, current, max_len, elig, rng):
         nodes.append(nxt)
         weights.append(w)
         matched.append(flag)
-        elig.mark_ineligible(current)
+        mark_ineligible(elig, current)
         current = nxt
     return path
 
@@ -323,12 +329,12 @@ def test_walk_kernel_draws_like_randrange():
                 state = walk_rng.getstate()
                 elig = EligibilityArray(n)
                 for x in blocked:
-                    elig.mark_ineligible(x)
+                    mark_ineligible(elig, x)
                 path = WalkPath()
                 if seeded:
-                    path.start(mate)
-                    path.append_step(start, st_.stored_weight(start), True)
-                    elig.mark_ineligible(mate)
+                    start_path(path, mate)
+                    append_step(path, start, st_.stored_weight(start), True)
+                    mark_ineligible(elig, mate)
                 path = walk(g, st_, path, start, max_len, elig, walk_rng)
                 runs.append((path.nodes, path.weights, path.matched,
                              bytes(elig.flags), elig._marked, walk_rng.getstate()))

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from dynmatch.graph import DynamicGraph
-from dynmatch.matching import assert_matching_consistent, matching_weight_recompute
+from dynmatch.matching import assert_matching_consistent
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
 from conftest import build_graph
+from support.matching import matching_weight_recompute
 
 
 def make_algo(graph, *, seed=7, **cfg):
