@@ -51,7 +51,6 @@ from dynmatch.harness.streams import (
     parse_temporal,
 )
 from dynmatch.levels import LevelConfig
-from dynmatch.mcm import McmConfig
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig
 
@@ -142,13 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     lvl = p_run.add_argument_group("level options")
     lvl.add_argument("--level-epsilon", type=float, default=1.0)
-    lvl.add_argument("--mcm-epsilon", type=float, default=None)
-    lvl.add_argument("--safe-mode", action="store_true")
-    lvl.add_argument(
-        "--mcm-depth-unbounded",
-        action="store_true",
-        help="let BFS augmentation search without the depth budget",
-    )
     lvl.add_argument("--allow-small-epsilon", action="store_true")
 
     p_run.add_argument(
@@ -229,23 +221,9 @@ def _build_factory(args) -> tuple[object, str]:
         )
         return random_walk_factory(config), config.label()
     if args.algo in ("level-walk", "level-bfs"):
-        kind = args.algo.split("-", 1)[1]
-        mcm = None
-        if args.mcm_epsilon is not None or args.safe_mode or args.mcm_depth_unbounded:
-            mcm = McmConfig(
-                epsilon=(
-                    args.mcm_epsilon
-                    if args.mcm_epsilon is not None
-                    else args.level_epsilon
-                ),
-                safe_mode=args.safe_mode,
-                depth_bounded=not args.mcm_depth_unbounded,
-                kind=kind,
-            )
         config = LevelConfig(
             epsilon=args.level_epsilon,
-            mcm_kind=kind,
-            mcm=mcm,
+            mcm_kind=args.algo.split("-", 1)[1],
             allow_small_epsilon=args.allow_small_epsilon,
         )
         return level_factory(config), config.label()

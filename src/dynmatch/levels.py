@@ -37,19 +37,17 @@ MIN_SAFE_EPSILON = 0.1
 class LevelConfig:
     """Level granularity plus the per-level subroutine choice.
 
-    mcm_kind selects the per-level worker, 'walk' or 'bfs' (see mcm.py).
-    The nested McmConfig defaults to the level epsilon when not given; a
-    given one must be of kind mcm_kind.
+    mcm_kind selects the per-level worker, 'walk' or 'bfs' (see mcm.py);
+    every level runs it at the level epsilon.
     """
 
     epsilon: float = 1.0
     mcm_kind: str = "walk"
-    mcm: McmConfig | None = None
     allow_small_epsilon: bool = False
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.epsilon < MIN_SAFE_EPSILON and not self.allow_small_epsilon:
             raise ValueError(
                 f"epsilon={self.epsilon:g} creates ~{self.level_count_for(10**9)} "
@@ -59,14 +57,6 @@ class LevelConfig:
         if self.mcm_kind not in ("walk", "bfs"):
             raise ValueError(
                 f"mcm_kind must be 'walk' or 'bfs', got {self.mcm_kind!r}"
-            )
-        if self.mcm is None:
-            object.__setattr__(
-                self, "mcm", McmConfig(epsilon=self.epsilon, kind=self.mcm_kind)
-            )
-        elif self.mcm.kind != self.mcm_kind:
-            raise ValueError(
-                f"mcm.kind {self.mcm.kind!r} contradicts mcm_kind {self.mcm_kind!r}"
             )
 
     def level_count_for(self, max_weight: float) -> int:
@@ -132,6 +122,7 @@ class LevelMwm:
         self.graph = graph
         self.config = config
         self.seed = seed
+        self._mcm_config = McmConfig(epsilon=config.epsilon, kind=config.mcm_kind)
         self.levels: list[_Level] = []
         self._view = MatchingState(graph.n)
         # _cover[x]: index of the level whose kept pair covers x in the view,
@@ -148,7 +139,7 @@ class LevelMwm:
         lvl_graph = DynamicGraph(self.graph.n)
         # Independent stream per level, derived from (seed, index) so
         # creation order cannot matter.
-        worker = DynamicMcm(lvl_graph, self.config.mcm, self.seed * 1_000_003 + i)
+        worker = DynamicMcm(lvl_graph, self._mcm_config, self.seed * 1_000_003 + i)
         return _Level(i, lvl_graph, worker)
 
     def _ensure_levels(self, top: int) -> int:
@@ -359,5 +350,4 @@ def merge_levels(structure: LevelMwm) -> MatchingState:
             f"level matching pair {exc.args[0]} is not a master-graph edge"
         ) from None
     out.total_weight = total
-    out.version = 1
     return out

@@ -21,16 +21,13 @@ FREE = -1
 class MatchingState:
     """A matching over vertices {0, ..., n-1} with an incremental weight sum."""
 
-    __slots__ = ("n", "_mate", "_pairs", "total_weight", "version", "_watchers")
+    __slots__ = ("n", "_mate", "_pairs", "total_weight", "_watchers")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self._mate = [FREE] * n
         self._pairs: dict[tuple[int, int], Weight] = {}
         self.total_weight: Weight = 0
-        # Monotone change counter; read-side caches compare it to detect
-        # staleness without hashing the matching itself.
-        self.version = 0
         self._watchers: list[set[int]] = []
 
     def watch(self) -> set[int]:
@@ -66,7 +63,6 @@ class MatchingState:
         self._mate[v] = u
         self._pairs[edge_key(u, v)] = w
         self.total_weight += w
-        self.version += 1
         for changed in self._watchers:
             changed.add(u)
             changed.add(v)
@@ -79,7 +75,6 @@ class MatchingState:
         self._mate[u] = FREE
         self._mate[v] = FREE
         self.total_weight -= self._pairs.pop(edge_key(u, v))
-        self.version += 1
         for changed in self._watchers:
             changed.add(u)
             changed.add(v)
@@ -107,7 +102,6 @@ class MatchingState:
                 changed.add(v)
         self._pairs.clear()
         self.total_weight = 0
-        self.version += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -47,8 +47,8 @@ class McmConfig:
     kind: str = "walk"
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.kind not in ("walk", "bfs"):
             raise ValueError(f"kind must be 'walk' or 'bfs', got {self.kind!r}")
 
@@ -127,8 +127,8 @@ class DynamicMcm:
         through it, and ``start`` must be free there.  The search, a walk
         or a BFS per config.kind, extends a copy of the seed to an
         augmenting path, which ``_commit`` writes together with the seed.
-        A failed attempt writes nothing, so the matching, its version and
-        every watch() set stay as they were.
+        A failed attempt writes nothing, so the matching and every watch()
+        set stay as they were.
         """
         if seed is None:
             seed = {}

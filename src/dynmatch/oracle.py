@@ -9,21 +9,13 @@ One route is shipped: a branch-and-bound over weight-sorted edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OracleLimitError
 from .graph import DynamicGraph, Weight, edge_key
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    """Per-component size caps for the exhaustive searches."""
-
-    max_vertices: int = 20
-    max_edges: int = 24
-
-
-DEFAULT_LIMITS = OracleLimits()
+# Per-component size caps for the exhaustive searches.
+MAX_COMPONENT_VERTICES = 20
+MAX_COMPONENT_EDGES = 24
 
 Edge = tuple[int, int, Weight]
 Pair = tuple[int, int]
@@ -56,14 +48,12 @@ def _components(graph: DynamicGraph) -> list[tuple[list[int], list[Edge]]]:
     return out
 
 
-def _check_limits(
-    verts: list[int], edges: list[Edge], limits: OracleLimits, what: str
-) -> None:
-    if len(verts) > limits.max_vertices or len(edges) > limits.max_edges:
+def _check_limits(verts: list[int], edges: list[Edge], what: str) -> None:
+    if len(verts) > MAX_COMPONENT_VERTICES or len(edges) > MAX_COMPONENT_EDGES:
         raise OracleLimitError(
             f"{what}: component with {len(verts)} vertices / {len(edges)} edges "
-            f"exceeds oracle limits ({limits.max_vertices} vertices, "
-            f"{limits.max_edges} edges)"
+            f"exceeds oracle limits ({MAX_COMPONENT_VERTICES} vertices, "
+            f"{MAX_COMPONENT_EDGES} edges)"
         )
 
 
@@ -107,19 +97,16 @@ def _bb_max_weight(edges: list[Edge]) -> tuple[list[Pair], Weight]:
     return pairs, best_w
 
 
-def exact_mwm(
-    graph: DynamicGraph, limits: OracleLimits | None = None
-) -> tuple[list[Pair], Weight]:
+def exact_mwm(graph: DynamicGraph) -> tuple[list[Pair], Weight]:
     """Exact maximum-weight matching, solved per connected component.
 
     Returns (sorted pairs, total weight).  Raises OracleLimitError when any
     component exceeds the limits.
     """
-    limits = limits or DEFAULT_LIMITS
     pairs: list[Pair] = []
     total: Weight = 0
     for verts, edges in _components(graph):
-        _check_limits(verts, edges, limits, "exact_mwm")
+        _check_limits(verts, edges, "exact_mwm")
         p, w = _bb_max_weight(edges)
         pairs.extend(p)
         total += w

@@ -13,12 +13,15 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .errors import MatchingCorruptionError
 from .graph import DynamicGraph, Weight
 from .matching import FREE, MatchingAuditor, MatchingState
 from .paths import EligibilityArray, WalkPath, extend_walk, improve_along_path
+
+DEFAULT_BETA = 5
 
 
 @dataclass(frozen=True)
@@ -35,12 +38,12 @@ class RandomConfig:
     epsilon: float = 1.0
     num_walks: int = 1
     stop_early: bool = True
-    beta: int = 5
+    beta: int = DEFAULT_BETA
     theorem_mode: bool = False
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.num_walks < 1:
             raise ValueError(f"num_walks must be >= 1, got {self.num_walks}")
         if self.beta < 1:
@@ -53,6 +56,8 @@ class RandomConfig:
 
     def label(self) -> str:
         parts = [f"eps={self.epsilon:g}", f"walks={self.num_walks}"]
+        if self.beta != DEFAULT_BETA:
+            parts.append(f"beta={self.beta}")
         if self.theorem_mode:
             parts.append("theorem")
         if not self.stop_early:
@@ -144,7 +149,11 @@ class RandomWalkMwm:
             return cfg.num_walks
         delta = self.graph.max_degree_seen()
         n = max(self.graph.n, 2)
-        return max(1, math.ceil(delta ** (2.0 / cfg.epsilon + 3.0) * math.log(n)))
+        try:
+            return max(1, math.ceil(delta ** (2.0 / cfg.epsilon + 3.0) * math.log(n)))
+        except OverflowError:
+            # Beyond any float: walk until stop_early ends the campaign.
+            return sys.maxsize
 
     # -- seed paths ----------------------------------------------------------
 

@@ -41,7 +41,7 @@ class ExactMcmBackend:
 class ExactLevelMwm(LevelMwm):
     """LevelMwm whose levels each keep a maximum-cardinality matching, so
     the greedy merge is within 2(1+eps) of the optimum after every update.
-    The config's nested McmConfig is not used."""
+    The config's mcm_kind is not used."""
 
     def _make_level(self, i: int) -> _Level:
         lvl_graph = DynamicGraph(self.graph.n)

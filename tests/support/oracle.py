@@ -12,8 +12,6 @@ from dynmatch.errors import OracleLimitError
 from dynmatch.graph import DynamicGraph, Weight, edge_key
 from dynmatch.matching import FREE, MatchingState
 from dynmatch.oracle import (
-    DEFAULT_LIMITS,
-    OracleLimits,
     Pair,
     _bb_max_weight,
     _check_limits,
@@ -66,30 +64,24 @@ def exact_mwm_enumerate(graph: DynamicGraph) -> tuple[list[Pair], Weight]:
     return pairs, best_w
 
 
-def exact_mcm_matching(
-    graph: DynamicGraph, limits: OracleLimits | None = None
-) -> list[Pair]:
+def exact_mcm_matching(graph: DynamicGraph) -> list[Pair]:
     """An exact maximum-cardinality matching (weights ignored)."""
-    limits = limits or DEFAULT_LIMITS
     pairs: list[Pair] = []
     for verts, edges in _components(graph):
-        _check_limits(verts, edges, limits, "exact_mcm")
+        _check_limits(verts, edges, "exact_mcm")
         unit = [(u, v, 1) for (u, v, _w) in edges]
         p, _c = _bb_max_weight(unit)
         pairs.extend(p)
     return sorted(pairs)
 
 
-def exact_mcm(graph: DynamicGraph, limits: OracleLimits | None = None) -> int:
+def exact_mcm(graph: DynamicGraph) -> int:
     """Size of a maximum-cardinality matching."""
-    return len(exact_mcm_matching(graph, limits))
+    return len(exact_mcm_matching(graph))
 
 
 def find_weight_augmenting_kpath(
-    graph: DynamicGraph,
-    state: MatchingState,
-    k_max: int,
-    limits: OracleLimits | None = None,
+    graph: DynamicGraph, state: MatchingState, k_max: int
 ) -> tuple[list[Pair], int] | None:
     """Exhaustive search for a weight-augmenting alternating k-path.
 
@@ -109,9 +101,8 @@ def find_weight_augmenting_kpath(
     Returns (edges in order, k) for the smallest qualifying k <= k_max, or
     None; for equal k, open paths are reported before cycles.
     """
-    limits = limits or DEFAULT_LIMITS
     for verts, edges in _components(graph):
-        _check_limits(verts, edges, limits, "find_weight_augmenting_kpath")
+        _check_limits(verts, edges, "find_weight_augmenting_kpath")
     for k in range(1, k_max + 1):
         found = _find_kpath(graph, state, k)
         if found is not None:
@@ -241,12 +232,7 @@ def _find_augmenting_cycle(
     return None
 
 
-def verify_proposition1(
-    graph: DynamicGraph,
-    state: MatchingState,
-    k: int,
-    limits: OracleLimits | None = None,
-) -> bool:
+def verify_proposition1(graph: DynamicGraph, state: MatchingState, k: int) -> bool:
     """Check w(M) >= ((k-1)/k) * w(M*) given no augmenting path below k.
 
     Re-verifies the precondition (no weight-augmenting path, open or closed,
@@ -255,12 +241,12 @@ def verify_proposition1(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > 1 and find_weight_augmenting_kpath(graph, state, k - 1, limits) is not None:
+    if k > 1 and find_weight_augmenting_kpath(graph, state, k - 1) is not None:
         raise ValueError(
             f"precondition violated: a weight-augmenting path with < {k} "
             "unmatched edges exists"
         )
-    _pairs, opt = exact_mwm(graph, limits)
+    _pairs, opt = exact_mwm(graph)
     lhs = k * state.total_weight
     rhs = (k - 1) * opt
     if isinstance(lhs, int) and isinstance(rhs, int):

@@ -6,6 +6,9 @@ generator and seed).  Reading only every 1000 ops also makes LevelMwm bring
 its merged view up to date across long batches of level changes.  A change
 that alters any maintained matching for these seeds changes a digest; one
 that only reorganizes the code must leave all of them as they are.
+
+The standalone DynamicMcm digest replays the same prefix with every edge
+inserted at weight 1 and hashes the matched pairs alone.
 """
 
 import hashlib
@@ -15,7 +18,7 @@ import pytest
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.streams import INSERT
 from dynmatch.levels import LevelConfig, LevelMwm
-from dynmatch.mcm import McmConfig
+from dynmatch.mcm import DynamicMcm, McmConfig
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
 from test_acceptance import churn_stream
@@ -56,22 +59,6 @@ GOLDEN = {
         21084,
         "fecf683db767227bf94dab2ca503d5c3c835a7cf69af72847e015f218006ba06",
     ),
-    # Safe-mode handlers with an unbounded augmenting-path search.
-    "level-bfs-0.5-safe-unbounded": (
-        lambda g: LevelMwm(
-            g,
-            LevelConfig(
-                epsilon=0.5,
-                mcm_kind="bfs",
-                mcm=McmConfig(
-                    epsilon=0.5, kind="bfs", safe_mode=True, depth_bounded=False
-                ),
-            ),
-            2026,
-        ),
-        21307,
-        "0c5e2a26389d1ac448f0936d8dfd27a3655c4c30cbd861f42f6abb16f9d7823e",
-    ),
 }
 
 
@@ -97,3 +84,26 @@ def test_matching_digest_unchanged(name, churn_prefix):
             h.update(f"{k} {algo.weight} {algo.matched_pairs()}\n".encode())
     assert algo.weight == final_weight
     assert h.hexdigest() == digest
+
+
+def test_standalone_safe_mode_mcm_digest_unchanged(churn_prefix):
+    # Pins the both-matched insert handler (_alternating_free_node) bit for
+    # bit; test_11 checks only cardinality.  Recorded at commit ffcdc11.
+    g = DynamicGraph(churn_prefix.n)
+    mcm = DynamicMcm(
+        g, McmConfig(kind="bfs", safe_mode=True, depth_bounded=False), 2026
+    )
+    h = hashlib.sha256()
+    for k, op in enumerate(churn_prefix.ops, 1):
+        if op.kind == INSERT:
+            g.insert_edge(op.u, op.v, 1)
+            mcm.handle_insert(op.u, op.v)
+        else:
+            g.delete_edge(op.u, op.v)
+            mcm.handle_delete(op.u, op.v)
+        if k % 1000 == 0:
+            h.update(f"{k} {sorted(mcm.state.matched_pairs())}\n".encode())
+    assert mcm.state.matched_count() == 360
+    assert h.hexdigest() == (
+        "ac56f3e5b45463222611ed6a0130091ae21098013ecab700dad672d34a6e1046"
+    )

@@ -600,22 +600,41 @@ def test_cli_run_all_algorithms(static_file, tmp_path):
         ]) == 0
 
 
-def test_cli_run_level_flags(static_file):
+def test_cli_run_level_flags(static_file, capsys):
     assert main([
         "run", "--input", str(static_file), "--algo", "level-bfs",
-        "--seed", "2", "--reps", "1", "--level-epsilon", "0.5",
-        "--mcm-epsilon", "0.5", "--safe-mode", "--mcm-depth-unbounded",
+        "--seed", "2", "--reps", "1", "--level-epsilon", "0.05",
+        "--allow-small-epsilon",
     ]) == 0
+    assert "level-bfs [eps=0.05,mcm=bfs]" in capsys.readouterr().out
 
 
 def test_cli_mcm_flag_contradiction_rejected(static_file):
-    # --algo alone names the per-level subroutine; there is no --mcm flag.
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "run", "--input", str(static_file), "--algo", "level-walk",
-            "--mcm", "bfs", "--reps", "1",
-        ])
-    assert exc.value.code == 2
+    # --algo and --level-epsilon alone configure the per-level subroutine;
+    # there are no flags to set it apart from them.
+    for flags in (
+        ["--mcm", "bfs"],
+        ["--mcm-epsilon", "0.5"],
+        ["--safe-mode"],
+        ["--mcm-depth-unbounded"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "run", "--input", str(static_file), "--algo", "level-bfs",
+                "--reps", "1", *flags,
+            ])
+        assert exc.value.code == 2, flags
+
+
+def test_cli_theorem_mode_beyond_float_range_runs(tmp_path, capsys):
+    # The analysed walk budget 3^2003 * ln 4 saturates instead of crashing.
+    star = tmp_path / "star.graph"
+    star.write_text("4\n0 1 5\n0 2 3\n0 3 4\n")
+    assert main([
+        "run", "--input", str(star), "--algo", "random", "--theorem-mode",
+        "--epsilon", "0.001", "--reps", "1", "--beta", "3",
+    ]) == 0
+    assert "random [eps=0.001,walks=1,beta=3,theorem]" in capsys.readouterr().out
 
 
 def test_cli_opt_flag_forms(static_file, capsys):
@@ -645,6 +664,10 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="walks-zero"),
         pytest.param(RUN + ["--algo", "random", "--epsilon", "nan"], "1",
                      id="epsilon-nan"),
+        pytest.param(RUN + ["--algo", "random", "--epsilon", "inf"], "1",
+                     id="epsilon-inf"),
+        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "inf"], "1",
+                     id="level-epsilon-inf"),
         pytest.param(RUN + ["--algo", "oracle", "--oracle-interval", "0"], "1",
                      id="oracle-interval-zero"),
         pytest.param(RUN + ["--algo", "random", "--opt", "foo"], "1",

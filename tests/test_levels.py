@@ -1,5 +1,6 @@
 """Geometric weight levels: bucketing, lazy creation, greedy merge."""
 
+import math
 import random
 
 import pytest
@@ -67,18 +68,14 @@ def test_level_index_exact_powers():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LevelConfig(epsilon=0)
+    for eps in (0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            LevelConfig(epsilon=eps)
     with pytest.raises(ValueError):
         LevelConfig(mcm_kind="exactish")
     with pytest.raises(ValueError):
         LevelConfig(mcm_kind="exact")
-    with pytest.raises(ValueError):
-        LevelConfig(mcm_kind="bfs", mcm=McmConfig(kind="walk"))
-    with pytest.raises(ValueError):
-        LevelConfig(mcm=McmConfig(kind="bfs"))
-    cfg = LevelConfig(mcm_kind="bfs", mcm=McmConfig(epsilon=0.5, kind="bfs"))
-    assert cfg.label() == "eps=1,mcm=bfs"
+    assert LevelConfig(epsilon=0.5, mcm_kind="bfs").label() == "eps=0.5,mcm=bfs"
 
 
 def test_config_small_epsilon_guard():
@@ -89,11 +86,17 @@ def test_config_small_epsilon_guard():
 
 
 def test_config_nested_mcm_defaults():
-    cfg = LevelConfig(epsilon=0.5)
-    assert cfg.mcm.epsilon == 0.5
-    assert cfg.mcm.kind == "walk"
-    bfs = LevelConfig(mcm_kind="bfs")
-    assert bfs.mcm.kind == "bfs"
+    # Every level runs the subroutine at the level epsilon and kind.
+    for cfg in (LevelConfig(epsilon=0.5), LevelConfig(mcm_kind="bfs")):
+        g = build_graph(4, [])
+        algo = LevelMwm(g, cfg, 13)
+        g.insert_edge(0, 1, 9)
+        algo.handle_insert(0, 1, 9)
+        assert len(algo.levels) > 1
+        for level in algo.levels:
+            assert level.worker.config == McmConfig(
+                epsilon=cfg.epsilon, kind=cfg.mcm_kind
+            )
     assert LevelConfig().label() == "eps=1,mcm=walk"
 
 

@@ -1,5 +1,6 @@
 """Cardinality-matching subroutines: walks, bounded BFS, update handlers."""
 
+import math
 import random
 
 import pytest
@@ -30,8 +31,9 @@ def snapshot(mcm):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        McmConfig(epsilon=0)
+    for eps in (0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            McmConfig(epsilon=eps)
     with pytest.raises(ValueError):
         McmConfig(kind="dfs")
 
@@ -238,10 +240,8 @@ def test_failed_augment_writes_nothing(cfg):
         mcm.state.match_edge(1, 2, 1)
         mcm.state.match_edge(3, 4, 1)
         watchers = [mcm.state.watch(), mcm.state.watch()]
-        version = mcm.state.version
         before = snapshot(mcm)
         assert mcm.augment_from(0) is False
-        assert mcm.state.version == version
         assert watchers == [set(), set()]
         assert snapshot(mcm) == before
 
@@ -270,17 +270,15 @@ def test_failed_insert_swap_restores_the_original_pair(kind):
 )
 def test_failed_insert_swap_writes_nothing(cfg):
     # Same setting as above: the swap lives only in the search's seed, so a
-    # failure neither bumps the version nor marks a vertex as changed.
+    # failure marks no vertex as changed.
     for seed in range(10):
         g = build_graph(3, [(0, 1, 1)])
         mcm = make_mcm(g, seed=seed, epsilon=0.2, **cfg)
         mcm.state.match_edge(0, 1, 1)
         watcher = mcm.state.watch()
-        version = mcm.state.version
         before = snapshot(mcm)
         g.insert_edge(1, 2, 1)
         mcm.handle_insert(1, 2)
-        assert mcm.state.version == version
         assert watcher == set()
         assert snapshot(mcm) == before
         assert (mcm.attempts, mcm.successes) == (1, 0)

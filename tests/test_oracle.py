@@ -5,7 +5,7 @@ import pytest
 from dynmatch.errors import OracleLimitError
 from dynmatch.graph import DynamicGraph
 from dynmatch.matching import MatchingState
-from dynmatch.oracle import OracleLimits, exact_mwm
+from dynmatch.oracle import exact_mwm
 
 from conftest import (
     build_graph,
@@ -105,7 +105,7 @@ def connected_blob(n_verts: int, n_edges: int) -> DynamicGraph:
 def test_mwm_limit_errors():
     big = connected_blob(21, 25)
     with pytest.raises(OracleLimitError):
-        exact_mwm(big, OracleLimits(max_vertices=20, max_edges=24))
+        exact_mwm(big)
     dense = random_graph(10, ENUMERATE_MAX_EDGES + 1, seed=2)
     with pytest.raises(OracleLimitError):
         exact_mwm_enumerate(dense)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,9 @@ def test_config_validation():
         RandomConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         RandomConfig(epsilon=-1.0)
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RandomConfig(epsilon=eps)
     with pytest.raises(ValueError):
         RandomConfig(num_walks=0)
     with pytest.raises(ValueError):
@@ -41,6 +45,8 @@ def test_walk_length_from_epsilon():
 
 def test_config_label():
     assert RandomConfig(epsilon=0.5, num_walks=7).label() == "eps=0.5,walks=7"
+    assert RandomConfig().label() == "eps=1,walks=1"
+    assert RandomConfig(beta=3).label() == "eps=1,walks=1,beta=3"
     assert "theorem" in RandomConfig(theorem_mode=True).label()
     assert "no-stop-early" in RandomConfig(stop_early=False).label()
 
@@ -191,6 +197,23 @@ def test_theorem_mode_budget_floor_is_one():
     g = build_graph(2, [])
     algo = make_algo(g, theorem_mode=True)
     assert algo._walk_budget() == 1
+
+
+def test_theorem_mode_budget_saturates_beyond_float_range():
+    # Star with max degree 3: 3^(2/0.001 + 3) overflows a float.
+    g = build_graph(4, [(0, 1, 5), (0, 2, 3), (0, 3, 4)])
+    algo = make_algo(g, epsilon=0.001, theorem_mode=True)
+    assert algo._walk_budget() == sys.maxsize
+    # A budget that fits in a float is the formula's value.
+    algo = make_algo(g, epsilon=0.01, theorem_mode=True)
+    assert algo._walk_budget() == math.ceil(3.0**203 * math.log(4))
+    # The saturated campaign runs until stop_early ends it.
+    g = build_graph(4, [(0, 1, 5), (0, 2, 3)])
+    algo = make_algo(g, epsilon=0.001, theorem_mode=True)
+    g.insert_edge(0, 3, 4)
+    algo.handle_insert(0, 3, 4)
+    assert algo.walks_run - algo.walks_improved >= algo.config.beta
+    algo.audit(deep=True)
 
 
 def test_single_improving_edge_found_on_first_walk():
