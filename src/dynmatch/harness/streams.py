@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ..errors import StreamParseError
 from ..graph import DynamicGraph, Weight, edge_key
@@ -41,8 +41,7 @@ GEN_WEIGHT_HI = 100
 MAX_N_HINT = 10**6
 
 
-@dataclass(frozen=True)
-class UpdateOp:
+class UpdateOp(NamedTuple):
     kind: str
     u: int
     v: int
@@ -186,7 +185,7 @@ def parse_temporal(text: str) -> UpdateStream:
             continue
         records.append((ts, order, u, v, w, op))
         order += 1
-    records.sort(key=lambda r: (r[0], r[1]))
+    records.sort()  # (ts, order) is unique: no later field is ever compared
     present: set[tuple[int, int]] = set()
     ops: list[UpdateOp] = []
     max_id = -1

@@ -23,7 +23,9 @@ Pair = tuple[int, int]
 
 def _components(graph: DynamicGraph) -> list[tuple[list[int], list[Edge]]]:
     """Connected components as (sorted vertices, sorted edges); isolated
-    vertices are omitted (they never matter for matchings)."""
+    vertices are omitted (they never matter for matchings).  Each edge is
+    read from its smaller endpoint's adjacency, so the whole pass is linear
+    in n + m."""
     seen = bytearray(graph.n)
     out: list[tuple[list[int], list[Edge]]] = []
     for s in range(graph.n):
@@ -40,9 +42,11 @@ def _components(graph: DynamicGraph) -> list[tuple[list[int], list[Edge]]]:
                     verts.append(y)
                     stack.append(y)
         verts.sort()
-        vset = set(verts)
         edges = sorted(
-            (u, v, w) for (u, v, w) in graph.edges() if u in vset
+            (x, y, graph.weight(x, y))
+            for x in verts
+            for y in graph.neighbors(x)
+            if x < y
         )
         out.append((verts, edges))
     return out

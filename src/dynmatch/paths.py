@@ -12,6 +12,11 @@ walker.  Two invariants make a finished path safe to rewrite:
 Closure is what lets ``apply_path_matching`` treat the path as a closed
 world: unmatching the path's matched edges and matching any independent
 subset of path edges cannot double-match a vertex elsewhere.
+
+The random-walk campaign (random_walk.py) computes the DP's value online,
+with ``mwm_on_path``'s recurrence and order, and calls
+``improve_along_path`` -- the DP with its backtrack, then the rewrite --
+only for walks whose value strictly beats the matched weight.
 """
 
 from __future__ import annotations

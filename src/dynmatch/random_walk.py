@@ -1,12 +1,14 @@
 """Approximate maximum-weight matching maintained by random augmenting walks.
 
 Each update launches short random walks anchored at the touched vertices.
-A walk grows a simple path (see paths.py), the exact DP picks the best
-independent edge subset of that path, and the matching is rewritten only on
-strict improvement.  With walk length ceil(2/eps + 3) a single successful
-walk can realize any weight-augmenting path of up to 1/eps + 1 unmatched
-edges, which is what drives the (1 + eps) quality target; the number of
-walks per update trades time for how reliably such paths are found.
+A walk grows a simple path (see paths.py) and the campaign scores it online
+with the exact path DP's value, the best independent edge subset's weight.
+Only when that value strictly beats the path's matched weight does the full
+DP run again with its backtrack and rewrite the matching; most walks end at
+the score.  With walk length ceil(2/eps + 3) a single successful walk can
+realize any weight-augmenting path of up to 1/eps + 1 unmatched edges, which
+is what drives the (1 + eps) quality target; the number of walks per update
+trades time for how reliably such paths are found.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import MatchingCorruptionError
 from .graph import DynamicGraph, Weight
@@ -113,10 +116,17 @@ class RandomWalkMwm:
     def run_walk_campaign(self, seed_builder, *args) -> int:
         """Run up to the configured number of walks; returns success count.
 
-        Each walk starts from ``seed_builder(*args)``, a fresh seed path and
-        the vertex to walk on from.  With stop_early, beta consecutive
-        failures abort the campaign; the failure counter resets on every
-        success and is local to this campaign.
+        One ``WalkPath`` serves the whole campaign.  Before each walk its
+        lists are cleared and ``seed_builder(path, *args)`` lays a fresh seed
+        in it and returns the vertex to walk on from.  Once the walk stops,
+        the eligibility flags it cleared are restored, and the best
+        independent edge subset's weight is computed online, with
+        ``mwm_on_path``'s recurrence in its order but without its selection
+        flags.  Only when that value strictly beats the path's matched weight
+        (a few percent of walks) does ``improve_along_path`` run the full DP
+        with its backtrack and rewrite the matching.  With stop_early, beta
+        consecutive failures abort the campaign; the failure counter resets
+        on every success and is local to this campaign.
         """
         budget = self._walk_budget()
         cfg = self.config
@@ -124,23 +134,46 @@ class RandomWalkMwm:
         state = self.state
         rng = self.rng
         max_len = cfg.walk_length
+        stop_after = cfg.beta if cfg.stop_early else 0  # 0: never stop early
         elig = self._elig
+        flags = elig.flags
+        marked = elig._marked
+        path = WalkPath()
+        nodes = path.nodes
+        weights = path.weights
+        matched = path.matched
+        walks = 0
         successes = 0
         consecutive_failures = 0
         for _ in range(budget):
-            path, start = seed_builder(*args)
+            nodes.clear()
+            weights.clear()
+            matched.clear()
+            start = seed_builder(path, *args)
             extend_walk(graph, state, path, start, max_len, elig, rng)
-            improved = improve_along_path(state, path)
-            elig.reset()
-            self.walks_run += 1
-            if improved:
-                self.walks_improved += 1
+            for u in marked:
+                flags[u] = 1
+            marked.clear()
+            walks += 1
+            # W[k] of mwm_on_path: W[i-2] and W[i-1] while scanning.
+            best_prev = best = 0
+            for w in weights:
+                cand = w + best_prev
+                if cand > best:
+                    best_prev, best = best, cand
+                else:
+                    best_prev = best
+            # sum() rather than +=: it must equal matched_weight() bit for bit.
+            if best > sum(compress(weights, matched)):
+                improve_along_path(state, path)
                 successes += 1
                 consecutive_failures = 0
             else:
                 consecutive_failures += 1
-                if cfg.stop_early and consecutive_failures >= cfg.beta:
+                if consecutive_failures == stop_after:
                     break
+        self.walks_run += walks
+        self.walks_improved += successes
         return successes
 
     def _walk_budget(self) -> int:
@@ -157,8 +190,9 @@ class RandomWalkMwm:
 
     # -- seed paths ----------------------------------------------------------
 
-    def _seed_insert(self, u: int, v: int, w: Weight) -> tuple[WalkPath, int]:
-        """Seed path forcing the inserted edge, per the endpoints' mates.
+    def _seed_insert(self, path: WalkPath, u: int, v: int, w: Weight) -> int:
+        """Lay the seed forcing the inserted edge, per the endpoints' mates,
+        in the empty ``path``; returns the vertex the walk continues from.
 
         Both free: start at a random endpoint.  One matched: its matched
         edge leads in and the walk continues at the free endpoint.  Both
@@ -175,39 +209,38 @@ class RandomWalkMwm:
         mv = mate[v]
         if mu == v or (mu == FREE and mv == FREE):
             a, b = (u, v) if self.rng.random() < 0.5 else (v, u)
-            if mu == v:
-                path = WalkPath([a, b], [pairs[(u, v) if u < v else (v, u)]], [True])
-            else:
-                path = WalkPath([a, b], [w], [False])
+            path.nodes += (a, b)
+            path.weights.append(pairs[(u, v) if u < v else (v, u)] if mu == v else w)
+            path.matched.append(mu == v)
             flags[a] = 0
             marked.append(a)
-            return path, b
+            return b
         if mu != FREE and mv != FREE:
-            path = WalkPath(
-                [mu, u, v, mv],
-                [
-                    pairs[(u, mu) if u < mu else (mu, u)],
-                    w,
-                    pairs[(v, mv) if v < mv else (mv, v)],
-                ],
-                [True, False, True],
+            path.nodes += (mu, u, v, mv)
+            path.weights += (
+                pairs[(u, mu) if u < mu else (mu, u)],
+                w,
+                pairs[(v, mv) if v < mv else (mv, v)],
             )
+            path.matched += (True, False, True)
             flags[mu] = flags[u] = flags[v] = 0
             marked += (mu, u, v)
-            return path, mv
+            return mv
         # Exactly one endpoint matched; orient so a is the matched one.
         a, b = (u, v) if mu != FREE else (v, u)
         ma = mate[a]
-        wa = pairs[(a, ma) if a < ma else (ma, a)]
-        path = WalkPath([ma, a, b], [wa, w], [True, False])
+        path.nodes += (ma, a, b)
+        path.weights += (pairs[(a, ma) if a < ma else (ma, a)], w)
+        path.matched += (True, False)
         flags[ma] = flags[a] = 0
         marked += (ma, a)
-        return path, b
+        return b
 
-    def _seed_anchor(self, anchor: int) -> tuple[WalkPath, int]:
-        """Path holding only a deletion endpoint; extend_walk traverses the
-        anchor's matched edge first when there is one."""
-        return WalkPath([anchor]), anchor
+    def _seed_anchor(self, path: WalkPath, anchor: int) -> int:
+        """Lay a deletion endpoint alone in the empty ``path``; extend_walk
+        traverses the anchor's matched edge first when there is one."""
+        path.nodes.append(anchor)
+        return anchor
 
     # -- reporting -----------------------------------------------------------
 

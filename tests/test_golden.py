@@ -9,6 +9,10 @@ that only reorganizes the code must leave all of them as they are.
 
 The standalone DynamicMcm digest replays the same prefix with every edge
 inserted at weight 1 and hashes the matched pairs alone.
+
+The walk-campaign digests also hash the walk counters and the RNG state, so
+a campaign that draws, walks or scores differently changes them even where
+the matching happens to come out the same.
 """
 
 import hashlib
@@ -82,6 +86,46 @@ def test_matching_digest_unchanged(name, churn_prefix):
             algo.handle_delete(op.u, op.v)
         if k % 1000 == 0:
             h.update(f"{k} {algo.weight} {algo.matched_pairs()}\n".encode())
+    assert algo.weight == final_weight
+    assert h.hexdigest() == digest
+
+
+# The undo-rw benchmark config with integer weights, and with every weight
+# divided by 7, so the float sums of the path DP and its strict ``>`` tie rule
+# are pinned too.  Recorded at commit 9d28db9.
+CAMPAIGN_GOLDEN = {
+    "integer": (
+        lambda w: w,
+        21758,
+        "843285ebb61eb7151fe9cc0d841bdcc06ea43ff083c82357ae46cb796d4ddcb5",
+    ),
+    "sevenths": (
+        lambda w: w / 7,
+        3126.1428571428596,
+        "258ef3fcdfd8ce07c2bf90c3d1a2af14484354b6b89a7e90e41a2cd466cb2152",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_GOLDEN))
+def test_walk_campaign_digest_unchanged(name, churn_prefix):
+    scale, final_weight, digest = CAMPAIGN_GOLDEN[name]
+    g = DynamicGraph(churn_prefix.n)
+    algo = RandomWalkMwm(g, RandomConfig(epsilon=1.0, num_walks=5), 2026)
+    h = hashlib.sha256()
+    for k, op in enumerate(churn_prefix.ops, 1):
+        if op.kind == INSERT:
+            w = scale(op.w)
+            g.insert_edge(op.u, op.v, w)
+            algo.handle_insert(op.u, op.v, w)
+        else:
+            g.delete_edge(op.u, op.v)
+            algo.handle_delete(op.u, op.v)
+        if k % 1000 == 0:
+            h.update(
+                f"{k} {algo.weight} {algo.matched_pairs()} {algo.walks_run} "
+                f"{algo.walks_improved} {algo.rng.getstate()}\n".encode()
+            )
     assert algo.weight == final_weight
     assert h.hexdigest() == digest
 

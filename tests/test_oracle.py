@@ -102,6 +102,22 @@ def connected_blob(n_verts: int, n_edges: int) -> DynamicGraph:
     raise AssertionError("not enough room for requested chords")
 
 
+def test_mwm_many_disjoint_weighted_p3s():
+    # 4,000 components: the per-component edge lists must come from the
+    # components' own adjacency, not a rescan of every edge per component.
+    k = 4000
+    g = DynamicGraph(3 * k)
+    want_pairs, want_weight = [], 0
+    for i in range(k):
+        a, b = 1 + i % 7, 1 + (3 * i) % 11
+        g.insert_edge(3 * i, 3 * i + 1, a)
+        g.insert_edge(3 * i + 1, 3 * i + 2, b)
+        # Ties go to the edge with the smaller endpoints.
+        want_pairs.append((3 * i, 3 * i + 1) if a >= b else (3 * i + 1, 3 * i + 2))
+        want_weight += max(a, b)
+    assert exact_mwm(g) == (want_pairs, want_weight)
+
+
 def test_mwm_limit_errors():
     big = connected_blob(21, 25)
     with pytest.raises(OracleLimitError):

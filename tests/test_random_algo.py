@@ -1,18 +1,27 @@
 """Behavior of the random-walk matcher: seeds, campaigns, update handlers."""
 
+import importlib.util
 import math
 import random
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynmatch.graph import DynamicGraph
+from dynmatch.harness.replay import random_walk_factory, replay
+from dynmatch.harness.streams import gen_insertion_stream, gen_undo_suffix
 from dynmatch.matching import assert_matching_consistent
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
 from conftest import build_graph
 from support.matching import matching_weight_recompute
+from support.random_walk import ReferenceRandomWalkMwm
+
+TRACER_PY = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def make_algo(graph, *, seed=7, **cfg):
@@ -152,7 +161,7 @@ def test_campaign_on_optimal_matching_stops_after_beta_failures():
     g = build_graph(2, [(0, 1, 10)])
     algo = make_algo(g, num_walks=20, beta=5)
     algo.state.match_edge(0, 1, 10)
-    successes = algo.run_walk_campaign(lambda: algo._seed_anchor(0))
+    successes = algo.run_walk_campaign(algo._seed_anchor, 0)
     assert successes == 0
     assert algo.walks_run == 5  # min(num_walks, beta)
 
@@ -161,7 +170,7 @@ def test_campaign_budget_smaller_than_beta_runs_out_first():
     g = build_graph(2, [(0, 1, 10)])
     algo = make_algo(g, num_walks=3, beta=5)
     algo.state.match_edge(0, 1, 10)
-    assert algo.run_walk_campaign(lambda: algo._seed_anchor(0)) == 0
+    assert algo.run_walk_campaign(algo._seed_anchor, 0) == 0
     assert algo.walks_run == 3
 
 
@@ -169,7 +178,7 @@ def test_campaign_without_stop_early_runs_full_budget():
     g = build_graph(2, [(0, 1, 10)])
     algo = make_algo(g, num_walks=20, stop_early=False)
     algo.state.match_edge(0, 1, 10)
-    assert algo.run_walk_campaign(lambda: algo._seed_anchor(0)) == 0
+    assert algo.run_walk_campaign(algo._seed_anchor, 0) == 0
     assert algo.walks_run == 20
 
 
@@ -184,6 +193,110 @@ def test_failure_counter_restarts_after_a_success():
     assert algo.weight == 9
     assert algo.walks_run == 4
     assert algo.stats() == {"successes": 1, "failures": 3}
+
+
+class _RecordCampaigns:
+    """Records each campaign's success count and checks that it left every
+    vertex eligible."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.campaign_successes = []
+
+    def run_walk_campaign(self, seed_builder, *args) -> int:
+        successes = super().run_walk_campaign(seed_builder, *args)
+        assert self._elig.all_eligible()
+        self.campaign_successes.append(successes)
+        return successes
+
+
+class _Fused(_RecordCampaigns, RandomWalkMwm):
+    pass
+
+
+class _Reference(_RecordCampaigns, ReferenceRandomWalkMwm):
+    pass
+
+
+def _snapshot(algo):
+    return (
+        algo.matched_pairs(),
+        algo.weight,
+        algo.walks_run,
+        algo.walks_improved,
+        algo.campaign_successes,
+        algo.rng.getstate(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10),
+    toggles=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=9),
+            st.integers(min_value=0, max_value=9),
+            st.integers(min_value=1, max_value=30),
+        ),
+        max_size=60,
+    ),
+    seed=st.integers(min_value=0, max_value=2**32),
+    epsilon=st.sampled_from([0.5, 1.0, 2.0]),
+    num_walks=st.integers(min_value=1, max_value=6),
+    stop_early=st.booleans(),
+    beta=st.integers(min_value=1, max_value=4),
+    divisor=st.sampled_from([1, 7]),
+)
+def test_fused_campaign_matches_per_walk_reference(
+    n, toggles, seed, epsilon, num_walks, stop_early, beta, divisor
+):
+    # Each toggle inserts (u, v) when absent and deletes it when present.
+    cfg = RandomConfig(
+        epsilon=epsilon, num_walks=num_walks, stop_early=stop_early, beta=beta
+    )
+    g_fused, g_ref = DynamicGraph(n), DynamicGraph(n)
+    fused = _Fused(g_fused, cfg, seed)
+    ref = _Reference(g_ref, cfg, seed)
+    for u, v, w in toggles:
+        u %= n
+        v %= n
+        if u == v:
+            continue
+        if g_fused.has_edge(u, v):
+            for g, algo in ((g_fused, fused), (g_ref, ref)):
+                g.delete_edge(u, v)
+                algo.handle_delete(u, v)
+        else:
+            w = w if divisor == 1 else w / divisor
+            for g, algo in ((g_fused, fused), (g_ref, ref)):
+                g.insert_edge(u, v, w)
+                algo.handle_insert(u, v, w)
+        assert _snapshot(fused) == _snapshot(ref)
+    fused.audit()
+    fused.audit(deep=True)
+
+
+def test_tracer_sees_every_walk_and_one_dp_per_improvement():
+    # The benchmark's per-layer split rests on these seams: one extend_walk
+    # call per walk, and the DP and rewrite only on walks that improve.
+    spec = importlib.util.spec_from_file_location("tracer", TRACER_PY)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    rng = random.Random(5)
+    edges = set()
+    while len(edges) < 600:
+        u, v = rng.sample(range(150), 2)
+        edges.add((min(u, v), max(u, v)))
+    stream = gen_undo_suffix(
+        gen_insertion_stream(150, [(u, v, None) for u, v in sorted(edges)], 5), 25, 5
+    )
+    tracer = tracer_mod.Tracer()
+    with tracer.installed():
+        algo = replay(stream, random_walk_factory(RandomConfig(num_walks=5)), 11).algorithm
+    assert 0 < algo.walks_improved < algo.walks_run
+    assert tracer.calls["paths.walk"] == algo.walks_run
+    assert tracer.calls["paths.dp"] == algo.walks_improved
+    assert tracer.calls["paths.rewrite"] == algo.walks_improved
 
 
 def test_theorem_mode_budget_value():
