@@ -10,6 +10,10 @@ optimum; approximate subroutines degrade that bound proportionally.
 
 Weights must be >= 1 (so level 0 is the bottom bucket); normalize inputs by
 dividing by their minimum weight if necessary.
+
+A level's edges live in a LevelGraph, not a DynamicGraph: adjacency lists
+and one position dict, no weights, no checks, no watchers.  An empty level
+costs one adjacency slot and one mate entry per vertex.
 """
 
 from __future__ import annotations
@@ -20,12 +24,7 @@ from dataclasses import dataclass
 
 from .errors import MatchingCorruptionError
 from .graph import DynamicGraph, Weight, edge_key
-from .matching import (
-    FREE,
-    MatchingAuditor,
-    MatchingState,
-    assert_matching_consistent,
-)
+from .matching import FREE, MatchingAuditor, MatchingState
 from .mcm import DynamicMcm, McmConfig
 
 # Below this, level counts explode (levels scale with 1/eps); callers who
@@ -83,10 +82,29 @@ def level_index(w: Weight, epsilon: float) -> int:
     return i
 
 
+class LevelGraph:
+    """The edges of one level, as its matcher reads them: ``_adj`` only.
+
+    ``_adj[u]`` is u's neighbor list at this level, the shared empty tuple
+    until u's first edge here.  ``_pos`` maps the directed pair ``u * n + v``
+    to the index of v in ``_adj[u]``.  LevelMwm writes both directly: an
+    insert appends, a delete swap-removes and gives the moved entry the freed
+    slot, exactly as DynamicGraph does, so a level's neighbor order is the
+    one a DynamicGraph fed the same updates would hold.
+    """
+
+    __slots__ = ("n", "_adj", "_pos")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self._adj: list[list[int] | tuple[()]] = [()] * n
+        self._pos: dict[int, int] = {}
+
+
 class _Level:
     __slots__ = ("index", "graph", "worker", "changed")
 
-    def __init__(self, index: int, graph: DynamicGraph, worker) -> None:
+    def __init__(self, index: int, graph: LevelGraph, worker) -> None:
         self.index = index
         self.graph = graph
         self.worker = worker
@@ -136,53 +154,92 @@ class LevelMwm:
         return (1.0 + self.config.epsilon) ** i
 
     def _make_level(self, i: int) -> _Level:
-        lvl_graph = DynamicGraph(self.graph.n)
+        carrier = LevelGraph(self.graph.n)
         # Independent stream per level, derived from (seed, index) so
         # creation order cannot matter.
-        worker = DynamicMcm(lvl_graph, self._mcm_config, self.seed * 1_000_003 + i)
-        return _Level(i, lvl_graph, worker)
+        worker = DynamicMcm(carrier, self._mcm_config, self.seed * 1_000_003 + i)
+        return _Level(i, carrier, worker)
 
     def _ensure_levels(self, top: int) -> int:
         """Create levels len(levels)..top, populating from the current
         graph; returns the previous top index."""
         prev_top = len(self.levels) - 1
-        while len(self.levels) <= top:
-            i = len(self.levels)
+        if top <= prev_top:
+            return prev_top
+        # Level carriers are unweighted; true weights stay in the master
+        # graph and are charged at merge.  Every new level takes the edges
+        # at or above its threshold in this one canonical order.
+        edges = sorted(self.graph.edges())
+        for i in range(prev_top + 1, top + 1):
             level = self._make_level(i)
             thr = self._threshold(i)
-            # Level graphs are unweighted carriers (weight 1 throughout);
-            # true weights stay in the master graph and are charged at merge.
-            for u, v, w in sorted(self.graph.edges()):
+            for u, v, w in edges:
                 if w >= thr:
-                    level.graph.insert_edge(u, v, 1)
-                    level.worker.handle_insert(u, v)
+                    self._add_edge(u, v, (level,))
             self.levels.append(level)
         return prev_top
 
     # -- update handlers ------------------------------------------------------
 
+    def _add_edge(self, u: int, v: int, levels) -> None:
+        """Append edge (u, v) to the carrier of each of ``levels`` in turn,
+        each followed by its worker's insert handler."""
+        n = self.graph.n
+        ku = u * n + v
+        kv = v * n + u
+        for level in levels:
+            carrier = level.graph
+            adj = carrier._adj
+            pos = carrier._pos
+            au = adj[u]
+            if not au:
+                au = adj[u] = []
+            av = adj[v]
+            if not av:
+                av = adj[v] = []
+            pos[ku] = len(au)
+            au.append(v)
+            pos[kv] = len(av)
+            av.append(u)
+            level.worker.handle_insert(u, v)
+
     def handle_insert(self, u: int, v: int, w: Weight) -> None:
-        """React to edge (u, v, w) having been inserted into the master graph."""
+        """React to edge (u, v, w) having been inserted into the master graph.
+
+        Levels created here are populated with the edge already; the older
+        ones among 0..level_index(w) get it heaviest first."""
         li = level_index(w, self.config.epsilon)
         prev_top = self._ensure_levels(li)
-        for i in range(min(li, prev_top), -1, -1):
-            level = self.levels[i]
-            level.graph.insert_edge(u, v, 1)
-            level.worker.handle_insert(u, v)
+        self._add_edge(u, v, reversed(self.levels[: min(li, prev_top) + 1]))
 
     def handle_delete(self, u: int, v: int) -> None:
         """React to edge (u, v) having been deleted from the master graph.
 
         The edge lives in levels 0..level_index(w), a contiguous run from
         the bottom, so the levels are walked upward and the walk stops at
-        the first one without it.  Membership is one lookup in the level
-        graph's position dict, so delete_edge runs only where it succeeds.
+        the first one whose position dict lacks it.
         """
+        n = self.graph.n
+        ku = u * n + v
+        kv = v * n + u
         for level in self.levels:
-            graph = level.graph
-            if v not in graph._pos[u]:
+            carrier = level.graph
+            pos = carrier._pos
+            i = pos.pop(ku, None)
+            if i is None:
                 break
-            graph.delete_edge(u, v)
+            adj = carrier._adj
+            au = adj[u]
+            last = au.pop()
+            if last != v:
+                au[i] = last
+                pos[u * n + last] = i
+            i = pos.pop(kv)
+            av = adj[v]
+            last = av.pop()
+            if last != u:
+                av[i] = last
+                pos[v * n + last] = i
             level.worker.handle_delete(u, v)
 
     # -- merged view -------------------------------------------------------------
@@ -285,8 +342,8 @@ class LevelMwm:
         """Verify the merged view that ``weight`` and ``matched_pairs``
         expose, at the vertices touched since the last audit (see
         MatchingAuditor).  With deep, check the whole view, compare it with
-        a from-scratch ``merge_levels``, and check every level's matching
-        and the level membership invariant."""
+        a from-scratch ``merge_levels``, and check every level's carrier,
+        its membership invariant and its matching (see ``_audit_level``)."""
         self._refresh()
         if self._auditor is None:
             self._auditor = MatchingAuditor(self._view, self.graph)
@@ -300,18 +357,71 @@ class LevelMwm:
                 f"merged view drift: {len(self._view._pairs)} pairs vs "
                 f"{len(reference._pairs)} from a full merge"
             )
-        for level in self.levels:
-            assert_matching_consistent(level.state, level.graph)
+        # Levels nest: walked top down, a level expects the edges of the one
+        # above plus those of weight in [its threshold, the one above's).
+        n = self.graph.n
+        master = sorted(
+            ((w, u * n + v, v * n + u) for u, v, w in self.graph.edges()),
+            reverse=True,
+        )
+        expect: set[int] = set()
+        j = 0
+        for level in reversed(self.levels):
             thr = self._threshold(level.index)
-            expect = sorted(
-                (u, v) for (u, v, w) in self.graph.edges() if w >= thr
+            while j < len(master) and master[j][0] >= thr:
+                expect.update(master[j][1:])
+                j += 1
+            _audit_level(level, expect)
+
+
+def _audit_level(level: _Level, expect: set[int]) -> None:
+    """Deep check of one level: its carrier's positions agree with its
+    adjacency, one entry per slot; its directed edge keys ``u * n + v`` are
+    exactly ``expect``; its matching is a consistent matching on its edges."""
+    i = level.index
+    carrier = level.graph
+    n = carrier.n
+    adj = carrier._adj
+    pos = carrier._pos
+
+    def fail(what: str) -> None:
+        raise MatchingCorruptionError(f"level {i} {what}")
+
+    slots = sum(map(len, adj))
+    if len(pos) != slots:
+        fail(f"position drift: {len(pos)} entries for {slots} adjacency slots")
+    if pos != {u * n + v: k for u, row in enumerate(adj) for k, v in enumerate(row)}:
+        for u, row in enumerate(adj):
+            for k, v in enumerate(row):
+                if pos.get(u * n + v) != k:
+                    fail(
+                        f"position drift: {v} sits at slot {k} of {u}'s "
+                        f"adjacency, its position entry says {pos.get(u * n + v)}"
+                    )
+    if expect != pos.keys():
+        extra = pos.keys() - expect
+        u, v = divmod(min(extra or expect - pos.keys()), n)
+        fail(
+            f"membership drift: {len(pos) // 2} edges vs {len(expect) // 2} "
+            f"expected, ({u}, {v}) {'extra' if extra else 'missing'}"
+        )
+    state = level.state
+    mate = state._mate
+    for u, v in state._pairs:
+        if mate[u] != v or mate[v] != u:
+            fail(
+                f"mate array out of sync for pair ({u}, {v}): "
+                f"mate[{u}]={mate[u]}, mate[{v}]={mate[v]}"
             )
-            got = sorted((u, v) for (u, v, _w) in level.graph.edges())
-            if expect != got:
-                raise MatchingCorruptionError(
-                    f"level {level.index} membership drift: "
-                    f"{len(got)} edges vs {len(expect)} expected"
-                )
+        if u * n + v not in pos:
+            fail(f"matching pair ({u}, {v}) is not a level edge")
+    if n - mate.count(FREE) != 2 * len(state._pairs):
+        fail("mate array marks a vertex matched that no pair covers")
+    if state.total_weight != len(state._pairs):
+        fail(
+            f"weight drift: maintained {state.total_weight}, "
+            f"{len(state._pairs)} unit pairs"
+        )
 
 
 def merge_levels(structure: LevelMwm) -> MatchingState:

@@ -62,12 +62,15 @@ class DynamicMcm:
     """Maintains a cardinality matching under edge updates.
 
     As everywhere in this package, the caller mutates the graph first and
-    then invokes the handler.  All matched edges carry weight 1.
+    then invokes the handler.  All matched edges carry weight 1.  The
+    searches read only ``graph.n`` and ``graph._adj``, so a LevelMwm level
+    passes its LevelGraph; ``audit`` needs a DynamicGraph.
     """
 
     def __init__(self, graph: DynamicGraph, config: McmConfig, seed: int) -> None:
         self.graph = graph
         self.config = config
+        self._depth = config.search_depth
         self.state = MatchingState(graph.n)
         self.rng = random.Random(seed)
         self.attempts = 0
@@ -162,7 +165,7 @@ class DynamicMcm:
         getrandbits = self.rng.getrandbits
         over = dict(seed)
         cur = start
-        for _ in range(self.config.search_depth):
+        for _ in range(self._depth):
             adj = adjs[cur]
             k = len(adj)
             if not k:
@@ -205,7 +208,7 @@ class DynamicMcm:
         inputs."""
         adjs = self.graph._adj
         base = self.state._mate
-        budget = self.config.search_depth if self.config.depth_bounded else None
+        budget = self._depth if self.config.depth_bounded else None
         # parent_odd[y] = even vertex that reached y; parent_even[z] = odd y
         # with mate z.  Even vertices extend via unmatched edges only.
         parent_odd: dict[int, int] = {}
@@ -237,11 +240,11 @@ class DynamicMcm:
     def _alternating_free_node(self, u: int) -> int | None:
         """First free vertex reachable from matched u by an alternating path
         that leaves through u's matched edge; traversal only, no mutation."""
-        g = self.graph
+        adjs = self.graph._adj
         st = self.state
         if st.mate_of(u) == FREE:
             return None
-        budget = self.config.search_depth if self.config.depth_bounded else None
+        budget = self._depth if self.config.depth_bounded else None
         first = st.mate_of(u)
         seen = {u, first}
         queue: deque[tuple[int, int]] = deque([(first, 1)])
@@ -250,7 +253,7 @@ class DynamicMcm:
             if budget is not None and d + 1 > budget:
                 continue
             mx = st.mate_of(x)
-            for y in g.neighbors(x):
+            for y in adjs[x]:
                 if y == mx or y in seen:
                     continue
                 if st.mate_of(y) == FREE:

@@ -42,6 +42,7 @@ from dynmatch.levels import LevelConfig
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig
 
+from support.levels import add_level_edge
 from support.paths import mark_ineligible
 
 
@@ -390,7 +391,7 @@ def test_every_deep_audit_raises_matching_corruption():
     with pytest.raises(MatchingCorruptionError, match="eligibility"):
         algo.audit(deep=True)
     g, algo = audited_algo("level")
-    algo.levels[0].graph.insert_edge(0, 2, 1)
+    add_level_edge(algo.levels[0].graph, 0, 2)
     with pytest.raises(MatchingCorruptionError, match="membership"):
         algo.audit(deep=True)
     stream = gen_insertion_stream(4, [(0, 1, 3), (2, 3, 4)], seed=1)

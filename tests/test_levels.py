@@ -2,9 +2,13 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dynmatch.errors import MatchingCorruptionError
 from dynmatch.graph import DynamicGraph
 from dynmatch.levels import (
     MIN_SAFE_EPSILON,
@@ -13,11 +17,11 @@ from dynmatch.levels import (
     level_index,
     merge_levels,
 )
-from dynmatch.mcm import McmConfig
+from dynmatch.mcm import DynamicMcm, McmConfig
 from dynmatch.oracle import exact_mwm
 
 from conftest import build_graph
-from support.levels import ExactLevelMwm
+from support.levels import ExactLevelMwm, level_edges
 
 
 def make_level_algo(graph, *, seed=13, **cfg):
@@ -25,7 +29,7 @@ def make_level_algo(graph, *, seed=13, **cfg):
 
 
 def level_edge_sets(algo):
-    return [sorted((u, v) for (u, v, _w) in lvl.graph.edges()) for lvl in algo.levels]
+    return [level_edges(lvl.graph) for lvl in algo.levels]
 
 
 # -- level_index ----------------------------------------------------------
@@ -161,7 +165,10 @@ def test_delete_leaves_exactly_the_levels_containing_the_edge():
     algo.audit(deep=True)
 
 
-def test_delete_calls_delete_edge_only_on_levels_holding_the_edge(monkeypatch):
+def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
+    # The delete walks up from level 0 and stops at the first level without
+    # the edge: it writes the carriers of levels 0..top, calls their workers
+    # with the edge already gone, and leaves every level above alone.
     g = build_graph(6, [])
     algo = make_level_algo(g, epsilon=1.0)
     for (u, v, w) in ((0, 1, 1), (2, 3, 8), (4, 5, 100)):
@@ -169,21 +176,29 @@ def test_delete_calls_delete_edge_only_on_levels_holding_the_edge(monkeypatch):
         algo.handle_insert(u, v, w)
     assert len(algo.levels) == 7
     calls = []
-    original = DynamicGraph.delete_edge
+    original = DynamicMcm.handle_delete
 
-    def recording_delete(graph, u, v):
-        held = graph.has_edge(u, v)
-        calls.append((graph, held))
-        return original(graph, u, v)
+    def recording_delete(worker, u, v):
+        calls.append((worker, (u, v) in level_edges(worker.graph)))
+        return original(worker, u, v)
 
-    monkeypatch.setattr(DynamicGraph, "delete_edge", recording_delete)
+    monkeypatch.setattr(DynamicMcm, "handle_delete", recording_delete)
     for (u, v), top in (((2, 3), 3), ((0, 1), 0), ((4, 5), 6)):
         calls.clear()
+        before = [(dict(lvl.graph._pos), level_edges(lvl.graph)) for lvl in algo.levels]
         g.delete_edge(u, v)
         algo.handle_delete(u, v)
-        level_graphs = [lvl.graph for lvl in algo.levels]
-        assert [graph for graph, _ in calls[1:]] == level_graphs[: top + 1]
-        assert all(held for _, held in calls)
+        assert [worker for worker, _ in calls] == [
+            lvl.worker for lvl in algo.levels[: top + 1]
+        ]
+        assert not any(held for _, held in calls)
+        for i, lvl in enumerate(algo.levels):
+            pos, edges = before[i]
+            if i <= top:
+                assert (u, v) in edges
+                assert level_edges(lvl.graph) == [e for e in edges if e != (u, v)]
+            else:
+                assert lvl.graph._pos == pos
     assert level_edge_sets(algo) == [[]] * 7
     algo.audit(deep=True)
 
@@ -340,3 +355,93 @@ def test_incremental_view_equals_full_merge_after_every_op(epsilon, kind):
 
     drive(algo, g, random_stream(60, 2500, seed=31, max_live=50), per_update=check)
     algo.audit(deep=True)
+
+
+# -- level carriers -----------------------------------------------------------
+
+
+def assert_carrier_consistent(carrier):
+    n = carrier.n
+    slots = 0
+    for u, row in enumerate(carrier._adj):
+        for k, v in enumerate(row):
+            assert carrier._pos[u * n + v] == k, (u, v, k)
+        slots += len(row)
+    assert len(carrier._pos) == slots
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    epsilon=st.sampled_from((1.0, 0.5, 0.25)),
+    kind=st.sampled_from(("walk", "bfs")),
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.integers(0, 7),
+            # Mostly light weights, with heavy ones that extend the ladder
+            # over edges already present.
+            st.one_of(st.integers(1, 12), st.integers(13, 5000)),
+        ),
+        max_size=60,
+    ),
+)
+def test_carriers_track_master_edges_under_random_updates(epsilon, kind, ops):
+    # An op on an absent edge inserts it, on a present one deletes it.
+    g = DynamicGraph(8)
+    algo = make_level_algo(g, epsilon=epsilon, mcm_kind=kind)
+    for u, v, w in ops:
+        if u == v:
+            continue
+        if g.has_edge(u, v):
+            g.delete_edge(u, v)
+            algo.handle_delete(u, v)
+        else:
+            g.insert_edge(u, v, w)
+            algo.handle_insert(u, v, w)
+        for lvl in algo.levels:
+            assert_carrier_consistent(lvl.graph)
+            thr = (1.0 + epsilon) ** lvl.index
+            assert level_edges(lvl.graph) == sorted(
+                (a, b) for a, b, x in g.edges() if x >= thr
+            )
+        algo.audit(deep=True)
+
+
+def test_deep_audit_names_the_level_of_a_corrupted_position():
+    g = build_graph(6, [])
+    algo = make_level_algo(g, epsilon=1.0)
+    for (u, v, w) in ((0, 1, 8), (0, 2, 8), (3, 4, 2)):
+        g.insert_edge(u, v, w)
+        algo.handle_insert(u, v, w)
+    algo.audit(deep=True)
+    pos = algo.levels[2].graph._pos
+    assert algo.levels[2].graph._adj[0] == [1, 2]
+    pos[0 * 6 + 1] = 1
+    with pytest.raises(
+        MatchingCorruptionError, match="level 2 position drift: 1 sits at slot 0 of 0's"
+    ):
+        algo.audit(deep=True)
+    pos[0 * 6 + 1] = 0
+    pos[3 * 6 + 5] = 0  # a stale entry no adjacency slot backs
+    with pytest.raises(MatchingCorruptionError, match="level 2 position drift: 5 entries"):
+        algo.audit(deep=True)
+
+
+def test_empty_levels_cost_little_on_a_large_vertex_set():
+    # 49 levels at eps=0.1 over 2 * 10^4 vertices, all but 20 of them
+    # isolated: about 8 bytes of adjacency and 8 of mates per vertex and
+    # level.  A DynamicGraph per level took 146 MB here.
+    n = 20_000
+    tracemalloc.start()
+    try:
+        g = DynamicGraph(n)
+        algo = LevelMwm(g, LevelConfig(epsilon=0.1), seed=1)
+        for k in range(10):
+            g.insert_edge(2 * k, 2 * k + 1, 100)
+            algo.handle_insert(2 * k, 2 * k + 1, 100)
+        assert len(algo.levels) == 49
+        assert algo.weight == 1000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6, peak
