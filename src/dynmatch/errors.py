@@ -28,4 +28,5 @@ class StreamParseError(ValueError):
 
 
 class ReplayError(RuntimeError):
-    """Raised when an update stream cannot be applied to the graph."""
+    """Raised when an update stream cannot be applied to the graph, or
+    when its replay could never finish."""

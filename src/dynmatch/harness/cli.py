@@ -208,9 +208,9 @@ def _load_stream(args) -> UpdateStream:
     return gen_insertion_stream(parsed.n, parsed.edges, args.seed)
 
 
-def _build_factory(args) -> tuple[object, str]:
-    """Returns (factory, config label) for the chosen algorithm; raises
-    ValueError on a bad option value."""
+def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig | None]:
+    """Returns (factory, config) for the chosen algorithm, with no config
+    for the oracle; raises ValueError on a bad option value."""
     if args.algo == "random":
         config = RandomConfig(
             epsilon=args.epsilon,
@@ -219,15 +219,15 @@ def _build_factory(args) -> tuple[object, str]:
             beta=args.beta,
             theorem_mode=args.theorem_mode,
         )
-        return random_walk_factory(config), config.label()
+        return random_walk_factory(config), config
     if args.algo in ("level-walk", "level-bfs"):
         config = LevelConfig(
             epsilon=args.level_epsilon,
             mcm_kind=args.algo.split("-", 1)[1],
             allow_small_epsilon=args.allow_small_epsilon,
         )
-        return level_factory(config), config.label()
-    return oracle_factory(args.oracle_interval), f"interval={args.oracle_interval}"
+        return level_factory(config), config
+    return oracle_factory(args.oracle_interval), None
 
 
 def _numeric_opt(args) -> float | None:
@@ -249,13 +249,18 @@ def cmd_run(args) -> int:
     if args.seed is None:
         args.seed = _default_seed(args)
     try:
-        factory, config_label = _build_factory(args)
+        factory, config = _build_factory(args)
     except ValueError as exc:
         args.error(str(exc))
+    config_label = config.label() if config else f"interval={args.oracle_interval}"
     opt = _numeric_opt(args)
     stream = _load_stream(args)
     if args.undo_percent:
         stream = gen_undo_suffix(stream, args.undo_percent, args.seed + 1)
+    if isinstance(config, RandomConfig) and config.theorem_mode and not config.stop_early:
+        # The budget peaks at the stream's largest degree: refuse a run one
+        # of whose campaigns could never finish before it starts.
+        config.walk_budget(final_graph(stream).max_degree_seen(), stream.n)
 
     if args.opt == "auto":
         try:

@@ -5,7 +5,9 @@ their own for unweighted graphs.  Two search strategies share the same
 update handlers and the same kernel, ``augment_from``:
 
 * ``walk`` - one random walk per attempt (match the free neighbor, or steal
-  a matched one and continue at its displaced mate);
+  a matched one and continue at its displaced mate); the walk fails as soon
+  as it draws a vertex it has already touched, so every walk is a simple
+  alternating path;
 * ``bfs`` - depth-bounded alternating breadth-first search without blossom
   contraction.
 
@@ -153,12 +155,18 @@ class DynamicMcm:
 
         At the current free vertex, pick one uniformly random neighbor:
         match it if free, else steal it from its mate and continue the walk
-        at the displaced vertex.
+        at the displaced vertex.  A neighbor the walk has already touched
+        (one in the overlay, seed included) ends the walk as a failure, so
+        the walk never steals back what it just took and its path is
+        simple, like the BFS's.
 
         The steps go to a copy of ``seed``, an overlay {vertex: mate} over
         the touched vertices (FREE for one a steal displaced); every other
-        mate is read from the state, which is not written.  Returns the
-        overlay when the walk ends in a match, None when it fails.
+        mate is read from the state, which is not written.  An untouched
+        neighbor's mate is untouched too (the overlay always holds both
+        ends of a pair it breaks), so its mate comes straight from the
+        state.  Returns the overlay when the walk ends in a match, None
+        when it fails.
         """
         adjs = self.graph._adj
         base = self.state._mate
@@ -177,7 +185,9 @@ class DynamicMcm:
             while r >= k:
                 r = getrandbits(bits)
             nb = adj[r]
-            displaced = over.get(nb, base[nb])
+            if nb in over:
+                return None
+            displaced = base[nb]
             over[cur] = nb
             over[nb] = cur
             if displaced == FREE:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import MatchingCorruptionError
+from .errors import MatchingCorruptionError, ReplayError
 from .graph import DynamicGraph, Weight
 from .matching import FREE, MatchingAuditor, MatchingState
 from .paths import EligibilityArray, WalkPath, extend_walk, improve_along_path
@@ -56,6 +56,30 @@ class RandomConfig:
     def walk_length(self) -> int:
         """Edge budget per walk, seed edges included."""
         return math.ceil(2.0 / self.epsilon + 3.0)
+
+    def walk_budget(self, max_degree: int, n: int) -> int:
+        """Walks per campaign on n vertices with this max degree seen.
+
+        A theorem-mode budget beyond any float saturates at sys.maxsize
+        with stop_early; without it, one beyond sys.maxsize raises
+        ReplayError, since such a campaign could never finish.
+        """
+        if not self.theorem_mode:
+            return self.num_walks
+        n = max(n, 2)
+        power = 2.0 / self.epsilon + 3.0
+        try:
+            budget = max(1, math.ceil(max_degree**power * math.log(n)))
+        except OverflowError:
+            budget = math.inf
+        if budget > sys.maxsize and not self.stop_early:
+            raise ReplayError(
+                f"theorem-mode walk budget ceil({max_degree}^{power:g} * ln {n}) = "
+                f"{budget:.3g} walks exceeds sys.maxsize; a campaign without "
+                "stop_early cannot finish"
+            )
+        # Beyond any float: walk until stop_early ends the campaign.
+        return sys.maxsize if budget == math.inf else budget
 
     def label(self) -> str:
         parts = [f"eps={self.epsilon:g}", f"walks={self.num_walks}"]
@@ -177,16 +201,7 @@ class RandomWalkMwm:
         return successes
 
     def _walk_budget(self) -> int:
-        cfg = self.config
-        if not cfg.theorem_mode:
-            return cfg.num_walks
-        delta = self.graph.max_degree_seen()
-        n = max(self.graph.n, 2)
-        try:
-            return max(1, math.ceil(delta ** (2.0 / cfg.epsilon + 3.0) * math.log(n)))
-        except OverflowError:
-            # Beyond any float: walk until stop_early ends the campaign.
-            return sys.maxsize
+        return self.config.walk_budget(self.graph.max_degree_seen(), self.graph.n)
 
     # -- seed paths ----------------------------------------------------------
 

@@ -53,10 +53,11 @@ GOLDEN = {
         "f8531c5104d34e66f446cf96892de7d31b080f05068a9b9e86cd5a8532e90a2b",
     ),
     # The churn-level-walk benchmark config: 49 levels, walks 19 steps deep.
+    # Re-recorded when the level walk began to stop at a touched vertex.
     "level-walk-0.1": (
         lambda g: LevelMwm(g, LevelConfig(epsilon=0.1, allow_small_epsilon=True), 2026),
-        21259,
-        "42c23ba061d2c00f98045dd76a67b75cfb6d9297890a4f1d4571529b0bee0d9d",
+        21258,
+        "f9405ba168d512265ad24dac6c6cecd466820dc4b2f719f8a5e7d1dcde6325cd",
     ),
     "level-bfs-0.5": (
         lambda g: LevelMwm(g, LevelConfig(epsilon=0.5, mcm_kind="bfs"), 2026),

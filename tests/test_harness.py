@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import time
 
 import pytest
 
@@ -38,7 +39,7 @@ from dynmatch.harness.streams import (
     parse_static_edgelist,
     parse_temporal,
 )
-from dynmatch.levels import LevelConfig
+from dynmatch.levels import LevelConfig, LevelMwm
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig
 
@@ -330,6 +331,24 @@ def test_oracle_recompute_baseline():
     _, opt = exact_mwm(out.graph)
     assert algo.weight == opt  # final query forces a fresh solve
     algo.audit()
+
+
+def test_replay_times_the_level_merge(monkeypatch):
+    # LevelMwm merges its levels on the first read after an update; replay
+    # reads the weight inside the timed region, so the merge is timed.
+    stream = gen_insertion_stream(
+        8, [(i, i + 1, 10 * (i + 1)) for i in range(7)], seed=4
+    )
+    refresh = LevelMwm._refresh
+
+    def slow_refresh(self):
+        time.sleep(0.005)
+        refresh(self)
+
+    monkeypatch.setattr(LevelMwm, "_refresh", slow_refresh)
+    out = replay(stream, level_factory(LevelConfig()), seed=1)
+    assert out.total_time >= 0.005 * len(stream.ops)
+    assert out.max_op_time >= 0.005
 
 
 # -- audits ------------------------------------------------------------------
@@ -636,6 +655,29 @@ def test_cli_theorem_mode_beyond_float_range_runs(tmp_path, capsys):
         "--epsilon", "0.001", "--reps", "1", "--beta", "3",
     ]) == 0
     assert "random [eps=0.001,walks=1,beta=3,theorem]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "epsilon, budget",
+    [("0.05", "ceil(3^43 * ln 4) = 4.55e+20 walks"), ("0.001", "ceil(3^2003 * ln 4)")],
+    ids=["beyond-maxsize", "beyond-float-range"],
+)
+def test_cli_theorem_mode_without_stop_early_refuses_unfinishable_budget(
+    tmp_path, capsys, epsilon, budget
+):
+    # The star's centre reaches degree 3, where no campaign could finish;
+    # the run is refused before its first op instead of spinning.
+    star = tmp_path / "star.graph"
+    star.write_text("4\n0 1 5\n0 2 3\n0 3 4\n")
+    code = main([
+        "run", "--input", str(star), "--algo", "random", "--theorem-mode",
+        "--no-stop-early", "--epsilon", epsilon, "--reps", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: theorem-mode walk budget {budget}" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_cli_opt_flag_forms(static_file, capsys):

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynmatch.graph import DynamicGraph
 from dynmatch.matching import FREE
@@ -66,8 +68,9 @@ def test_walk_from_isolated_vertex_fails_without_mutation():
 
 def test_walk_augments_along_p4():
     # 0-1-2-3 with (1,2) matched: a walk from 0 steals 1 from 2, then at 2
-    # either matches free 3 or steals 1 back and runs out of depth.  Every
-    # success is the augmentation; a failure leaves the matching as it was.
+    # either matches free 3 or draws 1, which it has already touched, and
+    # fails.  Every success is the augmentation; a failure leaves the
+    # matching as it was.
     successes = 0
     for seed in range(20):
         g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
@@ -99,16 +102,17 @@ def test_augment_from_matched_vertex_rejected():
 
 def reference_walk(mcm, start, seed):
     """Reference for DynamicMcm._walk_once: neighbors drawn through
-    random_neighbor (rng.randrange), mates read through a copy of seed."""
+    random_neighbor (rng.randrange), mates read through a copy of seed, and
+    a failure as soon as a drawn neighbor is already in that overlay."""
     g = mcm.graph
     base = mcm.state._mate
     over = dict(seed)
     cur = start
     for _ in range(mcm.config.search_depth):
         nb = random_neighbor(g, cur, mcm.rng)
-        if nb is None:
+        if nb is None or nb in over:
             return None
-        displaced = over.get(nb, base[nb])
+        displaced = base[nb]
         over[cur] = nb
         over[nb] = cur
         if displaced == FREE:
@@ -176,6 +180,75 @@ def test_walk_kernel_reads_mates_through_its_seed():
         seed = {1: 2, 2: 1, 0: FREE}
         assert_walk_matches_reference(mcm, 0, seed)
         assert seed == {1: 2, 2: 1, 0: FREE}  # the walk copies it
+
+
+def test_walk_fails_on_drawing_a_touched_vertex():
+    # 0-1-2 with (1,2) matched, depth 19: the walk from 0 steals 1 from 2,
+    # then at 2 draws 1 again, which it has touched, and gives up after two
+    # draws instead of spending its depth stealing 1 back and forth.
+    for seed in range(10):
+        g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
+        mcm = make_mcm(g, seed=seed, epsilon=0.1)
+        assert mcm.config.search_depth == 19
+        mcm.state.match_edge(1, 2, 1)
+        before = snapshot(mcm)
+        assert mcm.augment_from(0) is False
+        assert snapshot(mcm) == before
+        fresh = random.Random(seed)
+        fresh.randrange(1)
+        fresh.randrange(1)
+        assert mcm.rng.getstate() == fresh.getstate()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10),
+    pairs=st.lists(
+        st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=30
+    ),
+    match_bits=st.integers(min_value=0, max_value=2**30),
+    seed=st.integers(min_value=0, max_value=2**32),
+    epsilon=st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+)
+def test_successful_walk_flips_a_simple_alternating_path(
+    n, pairs, match_bits, seed, epsilon
+):
+    g = DynamicGraph(n)
+    for u, v in pairs:
+        u, v = u % n, v % n
+        if u != v and not g.has_edge(u, v):
+            g.insert_edge(u, v, 1)
+    mcm = make_mcm(g, seed=seed, epsilon=epsilon)
+    for i, (u, v, _w) in enumerate(sorted(g.edges())):
+        free = mcm.state.is_free(u) and mcm.state.is_free(v)
+        if free and match_bits >> i & 1:
+            mcm.state.match_edge(u, v, 1)
+    for start in range(n):
+        if not mcm.state.is_free(start):
+            continue
+        before = [mcm.state.mate_of(x) for x in range(n)]
+        size = mcm.cardinality()
+        if not mcm.augment_from(start):
+            continue
+        after = [mcm.state.mate_of(x) for x in range(n)]
+        assert mcm.cardinality() == size + 1
+        # Follow the path: a new matched edge out of each even vertex, the
+        # old one out of each odd vertex, until a vertex that was free.
+        path = [start]
+        while True:
+            x = path[-1]
+            y = after[x]
+            assert y != before[x] and g.has_edge(x, y)
+            path.append(y)
+            z = before[y]
+            if z == FREE:
+                break
+            path.append(z)
+        assert len(path) == len(set(path))
+        # One draw per unmatched edge, at most search_depth draws.
+        assert len(path) // 2 <= mcm.config.search_depth
+        assert set(path) == {x for x in range(n) if after[x] != before[x]}
+        mcm.audit()
 
 
 # -- bounded BFS augmentation ------------------------------------------------

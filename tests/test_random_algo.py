@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynmatch.errors import ReplayError
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.replay import random_walk_factory, replay
 from dynmatch.harness.streams import gen_insertion_stream, gen_undo_suffix
@@ -327,6 +328,22 @@ def test_theorem_mode_budget_saturates_beyond_float_range():
     algo.handle_insert(0, 3, 4)
     assert algo.walks_run - algo.walks_improved >= algo.config.beta
     algo.audit(deep=True)
+
+
+def test_theorem_mode_budget_beyond_maxsize_without_stop_early_raises():
+    # Without stop_early such a campaign would walk for ever; the budget
+    # that still fits in sys.maxsize runs as before.
+    cfg = RandomConfig(epsilon=0.05, theorem_mode=True, stop_early=False)
+    assert cfg.walk_budget(2, 4) == math.ceil(2.0**43 * math.log(4))
+    for degree in (3, 1000):  # beyond sys.maxsize, then beyond any float
+        with pytest.raises(ReplayError, match=rf"ceil\({degree}\^43 \* ln 4\)"):
+            cfg.walk_budget(degree, 4)
+    g = build_graph(4, [(0, 1, 5), (0, 2, 3)])
+    algo = make_algo(g, epsilon=0.05, theorem_mode=True, stop_early=False)
+    g.insert_edge(0, 3, 4)
+    with pytest.raises(ReplayError, match="cannot finish"):
+        algo.handle_insert(0, 3, 4)
+    assert algo.walks_run == 0
 
 
 def test_single_improving_edge_found_on_first_walk():
