@@ -10,6 +10,7 @@ which keeps the list dense and the dict in sync.
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 from .errors import AbsentEdgeError
@@ -61,14 +62,14 @@ class DynamicGraph:
 
         Returns False (and changes nothing, including the weight) when the
         edge is already present.  Raises ValueError on self-loops,
-        out-of-range endpoints, or non-positive weights.
+        out-of-range endpoints, or weights that are not positive and finite.
         """
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) rejected")
-        if not w > 0:
-            raise ValueError(f"edge weight must be positive, got {w!r}")
+        if not 0 < w < math.inf:
+            raise ValueError(f"edge weight must be positive and finite, got {w!r}")
         pos_u = self._pos[u]
         if v in pos_u:
             return False

@@ -8,18 +8,20 @@ heaviest level down, charging each kept edge its true weight.  With exact
 per-level matchings this loses at most a factor 2(1+eps) against the
 optimum; approximate subroutines degrade that bound proportionally.
 
-Weights must be >= 1 (so level 0 is the bottom bucket); normalize inputs by
-dividing by their minimum weight if necessary.
+Weights must be finite and >= 1 (so level 0 is the bottom bucket); normalize
+inputs by dividing by their minimum weight if necessary.
 
-A level's edges live in a LevelGraph, not a DynamicGraph: adjacency lists
-and one position dict, no weights, no checks, no watchers.  An empty level
-costs one adjacency slot and one mate entry per vertex.
+Because levels nest, they share one LevelAdjacency, where each vertex's
+neighbors are sorted heaviest class first: its level-i neighbors are the
+prefix of class >= i.  A level stores no edges of its own, so an empty level
+costs one mate entry per vertex.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import MatchingCorruptionError
@@ -71,8 +73,10 @@ def level_index(w: Weight, epsilon: float) -> int:
     The float estimate is corrected against the same power expression the
     membership test uses, so index and membership can never disagree.
     """
-    if w < 1:
-        raise ValueError(f"weights must be >= 1 for level bucketing, got {w!r}")
+    if not 1 <= w < math.inf:
+        raise ValueError(
+            f"weights must be finite and >= 1 for level bucketing, got {w!r}"
+        )
     base = 1.0 + epsilon
     i = int(math.log(w) / math.log(base))
     while base ** (i + 1) <= w:
@@ -82,35 +86,75 @@ def level_index(w: Weight, epsilon: float) -> int:
     return i
 
 
-class LevelGraph:
-    """The edges of one level, as its matcher reads them: ``_adj`` only.
+class LevelAdjacency:
+    """Every current edge once, filed under its class, as the levels read it.
 
-    ``_adj[u]`` is u's neighbor list at this level, the shared empty tuple
-    until u's first edge here.  ``_pos`` maps the directed pair ``u * n + v``
-    to the index of v in ``_adj[u]``.  LevelMwm writes both directly: an
-    insert appends, a delete swap-removes and gives the moved entry the freed
-    slot, exactly as DynamicGraph does, so a level's neighbor order is the
-    one a DynamicGraph fed the same updates would hold.
+    ``_adj[u]`` lists u's neighbors heaviest class first, in arrival order
+    within a class; ``_neg[u]`` holds their negated classes, so it ascends
+    and u's level-i neighbors are the first ``bisect_right(_neg[u], -i)``
+    entries of ``_adj[u]``.  Both are the shared empty tuple until u's first
+    edge.  An update shifts the tail of one list pair per endpoint, so it
+    costs O(degree) element moves.
     """
 
-    __slots__ = ("n", "_adj", "_pos")
+    __slots__ = ("n", "_adj", "_neg")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self._adj: list[list[int] | tuple[()]] = [()] * n
-        self._pos: dict[int, int] = {}
+        self._neg: list[list[int] | tuple[()]] = [()] * n
+
+    def insert(self, u: int, v: int, c: int) -> None:
+        """File edge (u, v) of class c after each endpoint's neighbors of
+        class >= c."""
+        adj = self._adj
+        negs = self._neg
+        for a, b in ((u, v), (v, u)):
+            neg = negs[a]
+            if not neg:
+                neg = negs[a] = []
+                adj[a] = []
+            i = bisect_right(neg, -c)
+            neg.insert(i, -c)
+            adj[a].insert(i, b)
+
+    def delete(self, u: int, v: int) -> int:
+        """Remove edge (u, v); returns its class, or -1 when it is absent."""
+        adj = self._adj
+        negs = self._neg
+        try:
+            i = adj[u].index(v)
+        except ValueError:
+            return -1
+        c = -negs[u][i]
+        del adj[u][i], negs[u][i]
+        i = adj[v].index(u)
+        del adj[v][i], negs[v][i]
+        return c
 
 
 class _Level:
-    __slots__ = ("index", "graph", "worker", "changed")
+    """One level: its worker, and the graph that worker reads.
 
-    def __init__(self, index: int, graph: LevelGraph, worker) -> None:
+    The level is that graph: ``n``, the shared ``_adj`` and ``degree(u)``,
+    u's neighbor count at this level, so u's level neighbors are the first
+    ``degree(u)`` entries of ``_adj[u]``.
+    """
+
+    __slots__ = ("index", "n", "_adj", "_neg", "worker", "changed")
+
+    def __init__(self, index: int, adjacency: LevelAdjacency, make_worker) -> None:
         self.index = index
-        self.graph = graph
-        self.worker = worker
+        self.n = adjacency.n
+        self._adj = adjacency._adj
+        self._neg = adjacency._neg
+        self.worker = make_worker(self)
         # Vertices whose level-matching mate changed since the merged view
         # last consumed them.
-        self.changed = worker.state.watch()
+        self.changed = self.worker.state.watch()
+
+    def degree(self, u: int) -> int:
+        return bisect_right(self._neg[u], -self.index)
 
     @property
     def state(self) -> MatchingState:
@@ -120,10 +164,11 @@ class _Level:
 class LevelMwm:
     """Fully-dynamic approximate MWM via per-level cardinality matchings.
 
-    Levels are created lazily: observing a new maximum weight N extends the
-    ladder to floor(log_{1+eps} N), populating each new level from the
-    current graph in canonical edge order.  Updates touch every level the
-    edge belongs to, heaviest first.
+    Levels are created lazily: an edge of a new maximum class c extends the
+    ladder with empty levels up to c (no present edge reaches them).  Every
+    update writes the edge to the shared adjacency once and then runs the
+    handlers of the levels the edge belongs to.  A graph that holds edges at
+    construction is adopted edge by edge, in canonical order.
 
     The merged matching is a view kept incrementally and brought up to date
     on read: each level records the vertices whose mate changed, and the
@@ -141,105 +186,43 @@ class LevelMwm:
         self.config = config
         self.seed = seed
         self._mcm_config = McmConfig(epsilon=config.epsilon, kind=config.mcm_kind)
+        self.adjacency = LevelAdjacency(graph.n)
         self.levels: list[_Level] = []
         self._view = MatchingState(graph.n)
         # _cover[x]: index of the level whose kept pair covers x in the view,
         # or -1 when x is free there.
         self._cover = [-1] * graph.n
         self._auditor: MatchingAuditor | None = None
+        for u, v, w in sorted(graph.edges()):
+            self.handle_insert(u, v, w)
 
-    # -- level plumbing -----------------------------------------------------
-
-    def _threshold(self, i: int) -> float:
-        return (1.0 + self.config.epsilon) ** i
-
-    def _make_level(self, i: int) -> _Level:
-        carrier = LevelGraph(self.graph.n)
+    def _make_worker(self, level: _Level) -> DynamicMcm:
         # Independent stream per level, derived from (seed, index) so
         # creation order cannot matter.
-        worker = DynamicMcm(carrier, self._mcm_config, self.seed * 1_000_003 + i)
-        return _Level(i, carrier, worker)
-
-    def _ensure_levels(self, top: int) -> int:
-        """Create levels len(levels)..top, populating from the current
-        graph; returns the previous top index."""
-        prev_top = len(self.levels) - 1
-        if top <= prev_top:
-            return prev_top
-        # Level carriers are unweighted; true weights stay in the master
-        # graph and are charged at merge.  Every new level takes the edges
-        # at or above its threshold in this one canonical order.
-        edges = sorted(self.graph.edges())
-        for i in range(prev_top + 1, top + 1):
-            level = self._make_level(i)
-            thr = self._threshold(i)
-            for u, v, w in edges:
-                if w >= thr:
-                    self._add_edge(u, v, (level,))
-            self.levels.append(level)
-        return prev_top
+        return DynamicMcm(level, self._mcm_config, self.seed * 1_000_003 + level.index)
 
     # -- update handlers ------------------------------------------------------
-
-    def _add_edge(self, u: int, v: int, levels) -> None:
-        """Append edge (u, v) to the carrier of each of ``levels`` in turn,
-        each followed by its worker's insert handler."""
-        n = self.graph.n
-        ku = u * n + v
-        kv = v * n + u
-        for level in levels:
-            carrier = level.graph
-            adj = carrier._adj
-            pos = carrier._pos
-            au = adj[u]
-            if not au:
-                au = adj[u] = []
-            av = adj[v]
-            if not av:
-                av = adj[v] = []
-            pos[ku] = len(au)
-            au.append(v)
-            pos[kv] = len(av)
-            av.append(u)
-            level.worker.handle_insert(u, v)
 
     def handle_insert(self, u: int, v: int, w: Weight) -> None:
         """React to edge (u, v, w) having been inserted into the master graph.
 
-        Levels created here are populated with the edge already; the older
-        ones among 0..level_index(w) get it heaviest first."""
-        li = level_index(w, self.config.epsilon)
-        prev_top = self._ensure_levels(li)
-        self._add_edge(u, v, reversed(self.levels[: min(li, prev_top) + 1]))
+        The edge joins levels 0..level_index(w); their workers see it
+        heaviest first."""
+        c = level_index(w, self.config.epsilon)
+        levels = self.levels
+        while len(levels) <= c:
+            levels.append(_Level(len(levels), self.adjacency, self._make_worker))
+        self.adjacency.insert(u, v, c)
+        for level in reversed(levels[: c + 1]):
+            level.worker.handle_insert(u, v)
 
     def handle_delete(self, u: int, v: int) -> None:
         """React to edge (u, v) having been deleted from the master graph.
 
-        The edge lives in levels 0..level_index(w), a contiguous run from
-        the bottom, so the levels are walked upward and the walk stops at
-        the first one whose position dict lacks it.
-        """
-        n = self.graph.n
-        ku = u * n + v
-        kv = v * n + u
-        for level in self.levels:
-            carrier = level.graph
-            pos = carrier._pos
-            i = pos.pop(ku, None)
-            if i is None:
-                break
-            adj = carrier._adj
-            au = adj[u]
-            last = au.pop()
-            if last != v:
-                au[i] = last
-                pos[u * n + last] = i
-            i = pos.pop(kv)
-            av = adj[v]
-            last = av.pop()
-            if last != u:
-                av[i] = last
-                pos[v * n + last] = i
+        The edge leaves every level at once; the workers of levels
+        0..its class then see the delete, bottom up."""
+        c = self.adjacency.delete(u, v)
+        for level in self.levels[: c + 1]:
             level.worker.handle_delete(u, v)
 
     # -- merged view -------------------------------------------------------------
@@ -342,8 +325,9 @@ class LevelMwm:
         """Verify the merged view that ``weight`` and ``matched_pairs``
         expose, at the vertices touched since the last audit (see
         MatchingAuditor).  With deep, check the whole view, compare it with
-        a from-scratch ``merge_levels``, and check every level's carrier,
-        its membership invariant and its matching (see ``_audit_level``)."""
+        a from-scratch ``merge_levels``, check the shared adjacency against
+        the master graph and every level's matching against its prefix of
+        it."""
         self._refresh()
         if self._auditor is None:
             self._auditor = MatchingAuditor(self._view, self.graph)
@@ -357,54 +341,42 @@ class LevelMwm:
                 f"merged view drift: {len(self._view._pairs)} pairs vs "
                 f"{len(reference._pairs)} from a full merge"
             )
-        # Levels nest: walked top down, a level expects the edges of the one
-        # above plus those of weight in [its threshold, the one above's).
-        n = self.graph.n
-        master = sorted(
-            ((w, u * n + v, v * n + u) for u, v, w in self.graph.edges()),
-            reverse=True,
-        )
-        expect: set[int] = set()
-        j = 0
-        for level in reversed(self.levels):
-            thr = self._threshold(level.index)
-            while j < len(master) and master[j][0] >= thr:
-                expect.update(master[j][1:])
-                j += 1
-            _audit_level(level, expect)
+        self._audit_adjacency()
+        for level in self.levels:
+            _audit_level(level)
+
+    def _audit_adjacency(self) -> None:
+        """Each vertex's entries in the shared adjacency are its master
+        neighbors, each once, filed under the class of the edge's weight,
+        heaviest class first."""
+        eps = self.config.epsilon
+        weight = self.graph._weight
+        master = self.graph._adj
+        for u, (row, neg) in enumerate(zip(self.adjacency._adj, self.adjacency._neg)):
+            have = {(v, -c) for v, c in zip(row, neg)}
+            want = {(v, level_index(weight[edge_key(u, v)], eps)) for v in master[u]}
+            if not len(row) == len(neg) == len(have) or have != want:
+                raise MatchingCorruptionError(
+                    f"level adjacency of vertex {u}: membership drift in "
+                    f"{len(row)} neighbors and {len(neg)} classes, (neighbor, "
+                    f"class) extra {sorted(have - want)}, missing {sorted(want - have)}"
+                )
+            if list(neg) != sorted(neg):
+                raise MatchingCorruptionError(
+                    f"level adjacency of vertex {u}: classes "
+                    f"{[-c for c in neg]} are not heaviest first"
+                )
 
 
-def _audit_level(level: _Level, expect: set[int]) -> None:
-    """Deep check of one level: its carrier's positions agree with its
-    adjacency, one entry per slot; its directed edge keys ``u * n + v`` are
-    exactly ``expect``; its matching is a consistent matching on its edges."""
+def _audit_level(level: _Level) -> None:
+    """Deep check of one level's matching: consistent, and on the level's
+    prefix of the shared adjacency."""
     i = level.index
-    carrier = level.graph
-    n = carrier.n
-    adj = carrier._adj
-    pos = carrier._pos
 
     def fail(what: str) -> None:
         raise MatchingCorruptionError(f"level {i} {what}")
 
-    slots = sum(map(len, adj))
-    if len(pos) != slots:
-        fail(f"position drift: {len(pos)} entries for {slots} adjacency slots")
-    if pos != {u * n + v: k for u, row in enumerate(adj) for k, v in enumerate(row)}:
-        for u, row in enumerate(adj):
-            for k, v in enumerate(row):
-                if pos.get(u * n + v) != k:
-                    fail(
-                        f"position drift: {v} sits at slot {k} of {u}'s "
-                        f"adjacency, its position entry says {pos.get(u * n + v)}"
-                    )
-    if expect != pos.keys():
-        extra = pos.keys() - expect
-        u, v = divmod(min(extra or expect - pos.keys()), n)
-        fail(
-            f"membership drift: {len(pos) // 2} edges vs {len(expect) // 2} "
-            f"expected, ({u}, {v}) {'extra' if extra else 'missing'}"
-        )
+    adj = level._adj
     state = level.state
     mate = state._mate
     for u, v in state._pairs:
@@ -413,9 +385,9 @@ def _audit_level(level: _Level, expect: set[int]) -> None:
                 f"mate array out of sync for pair ({u}, {v}): "
                 f"mate[{u}]={mate[u]}, mate[{v}]={mate[v]}"
             )
-        if u * n + v not in pos:
+        if v not in adj[u][: level.degree(u)]:
             fail(f"matching pair ({u}, {v}) is not a level edge")
-    if n - mate.count(FREE) != 2 * len(state._pairs):
+    if level.n - mate.count(FREE) != 2 * len(state._pairs):
         fail("mate array marks a vertex matched that no pair covers")
     if state.total_weight != len(state._pairs):
         fail(

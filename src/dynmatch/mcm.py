@@ -65,8 +65,10 @@ class DynamicMcm:
 
     As everywhere in this package, the caller mutates the graph first and
     then invokes the handler.  All matched edges carry weight 1.  The
-    searches read only ``graph.n`` and ``graph._adj``, so a LevelMwm level
-    passes its LevelGraph; ``audit`` needs a DynamicGraph.
+    searches read only ``graph.n``, ``graph._adj`` and ``graph.degree``,
+    and of ``_adj[u]`` only its first ``degree(u)`` entries, so a LevelMwm
+    level passes itself: its prefix of the shared level adjacency (see
+    levels.py).  ``audit`` needs a DynamicGraph.
     """
 
     def __init__(self, graph: DynamicGraph, config: McmConfig, seed: int) -> None:
@@ -169,13 +171,13 @@ class DynamicMcm:
         when it fails.
         """
         adjs = self.graph._adj
+        degree = self.graph.degree
         base = self.state._mate
         getrandbits = self.rng.getrandbits
         over = dict(seed)
         cur = start
         for _ in range(self._depth):
-            adj = adjs[cur]
-            k = len(adj)
+            k = degree(cur)
             if not k:
                 return None
             # rng.randrange(k), drawn the way CPython draws it, so the RNG
@@ -184,7 +186,7 @@ class DynamicMcm:
             r = getrandbits(bits)
             while r >= k:
                 r = getrandbits(bits)
-            nb = adj[r]
+            nb = adjs[cur][r]
             if nb in over:
                 return None
             displaced = base[nb]
@@ -217,6 +219,7 @@ class DynamicMcm:
         odd cycles can hide paths, so this is exact only on bipartite
         inputs."""
         adjs = self.graph._adj
+        degree = self.graph.degree
         base = self.state._mate
         budget = self._depth if self.config.depth_bounded else None
         # parent_odd[y] = even vertex that reached y; parent_even[z] = odd y
@@ -229,7 +232,7 @@ class DynamicMcm:
             if budget is not None and d + 1 > budget:
                 continue
             mx = seed.get(x, base[x])
-            for y in adjs[x]:
+            for y in adjs[x][: degree(x)]:
                 if y == mx or y in parent_odd or y in parent_even:
                     continue
                 z = seed.get(y, base[y])
@@ -251,6 +254,7 @@ class DynamicMcm:
         """First free vertex reachable from matched u by an alternating path
         that leaves through u's matched edge; traversal only, no mutation."""
         adjs = self.graph._adj
+        degree = self.graph.degree
         st = self.state
         if st.mate_of(u) == FREE:
             return None
@@ -263,7 +267,7 @@ class DynamicMcm:
             if budget is not None and d + 1 > budget:
                 continue
             mx = st.mate_of(x)
-            for y in adjs[x]:
+            for y in adjs[x][: degree(x)]:
                 if y == mx or y in seen:
                     continue
                 if st.mate_of(y) == FREE:

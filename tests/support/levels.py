@@ -1,40 +1,33 @@
 """LevelMwm with exact per-level matchings, for the 2(1+eps) bound gates,
-and readers and writers of level carriers for tests."""
+and a reader of a level's edges for tests."""
 
 from __future__ import annotations
 
 from dynmatch.graph import DynamicGraph
-from dynmatch.levels import LevelGraph, LevelMwm, _Level
+from dynmatch.levels import LevelMwm, _Level
 from dynmatch.matching import MatchingState
 
 from support.oracle import exact_mcm_matching
 
 
-def level_edges(carrier: LevelGraph) -> list[tuple[int, int]]:
-    """The carrier's edges as sorted (u, v) pairs with u < v."""
+def level_edges(level: _Level) -> list[tuple[int, int]]:
+    """The level's edges, its prefix of the shared adjacency, as sorted
+    (u, v) pairs with u < v."""
     return sorted(
-        (u, v) for u, row in enumerate(carrier._adj) for v in row if u < v
+        (u, v)
+        for u in range(level.n)
+        for v in level._adj[u][: level.degree(u)]
+        if u < v
     )
-
-
-def add_level_edge(carrier: LevelGraph, u: int, v: int) -> None:
-    """Append edge (u, v) to the carrier behind its level's back, keeping
-    positions and adjacency consistent."""
-    n = carrier.n
-    for a, b in ((u, v), (v, u)):
-        if not carrier._adj[a]:
-            carrier._adj[a] = []
-        carrier._pos[a * n + b] = len(carrier._adj[a])
-        carrier._adj[a].append(b)
 
 
 class ExactMcmBackend:
     """Reference per-level worker: recomputes an exact maximum-cardinality
     matching after every level update.  Desk scale only."""
 
-    def __init__(self, carrier: LevelGraph) -> None:
-        self.carrier = carrier
-        self.state = MatchingState(carrier.n)
+    def __init__(self, level: _Level) -> None:
+        self.level = level
+        self.state = MatchingState(level.n)
         self.attempts = 0
         self.successes = 0
 
@@ -42,8 +35,8 @@ class ExactMcmBackend:
         self.attempts += 1
         before = self.state.matched_count()
         self.state.clear()
-        graph = DynamicGraph(self.carrier.n)
-        for u, v in level_edges(self.carrier):
+        graph = DynamicGraph(self.level.n)
+        for u, v in level_edges(self.level):
             graph.insert_edge(u, v, 1)
         for u, v in exact_mcm_matching(graph):
             self.state.match_edge(u, v, 1)
@@ -62,6 +55,5 @@ class ExactLevelMwm(LevelMwm):
     the greedy merge is within 2(1+eps) of the optimum after every update.
     The config's mcm_kind is not used."""
 
-    def _make_level(self, i: int) -> _Level:
-        carrier = LevelGraph(self.graph.n)
-        return _Level(i, carrier, ExactMcmBackend(carrier))
+    def _make_worker(self, level: _Level) -> ExactMcmBackend:
+        return ExactMcmBackend(level)

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -41,6 +42,10 @@ def test_rejects_self_loop_and_bad_weight_and_range():
         g.insert_edge(0, 1, 0)
     with pytest.raises(ValueError):
         g.insert_edge(0, 1, -4)
+    for w in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            g.insert_edge(0, 1, w)
+    assert g.edge_count() == 0
     with pytest.raises(ValueError):
         g.insert_edge(0, 3, 1)
     with pytest.raises(ValueError):

@@ -43,7 +43,6 @@ from dynmatch.levels import LevelConfig, LevelMwm
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig
 
-from support.levels import add_level_edge
 from support.paths import mark_ineligible
 
 
@@ -410,7 +409,7 @@ def test_every_deep_audit_raises_matching_corruption():
     with pytest.raises(MatchingCorruptionError, match="eligibility"):
         algo.audit(deep=True)
     g, algo = audited_algo("level")
-    add_level_edge(algo.levels[0].graph, 0, 2)
+    algo.adjacency.insert(0, 2, 0)  # behind the algorithm's back
     with pytest.raises(MatchingCorruptionError, match="membership"):
         algo.audit(deep=True)
     stream = gen_insertion_stream(4, [(0, 1, 3), (2, 3, 4)], seed=1)

@@ -20,7 +20,7 @@ from dynmatch.levels import (
 from dynmatch.mcm import DynamicMcm, McmConfig
 from dynmatch.oracle import exact_mwm
 
-from conftest import build_graph
+from conftest import build_graph, random_graph
 from support.levels import ExactLevelMwm, level_edges
 
 
@@ -29,7 +29,7 @@ def make_level_algo(graph, *, seed=13, **cfg):
 
 
 def level_edge_sets(algo):
-    return [level_edges(lvl.graph) for lvl in algo.levels]
+    return [level_edges(lvl) for lvl in algo.levels]
 
 
 # -- level_index ----------------------------------------------------------
@@ -47,6 +47,12 @@ def test_level_index_rejects_subunit_weights():
         level_index(0, 1.0)
     with pytest.raises(ValueError):
         level_index(0.5, 1.0)
+
+
+@pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+def test_level_index_rejects_non_finite_weights(w):
+    with pytest.raises(ValueError, match="finite"):
+        level_index(w, 0.1)
 
 
 def test_level_index_membership_coherence():
@@ -165,10 +171,14 @@ def test_delete_leaves_exactly_the_levels_containing_the_edge():
     algo.audit(deep=True)
 
 
+def level_prefixes(level):
+    return [level._adj[u][: level.degree(u)] for u in range(level.n)]
+
+
 def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
-    # The delete walks up from level 0 and stops at the first level without
-    # the edge: it writes the carriers of levels 0..top, calls their workers
-    # with the edge already gone, and leaves every level above alone.
+    # The delete takes the edge out of the shared adjacency, so out of the
+    # prefix of every level 0..top, then calls those levels' workers, and
+    # leaves every level above alone.
     g = build_graph(6, [])
     algo = make_level_algo(g, epsilon=1.0)
     for (u, v, w) in ((0, 1, 1), (2, 3, 8), (4, 5, 100)):
@@ -185,7 +195,7 @@ def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
     monkeypatch.setattr(DynamicMcm, "handle_delete", recording_delete)
     for (u, v), top in (((2, 3), 3), ((0, 1), 0), ((4, 5), 6)):
         calls.clear()
-        before = [(dict(lvl.graph._pos), level_edges(lvl.graph)) for lvl in algo.levels]
+        before = [(level_prefixes(lvl), level_edges(lvl)) for lvl in algo.levels]
         g.delete_edge(u, v)
         algo.handle_delete(u, v)
         assert [worker for worker, _ in calls] == [
@@ -193,12 +203,12 @@ def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
         ]
         assert not any(held for _, held in calls)
         for i, lvl in enumerate(algo.levels):
-            pos, edges = before[i]
+            prefixes, edges = before[i]
             if i <= top:
                 assert (u, v) in edges
-                assert level_edges(lvl.graph) == [e for e in edges if e != (u, v)]
+                assert level_edges(lvl) == [e for e in edges if e != (u, v)]
             else:
-                assert lvl.graph._pos == pos
+                assert level_prefixes(lvl) == prefixes
     assert level_edge_sets(algo) == [[]] * 7
     algo.audit(deep=True)
 
@@ -228,12 +238,8 @@ def test_merge_single_nonempty_level():
 def test_merge_blocks_lower_level_edge_sharing_a_vertex():
     # a=0 b=1 c=2 d=3 e=4: level 2 holds {(a,b)}, level 0 {(b,c), (d,e)};
     # (b,c) loses vertex b to the higher level, (d,e) survives.
-    g = build_graph(5, [])
-    for (u, v, w) in ((0, 1, 4), (1, 2, 1), (3, 4, 1)):
-        g.insert_edge(u, v, w)
-        algo = None  # graph primed below
-    algo = make_level_algo(g)
-    algo.handle_insert(0, 1, 4)  # builds levels 0..2
+    g = build_graph(5, [(0, 1, 4), (1, 2, 1), (3, 4, 1)])
+    algo = make_level_algo(g)  # adopts the edges: levels 0..2
     set_level_matchings(algo, {2: [(0, 1)], 0: [(1, 2), (3, 4)]})
     out = merge_levels(algo)
     assert sorted(out.matched_pairs()) == [(0, 1), (3, 4)]
@@ -357,17 +363,17 @@ def test_incremental_view_equals_full_merge_after_every_op(epsilon, kind):
     algo.audit(deep=True)
 
 
-# -- level carriers -----------------------------------------------------------
+# -- the shared level adjacency ---------------------------------------------
 
 
-def assert_carrier_consistent(carrier):
-    n = carrier.n
-    slots = 0
-    for u, row in enumerate(carrier._adj):
-        for k, v in enumerate(row):
-            assert carrier._pos[u * n + v] == k, (u, v, k)
-        slots += len(row)
-    assert len(carrier._pos) == slots
+def assert_heaviest_class_first(algo):
+    # Each vertex's entries are sorted heaviest class first, with one class
+    # per neighbor, so every level's neighbors are one prefix.
+    adjacency = algo.adjacency
+    for u, (row, neg) in enumerate(zip(adjacency._adj, adjacency._neg)):
+        assert len(row) == len(neg), u
+        assert list(neg) == sorted(neg), u
+        assert len(set(row)) == len(row), u
 
 
 @settings(max_examples=80, deadline=None)
@@ -398,32 +404,53 @@ def test_carriers_track_master_edges_under_random_updates(epsilon, kind, ops):
         else:
             g.insert_edge(u, v, w)
             algo.handle_insert(u, v, w)
+        assert_heaviest_class_first(algo)
         for lvl in algo.levels:
-            assert_carrier_consistent(lvl.graph)
             thr = (1.0 + epsilon) ** lvl.index
-            assert level_edges(lvl.graph) == sorted(
+            assert level_edges(lvl) == sorted(
                 (a, b) for a, b, x in g.edges() if x >= thr
             )
         algo.audit(deep=True)
 
 
-def test_deep_audit_names_the_level_of_a_corrupted_position():
+def test_built_over_a_populated_graph_adopts_every_edge():
+    g = random_graph(12, 30, seed=4)
+    algo = make_level_algo(g, epsilon=0.5)
+    assert len(algo.levels) == 1 + max(level_index(w, 0.5) for *_, w in g.edges())
+    for lvl in algo.levels:
+        thr = 1.5**lvl.index
+        assert level_edges(lvl) == sorted((u, v) for u, v, w in g.edges() if w >= thr)
+    algo.audit(deep=True)
+
+
+def test_deep_audit_names_the_vertex_of_a_corrupted_adjacency():
     g = build_graph(6, [])
     algo = make_level_algo(g, epsilon=1.0)
-    for (u, v, w) in ((0, 1, 8), (0, 2, 8), (3, 4, 2)):
+    for (u, v, w) in ((0, 1, 8), (0, 2, 2), (3, 4, 2)):
         g.insert_edge(u, v, w)
         algo.handle_insert(u, v, w)
     algo.audit(deep=True)
-    pos = algo.levels[2].graph._pos
-    assert algo.levels[2].graph._adj[0] == [1, 2]
-    pos[0 * 6 + 1] = 1
-    with pytest.raises(
-        MatchingCorruptionError, match="level 2 position drift: 1 sits at slot 0 of 0's"
-    ):
+    adj, neg = algo.adjacency._adj, algo.adjacency._neg
+    assert (adj[0], neg[0]) == ([1, 2], [-3, -1])
+
+    def corrupt(row, entries, match):
+        saved = adj[row][:], neg[row][:]
+        adj[row][:] = [v for v, _ in entries]
+        neg[row][:] = [-c for _, c in entries]
+        with pytest.raises(MatchingCorruptionError, match=match):
+            algo.audit(deep=True)
+        adj[row][:], neg[row][:] = saved
         algo.audit(deep=True)
-    pos[0 * 6 + 1] = 0
-    pos[3 * 6 + 5] = 0  # a stale entry no adjacency slot backs
-    with pytest.raises(MatchingCorruptionError, match="level 2 position drift: 5 entries"):
+
+    corrupt(0, [(2, 1), (1, 3)], r"vertex 0: classes \[1, 3\] are not heaviest first")
+    corrupt(3, [], r"vertex 3: .* extra \[\], missing \[\(4, 1\)\]")
+    corrupt(3, [(4, 1), (5, 1)], r"vertex 3: .* extra \[\(5, 1\)\], missing \[\]")
+    corrupt(3, [(4, 1), (4, 1)], r"vertex 3: membership drift in 2 neighbors")
+    corrupt(0, [(1, 3), (2, 2)], r"vertex 0: .* extra \[\(2, 2\)\], missing \[\(2, 1\)\]")
+    algo.levels[3].state.match_edge(3, 4, 1)  # a class-1 edge, off level 3
+    with pytest.raises(
+        MatchingCorruptionError, match=r"level 3 matching pair \(3, 4\) is not a level edge"
+    ):
         algo.audit(deep=True)
 
 
@@ -445,3 +472,23 @@ def test_empty_levels_cost_little_on_a_large_vertex_set():
     finally:
         tracemalloc.stop()
     assert peak <= 30e6, peak
+
+
+def test_empty_levels_cost_one_mate_entry_per_vertex():
+    # 49 levels at eps=0.1 over 10^5 vertices, 10 edges of weight 100: the
+    # shared adjacency costs two slots per vertex, each level one mate entry
+    # per vertex.  With a carrier per level this took 94 MB.
+    n = 100_000
+    tracemalloc.start()
+    try:
+        g = DynamicGraph(n)
+        algo = LevelMwm(g, LevelConfig(epsilon=0.1), seed=1)
+        for k in range(10):
+            g.insert_edge(2 * k, 2 * k + 1, 100)
+            algo.handle_insert(2 * k, 2 * k + 1, 100)
+        assert len(algo.levels) == 49
+        assert algo.weight == 1000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 65e6, peak
