@@ -454,11 +454,10 @@ def test_deep_audit_names_the_vertex_of_a_corrupted_adjacency():
         algo.audit(deep=True)
 
 
-def test_empty_levels_cost_little_on_a_large_vertex_set():
-    # 49 levels at eps=0.1 over 2 * 10^4 vertices, all but 20 of them
-    # isolated: about 8 bytes of adjacency and 8 of mates per vertex and
-    # level.  A DynamicGraph per level took 146 MB here.
-    n = 20_000
+def peak_bytes_of_ten_heavy_edges(n):
+    """Peak traced memory of a master graph on n vertices and LevelMwm at
+    eps=0.1 over 10 edges of weight 100: 49 levels, all but 20 vertices
+    isolated."""
     tracemalloc.start()
     try:
         g = DynamicGraph(n)
@@ -471,24 +470,17 @@ def test_empty_levels_cost_little_on_a_large_vertex_set():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_empty_levels_cost_little_on_a_large_vertex_set():
+    # Each level costs one mate entry per vertex; the shared adjacency two
+    # slots per vertex once.  A DynamicGraph per level took 146 MB here.
+    peak = peak_bytes_of_ten_heavy_edges(20_000)
     assert peak <= 30e6, peak
 
 
 def test_empty_levels_cost_one_mate_entry_per_vertex():
-    # 49 levels at eps=0.1 over 10^5 vertices, 10 edges of weight 100: the
-    # shared adjacency costs two slots per vertex, each level one mate entry
-    # per vertex.  With a carrier per level this took 94 MB.
-    n = 100_000
-    tracemalloc.start()
-    try:
-        g = DynamicGraph(n)
-        algo = LevelMwm(g, LevelConfig(epsilon=0.1), seed=1)
-        for k in range(10):
-            g.insert_edge(2 * k, 2 * k + 1, 100)
-            algo.handle_insert(2 * k, 2 * k + 1, 100)
-        assert len(algo.levels) == 49
-        assert algo.weight == 1000
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # With a carrier per level this took 94 MB.
+    peak = peak_bytes_of_ten_heavy_edges(100_000)
     assert peak <= 65e6, peak
