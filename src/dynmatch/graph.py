@@ -10,12 +10,16 @@ which keeps the list dense and the dict in sync.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 from .errors import AbsentEdgeError
 
 Weight = int | float
+
+# Largest edge weight accepted anywhere: integers up to it are exact as
+# floats, and a matching of 5*10^5 such edges sums far below the float
+# maximum, so weights, totals and OPT ratios stay finite.
+MAX_WEIGHT = 2**53
 
 
 def edge_key(u: int, v: int) -> tuple[int, int]:
@@ -27,9 +31,9 @@ class DynamicGraph:
     """Undirected weighted graph on a fixed vertex set {0, ..., n-1}.
 
     Parallel edges and self-loops are rejected.  Edge weights must be
-    positive; changing a weight is expressed as delete + insert, never as an
-    in-place update (a duplicate insert is refused and leaves the stored
-    weight untouched).
+    positive and at most MAX_WEIGHT; changing a weight is expressed as
+    delete + insert, never as an in-place update (a duplicate insert is
+    refused and leaves the stored weight untouched).
     """
 
     __slots__ = ("n", "_adj", "_pos", "_weight", "_m", "_max_degree_seen", "_watchers")
@@ -62,14 +66,16 @@ class DynamicGraph:
 
         Returns False (and changes nothing, including the weight) when the
         edge is already present.  Raises ValueError on self-loops,
-        out-of-range endpoints, or weights that are not positive and finite.
+        out-of-range endpoints, or weights outside (0, MAX_WEIGHT].
         """
         self._check_vertex(u)
         self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop ({u}, {v}) rejected")
-        if not 0 < w < math.inf:
-            raise ValueError(f"edge weight must be positive and finite, got {w!r}")
+        if not 0 < w <= MAX_WEIGHT:
+            raise ValueError(
+                f"edge weight must be positive, finite and at most 2**53, got {w!r}"
+            )
         pos_u = self._pos[u]
         if v in pos_u:
             return False

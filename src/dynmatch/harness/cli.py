@@ -42,6 +42,7 @@ from dynmatch.harness.replay import (
     run_repetitions,
 )
 from dynmatch.harness.streams import (
+    MAX_N_HINT,
     UpdateStream,
     final_graph,
     format_stream,
@@ -141,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     lvl = p_run.add_argument_group("level options")
     lvl.add_argument("--level-epsilon", type=float, default=1.0)
-    lvl.add_argument("--allow-small-epsilon", action="store_true")
 
     p_run.add_argument(
         "--oracle-interval",
@@ -224,7 +224,6 @@ def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig | None]:
         config = LevelConfig(
             epsilon=args.level_epsilon,
             mcm_kind=args.algo.split("-", 1)[1],
-            allow_small_epsilon=args.allow_small_epsilon,
         )
         return level_factory(config), config
     return oracle_factory(args.oracle_interval), None
@@ -321,6 +320,8 @@ def cmd_gen(args) -> int:
         n, m = args.random
         if n < 2:
             args.error("--random needs at least 2 vertices")
+        if n > MAX_N_HINT:
+            args.error(f"--random N={n} exceeds the vertex count ceiling {MAX_N_HINT}")
         if m > n * (n - 1) // 2:
             args.error(f"{m} edges do not fit in a simple graph on {n} vertices")
         rng = random.Random(args.seed)

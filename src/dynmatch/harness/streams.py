@@ -13,9 +13,9 @@ Either way the vertex count is at most MAX_N_HINT, so ids are below it.
 
 Cleaning is the same for both: self-loops are dropped, duplicate inserts
 and deletes of absent edges are dropped (first occurrence wins), and every
-drop is counted in the returned warnings.  Weights must be finite and
->= 1; inputs with smaller positive weights should be normalized before
-parsing.  Timestamps must be finite.
+drop is counted in the returned warnings.  Weights must lie in
+[1, MAX_WEIGHT]; inputs with smaller positive weights should be normalized
+before parsing.  Timestamps must be finite.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from ..errors import StreamParseError
-from ..graph import DynamicGraph, Weight, edge_key
+from ..graph import MAX_WEIGHT, DynamicGraph, Weight, edge_key
 
 INSERT = "insert"
 DELETE = "delete"
@@ -86,6 +86,8 @@ def _parse_weight(token: str, line_no: int) -> Weight:
         raise StreamParseError(
             line_no, f"weight {w!r} < 1; normalize weights to >= 1 first"
         )
+    if w > MAX_WEIGHT:
+        raise StreamParseError(line_no, f"weight {token!r} exceeds 2**53")
     return w
 
 

@@ -8,8 +8,8 @@ heaviest level down, charging each kept edge its true weight.  With exact
 per-level matchings this loses at most a factor 2(1+eps) against the
 optimum; approximate subroutines degrade that bound proportionally.
 
-Weights must be finite and >= 1 (so level 0 is the bottom bucket); normalize
-inputs by dividing by their minimum weight if necessary.
+Weights must lie in [1, MAX_WEIGHT] (so level 0 is the bottom bucket);
+normalize inputs by dividing by their minimum weight if necessary.
 
 Because levels nest, they share one LevelAdjacency, where each vertex's
 neighbors are sorted heaviest class first: its level-i neighbors are the
@@ -25,12 +25,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import MatchingCorruptionError
-from .graph import DynamicGraph, Weight, edge_key
+from .graph import MAX_WEIGHT, DynamicGraph, Weight, edge_key
 from .matching import FREE, MatchingAuditor, MatchingState
 from .mcm import DynamicMcm, McmConfig
 
-# Below this, level counts explode (levels scale with 1/eps); callers who
-# accept the cost say so explicitly.
+# Below this, level counts explode (levels scale with 1/eps).
 MIN_SAFE_EPSILON = 0.1
 
 
@@ -44,16 +43,14 @@ class LevelConfig:
 
     epsilon: float = 1.0
     mcm_kind: str = "walk"
-    allow_small_epsilon: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
-        if self.epsilon < MIN_SAFE_EPSILON and not self.allow_small_epsilon:
+        if self.epsilon < MIN_SAFE_EPSILON:
             raise ValueError(
                 f"epsilon={self.epsilon:g} creates ~{self.level_count_for(10**9)} "
-                "levels per billion weight units; pass allow_small_epsilon=True "
-                "to accept the cost"
+                f"levels per billion weight units; the minimum is {MIN_SAFE_EPSILON:g}"
             )
         if self.mcm_kind not in ("walk", "bfs"):
             raise ValueError(
@@ -68,14 +65,14 @@ class LevelConfig:
 
 
 def level_index(w: Weight, epsilon: float) -> int:
-    """Largest i with (1+epsilon)^i <= w; w must be >= 1.
+    """Largest i with (1+epsilon)^i <= w; w must be in [1, MAX_WEIGHT].
 
     The float estimate is corrected against the same power expression the
     membership test uses, so index and membership can never disagree.
     """
-    if not 1 <= w < math.inf:
+    if not 1 <= w <= MAX_WEIGHT:
         raise ValueError(
-            f"weights must be finite and >= 1 for level bucketing, got {w!r}"
+            f"weights must be finite and in [1, 2**53] for level bucketing, got {w!r}"
         )
     base = 1.0 + epsilon
     i = int(math.log(w) / math.log(base))

@@ -3,8 +3,8 @@
 A walk path is a simple path grown one edge at a time by a randomized
 walker.  Two invariants make a finished path safe to rewrite:
 
-* simplicity - no vertex appears twice, enforced by the eligibility array
-  (a vertex is marked ineligible the moment the walk departs it);
+* simplicity - no vertex appears twice, enforced by the walk's own vertex
+  set (a vertex already on the path is never drawn or traversed to);
 * closure - every matched edge incident to a path vertex lies on the path,
   enforced by traversing the matched edge immediately whenever the walk
   arrives at a matched vertex.
@@ -27,32 +27,10 @@ from itertools import compress
 from .graph import DynamicGraph, Weight
 from .matching import FREE, MatchingState
 
-# Attempts per step when sampling an eligible neighbor.  Sampling is uniform
+# Attempts per step when sampling a neighbor off the path.  Sampling is uniform
 # over all neighbors with rejection, so each step stays O(1); matched-edge
 # traversal never consumes attempts.
 SAMPLE_ATTEMPTS = 5
-
-
-class EligibilityArray:
-    """Per-vertex eligibility flags with O(marked) reset.
-
-    The walker marks vertices ineligible as it departs them; ``reset``
-    restores exactly those, so consecutive walks don't pay O(n).
-    """
-
-    __slots__ = ("flags", "_marked")
-
-    def __init__(self, n: int) -> None:
-        self.flags = bytearray(b"\x01" * n)
-        self._marked: list[int] = []
-
-    def reset(self) -> None:
-        for u in self._marked:
-            self.flags[u] = 1
-        self._marked.clear()
-
-    def all_eligible(self) -> bool:
-        return not self._marked and all(self.flags)
 
 
 class WalkPath:
@@ -90,28 +68,25 @@ def extend_walk(
     path: WalkPath,
     current: int,
     max_len: int,
-    elig: EligibilityArray,
     rng: random.Random,
 ) -> WalkPath:
     """Grow ``path`` from ``current`` until it stalls or reaches ``max_len`` edges.
 
     The automaton: on arriving at a matched vertex whose matched edge is not
     yet on the path, that edge is traversed next (no sampling, no attempt
-    cost); otherwise an eligible neighbor is sampled with at most
-    SAMPLE_ATTEMPTS tries and the walk departs through it, marking the
-    departed vertex ineligible.  The walk stops when sampling fails, when a
-    needed mate is ineligible, or when the length cap is reached.
+    cost); otherwise a neighbor off the path is sampled with at most
+    SAMPLE_ATTEMPTS tries and the walk departs through it.  The walk stops
+    when sampling fails, when a needed mate is already on the path, or when
+    the length cap is reached.
 
     A pending matched edge is appended even when the cap has just been hit
     (overshooting by one edge): the closure invariant must hold at stop or a
-    later rewrite could double-match the off-path mate.  Callers must pass an
-    eligibility array consistent with the path (all path vertices except
-    ``current`` marked) and reset it once done with the path.
+    later rewrite could double-match the off-path mate.
 
-    The loop reads the graph, matching and eligibility internals directly
-    and draws each neighbor index with CPython's ``randrange(k)`` rejection
-    loop over ``getrandbits``, so it consumes the RNG exactly as
-    ``rng.randrange`` would.
+    The loop reads the graph and matching internals directly and draws each
+    neighbor index with CPython's ``randrange(k)`` rejection loop over
+    ``getrandbits``, so it consumes the RNG exactly as ``rng.randrange``
+    would.
     """
     nodes = path.nodes
     if not nodes:
@@ -124,15 +99,14 @@ def extend_walk(
     pairs = state._pairs
     adjs = graph._adj
     gw = graph._weight
-    flags = elig.flags
-    marked = elig._marked
+    on_path = set(nodes)
     getrandbits = rng.getrandbits
     # The path's other end of the last edge; FREE (never a mate) if none.
     prev = nodes[-2] if len(nodes) > 1 else FREE
     while True:
         m = mate[current]
         if m != FREE and m != prev:
-            if not flags[m]:
+            if m in on_path:
                 break
             nxt = m
             weights.append(pairs[(current, m) if current < m else (m, current)])
@@ -150,16 +124,14 @@ def extend_walk(
                 while r >= k:
                     r = getrandbits(bits)
                 nxt = adj[r]
-                if flags[nxt]:
+                if nxt not in on_path:
                     break
             else:
                 break
             weights.append(gw[(current, nxt) if current < nxt else (nxt, current)])
             matched.append(False)
         nodes.append(nxt)
-        if flags[current]:
-            flags[current] = 0
-            marked.append(current)
+        on_path.add(nxt)
         prev = current
         current = nxt
     return path

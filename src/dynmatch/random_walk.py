@@ -19,10 +19,10 @@ import sys
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import MatchingCorruptionError, ReplayError
+from .errors import ReplayError
 from .graph import DynamicGraph, Weight
 from .matching import FREE, MatchingAuditor, MatchingState
-from .paths import EligibilityArray, WalkPath, extend_walk, improve_along_path
+from .paths import WalkPath, extend_walk, improve_along_path
 
 DEFAULT_BETA = 5
 
@@ -106,7 +106,6 @@ class RandomWalkMwm:
         self.config = config
         self.state = MatchingState(graph.n)
         self.rng = random.Random(seed)
-        self._elig = EligibilityArray(graph.n)
         self.walks_run = 0
         self.walks_improved = 0
         self._auditor: MatchingAuditor | None = None
@@ -143,8 +142,7 @@ class RandomWalkMwm:
         One ``WalkPath`` serves the whole campaign.  Before each walk its
         lists are cleared and ``seed_builder(path, *args)`` lays a fresh seed
         in it and returns the vertex to walk on from.  Once the walk stops,
-        the eligibility flags it cleared are restored, and the best
-        independent edge subset's weight is computed online, with
+        the best independent edge subset's weight is computed online, with
         ``mwm_on_path``'s recurrence in its order but without its selection
         flags.  Only when that value strictly beats the path's matched weight
         (a few percent of walks) does ``improve_along_path`` run the full DP
@@ -159,9 +157,6 @@ class RandomWalkMwm:
         rng = self.rng
         max_len = cfg.walk_length
         stop_after = cfg.beta if cfg.stop_early else 0  # 0: never stop early
-        elig = self._elig
-        flags = elig.flags
-        marked = elig._marked
         path = WalkPath()
         nodes = path.nodes
         weights = path.weights
@@ -174,10 +169,7 @@ class RandomWalkMwm:
             weights.clear()
             matched.clear()
             start = seed_builder(path, *args)
-            extend_walk(graph, state, path, start, max_len, elig, rng)
-            for u in marked:
-                flags[u] = 1
-            marked.clear()
+            extend_walk(graph, state, path, start, max_len, rng)
             walks += 1
             # W[k] of mwm_on_path: W[i-2] and W[i-1] while scanning.
             best_prev = best = 0
@@ -214,12 +206,9 @@ class RandomWalkMwm:
         matched: both matched edges flank the new edge and the walk
         continues at v's mate.  Earlier walks of the same campaign may have
         matched the new edge itself; it then seeds as a single matched edge.
-        Every seed vertex but the open end is marked ineligible.
         """
         mate = self.state._mate
         pairs = self.state._pairs
-        flags = self._elig.flags
-        marked = self._elig._marked
         mu = mate[u]
         mv = mate[v]
         if mu == v or (mu == FREE and mv == FREE):
@@ -227,8 +216,6 @@ class RandomWalkMwm:
             path.nodes += (a, b)
             path.weights.append(pairs[(u, v) if u < v else (v, u)] if mu == v else w)
             path.matched.append(mu == v)
-            flags[a] = 0
-            marked.append(a)
             return b
         if mu != FREE and mv != FREE:
             path.nodes += (mu, u, v, mv)
@@ -238,8 +225,6 @@ class RandomWalkMwm:
                 pairs[(v, mv) if v < mv else (mv, v)],
             )
             path.matched += (True, False, True)
-            flags[mu] = flags[u] = flags[v] = 0
-            marked += (mu, u, v)
             return mv
         # Exactly one endpoint matched; orient so a is the matched one.
         a, b = (u, v) if mu != FREE else (v, u)
@@ -247,8 +232,6 @@ class RandomWalkMwm:
         path.nodes += (ma, a, b)
         path.weights += (pairs[(a, ma) if a < ma else (ma, a)], w)
         path.matched += (True, False)
-        flags[ma] = flags[a] = 0
-        marked += (ma, a)
         return b
 
     def _seed_anchor(self, path: WalkPath, anchor: int) -> int:
@@ -274,11 +257,8 @@ class RandomWalkMwm:
 
     def audit(self, deep: bool = False) -> None:
         """Check the matching at the vertices touched since the last audit
-        (see MatchingAuditor); with deep, check all of it and the
-        eligibility array too."""
+        (see MatchingAuditor); with deep, check all of it."""
         if self._auditor is None:
             self._auditor = MatchingAuditor(self.state, self.graph)
         else:
             self._auditor.check(deep)
-        if deep and not self._elig.all_eligible():
-            raise MatchingCorruptionError("eligibility array not reset between walks")

@@ -1,15 +1,14 @@
 """Step-by-step builders and the invariant check for walk paths.
 
-The shipped walker writes ``WalkPath``'s lists and ``EligibilityArray``'s
-flags directly; these helpers do the same one step at a time, with the
-checks a hand-built test path needs.
+The shipped walker writes ``WalkPath``'s lists directly; these helpers do
+the same one step at a time, with the checks a hand-built test path needs.
 """
 
 from __future__ import annotations
 
 from dynmatch.graph import Weight
 from dynmatch.matching import FREE, MatchingState
-from dynmatch.paths import EligibilityArray, WalkPath
+from dynmatch.paths import WalkPath
 
 
 def start_path(path: WalkPath, u: int) -> None:
@@ -26,17 +25,6 @@ def append_step(path: WalkPath, to: int, w: Weight, matched: bool) -> None:
     path.nodes.append(to)
     path.weights.append(w)
     path.matched.append(matched)
-
-
-def eligible(elig: EligibilityArray, u: int) -> bool:
-    return bool(elig.flags[u])
-
-
-def mark_ineligible(elig: EligibilityArray, u: int) -> None:
-    """Mark u as the walker does on departing it, so reset restores it."""
-    if elig.flags[u]:
-        elig.flags[u] = 0
-        elig._marked.append(u)
 
 
 def validate_walk_path(path: WalkPath, state: MatchingState) -> None:

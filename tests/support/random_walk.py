@@ -1,8 +1,8 @@
 """The per-walk campaign loop that ``RandomWalkMwm.run_walk_campaign`` fuses.
 
-Each walk gets a fresh ``WalkPath``, the full path DP with its backtrack runs
-on every walk, and ``EligibilityArray.reset`` restores the flags.  The
-shipped campaign must match it in matchings, walk counters and RNG draws.
+Each walk gets a fresh ``WalkPath`` and the full path DP with its backtrack
+runs on every walk.  The shipped campaign must match it in matchings, walk
+counters and RNG draws.
 """
 
 from __future__ import annotations
@@ -15,15 +15,13 @@ def reference_walk_campaign(algo: RandomWalkMwm, seed_builder, *args) -> int:
     """Run ``algo``'s campaign one walk at a time; returns success count."""
     budget = algo._walk_budget()
     cfg = algo.config
-    elig = algo._elig
     successes = 0
     consecutive_failures = 0
     for _ in range(budget):
         path = WalkPath()
         start = seed_builder(path, *args)
-        extend_walk(algo.graph, algo.state, path, start, cfg.walk_length, elig, algo.rng)
+        extend_walk(algo.graph, algo.state, path, start, cfg.walk_length, algo.rng)
         improved = improve_along_path(algo.state, path)
-        elig.reset()
         algo.walks_run += 1
         if improved:
             algo.walks_improved += 1

@@ -57,7 +57,7 @@ GOLDEN = {
     ),
     # The churn-level-walk benchmark config: 49 levels, walks 19 steps deep.
     "level-walk-0.1": (
-        lambda g: LevelMwm(g, LevelConfig(epsilon=0.1, allow_small_epsilon=True), 2026),
+        lambda g: LevelMwm(g, LevelConfig(epsilon=0.1), 2026),
         21268,
         "1f7452e6044b34412f346205181d827de750b51a5173a300f121d578e13b9b8f",
     ),

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from dynmatch.errors import AbsentEdgeError
-from dynmatch.graph import DynamicGraph, edge_key
+from dynmatch.graph import MAX_WEIGHT, DynamicGraph, edge_key
 
 from conftest import random_graph
 from support.graph import random_neighbor
@@ -45,7 +45,11 @@ def test_rejects_self_loop_and_bad_weight_and_range():
     for w in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             g.insert_edge(0, 1, w)
+    for w in (MAX_WEIGHT + 1, 1.7e308, 10**400):
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            g.insert_edge(0, 1, w)
     assert g.edge_count() == 0
+    assert g.insert_edge(0, 1, MAX_WEIGHT)
     with pytest.raises(ValueError):
         g.insert_edge(0, 3, 1)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynmatch.errors import MatchingCorruptionError
-from dynmatch.graph import DynamicGraph
+from dynmatch.graph import MAX_WEIGHT, DynamicGraph
 from dynmatch.levels import (
     MIN_SAFE_EPSILON,
     LevelConfig,
@@ -55,6 +55,15 @@ def test_level_index_rejects_non_finite_weights(w):
         level_index(w, 0.1)
 
 
+@pytest.mark.parametrize("w", [MAX_WEIGHT + 1, 1.7e308, 10**400])
+def test_level_index_rejects_weights_above_ceiling(w):
+    # 1.7e308 and 10**400 used to overflow in base ** (i + 1).
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        level_index(w, 0.1)
+    i = level_index(MAX_WEIGHT, 0.1)
+    assert 1.1**i <= MAX_WEIGHT < 1.1 ** (i + 1)
+
+
 def test_level_index_membership_coherence():
     rng = random.Random(88)
     for _ in range(2000):
@@ -89,10 +98,9 @@ def test_config_validation():
 
 
 def test_config_small_epsilon_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="minimum is 0.1"):
         LevelConfig(epsilon=MIN_SAFE_EPSILON / 2)
-    cfg = LevelConfig(epsilon=MIN_SAFE_EPSILON / 2, allow_small_epsilon=True)
-    assert cfg.epsilon == MIN_SAFE_EPSILON / 2
+    assert LevelConfig(epsilon=MIN_SAFE_EPSILON).epsilon == MIN_SAFE_EPSILON
 
 
 def test_config_nested_mcm_defaults():

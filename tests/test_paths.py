@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from dynmatch.graph import DynamicGraph
 from dynmatch.matching import FREE, MatchingState
 from dynmatch.paths import (
     SAMPLE_ATTEMPTS,
-    EligibilityArray,
     WalkPath,
     apply_path_matching,
     extend_walk,
@@ -19,8 +20,6 @@ from dynmatch.paths import (
 from conftest import build_graph
 from support.paths import (
     append_step,
-    eligible,
-    mark_ineligible,
     start_path,
     validate_walk_path,
 )
@@ -102,7 +101,7 @@ def test_dp_matches_enumeration_property(weights):
     assert all(b - a >= 2 for a, b in zip(selected, selected[1:]))
 
 
-# -- WalkPath / EligibilityArray ----------------------------------------------
+# -- WalkPath ------------------------------------------------------------------
 
 
 def test_walkpath_bookkeeping():
@@ -122,38 +121,6 @@ def test_walkpath_bookkeeping():
     assert p.weights == [2, 4]
     assert p.matched == [False, True]
     assert p.matched_weight() == 4
-
-
-def test_eligibility_mark_reset():
-    e = EligibilityArray(4)
-    assert e.all_eligible()
-    mark_ineligible(e, 2)
-    mark_ineligible(e, 2)
-    assert not eligible(e, 2)
-    assert eligible(e, 1)
-    assert not e.all_eligible()
-    e.reset()
-    assert e.all_eligible()
-
-
-def test_eligibility_reset_complete_over_many_walks():
-    # 10^4 walks on a churning random graph; flags all-true between walks.
-    rng = random.Random(77)
-    n = 60
-    g = DynamicGraph(n)
-    for _ in range(150):
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v and not g.has_edge(u, v):
-            g.insert_edge(u, v, rng.randint(1, 100))
-    st_ = MatchingState(n)
-    elig = EligibilityArray(n)
-    for i in range(10_000):
-        start = rng.randrange(n)
-        path = WalkPath()
-        extend_walk(g, st_, path, start, 6, elig, rng)
-        improve_along_path(st_, path)
-        elig.reset()
-        assert elig.all_eligible(), f"walk {i} left stale marks"
 
 
 # -- validate_walk_path -------------------------------------------------------
@@ -197,8 +164,7 @@ def test_validate_rejects_closure_violation():
 def test_walk_from_isolated_vertex_is_empty():
     g = DynamicGraph(3)
     st_ = MatchingState(3)
-    elig = EligibilityArray(3)
-    path = extend_walk(g, st_, WalkPath(), 0, 5, elig, random.Random(1))
+    path = extend_walk(g, st_, WalkPath(), 0, 5, random.Random(1))
     assert path.nodes == [0]
     assert path.edge_count == 0
 
@@ -206,8 +172,7 @@ def test_walk_from_isolated_vertex_is_empty():
 def test_walk_two_path_all_free():
     g = build_graph(3, [(0, 1, 4), (1, 2, 6)])
     st_ = MatchingState(3)
-    elig = EligibilityArray(3)
-    path = extend_walk(g, st_, WalkPath(), 0, 5, elig, random.Random(3))
+    path = extend_walk(g, st_, WalkPath(), 0, 5, random.Random(3))
     assert path.nodes == [0, 1, 2]
     assert path.weights == [4, 6]
     assert path.matched == [False, False]
@@ -218,11 +183,9 @@ def test_walk_triangle_traverses_matched_edge_then_stops():
     st_ = MatchingState(3)
     st_.match_edge(1, 2, 5)
     for seed in range(20):
-        elig = EligibilityArray(3)
-        path = extend_walk(g, st_, WalkPath(), 0, 9, elig, random.Random(seed))
-        elig.reset()
+        path = extend_walk(g, st_, WalkPath(), 0, 9, random.Random(seed))
         # first step samples 1 or 2; the matched edge follows immediately;
-        # then both neighbors of the last vertex are ineligible
+        # then both neighbors of the last vertex are on the path
         assert path.edge_count == 2
         assert path.matched == [False, True]
         assert set(path.nodes[1:]) == {1, 2}
@@ -233,8 +196,7 @@ def test_walk_appends_pending_matched_edge_beyond_cap():
     g = build_graph(3, [(0, 1, 2), (1, 2, 5)])
     st_ = MatchingState(3)
     st_.match_edge(1, 2, 5)
-    elig = EligibilityArray(3)
-    path = extend_walk(g, st_, WalkPath(), 0, 1, elig, random.Random(0))
+    path = extend_walk(g, st_, WalkPath(), 0, 1, random.Random(0))
     # cap is 1 edge, but stopping at matched vertex 1 would break closure
     assert path.nodes == [0, 1, 2]
     assert path.matched == [False, True]
@@ -242,13 +204,19 @@ def test_walk_appends_pending_matched_edge_beyond_cap():
 
 
 def test_walk_stops_when_needed_mate_ineligible():
-    g = build_graph(3, [(0, 1, 2), (1, 2, 5)])
+    # The seed [2, 0] puts 2 on the path without its matched edge; the walk
+    # from 0 can only go on to 1, whose mate 2 it may not visit again.
+    g = build_graph(3, [(0, 1, 2), (0, 2, 3), (1, 2, 5)])
     st_ = MatchingState(3)
     st_.match_edge(1, 2, 5)
-    elig = EligibilityArray(3)
-    mark_ineligible(elig, 2)
-    path = extend_walk(g, st_, WalkPath(), 0, 5, elig, random.Random(0))
-    assert path.nodes == [0, 1]
+    for seed in range(10):
+        path = WalkPath()
+        start_path(path, 2)
+        append_step(path, 0, 3, False)
+        extend_walk(g, st_, path, 0, 5, random.Random(seed))
+        assert path.nodes == [2, 0, 1]
+        assert path.weights == [3, 2]
+        assert path.matched == [False, False]
 
 
 def test_walk_rejects_mismatched_current():
@@ -257,11 +225,12 @@ def test_walk_rejects_mismatched_current():
     p = WalkPath()
     start_path(p, 0)
     with pytest.raises(ValueError):
-        extend_walk(g, st_, p, 2, 5, EligibilityArray(3), random.Random(0))
+        extend_walk(g, st_, p, 2, 5, random.Random(0))
 
 
-def reference_extend_walk(graph, state, path, current, max_len, elig, rng):
-    """extend_walk through the public accessors and rng.randrange."""
+def reference_extend_walk(graph, state, path, current, max_len, rng, stops):
+    """extend_walk through the public accessors and rng.randrange, with the
+    path's own node list as the visited set; counts why it stopped."""
     nodes, weights, matched = path.nodes, path.weights, path.matched
     if not nodes:
         nodes.append(current)
@@ -269,26 +238,28 @@ def reference_extend_walk(graph, state, path, current, max_len, elig, rng):
         m = state.mate_of(current)
         on_path = len(nodes) > 1 and {nodes[-2], nodes[-1]} == {current, m}
         if m != FREE and not on_path:
-            if not eligible(elig, m):
+            if m in nodes:
+                stops["mate on path"] += 1
                 break
             nxt, w, flag = m, state.stored_weight(current), True
         else:
             if len(weights) >= max_len:
+                stops["length cap"] += 1
                 break
             adj = graph.neighbors(current)
             nxt = None
             for _ in range(SAMPLE_ATTEMPTS if adj else 0):
                 x = adj[rng.randrange(len(adj))]
-                if eligible(elig, x):
+                if x not in nodes:
                     nxt = x
                     break
             if nxt is None:
+                stops["attempts exhausted" if adj else "isolated"] += 1
                 break
             w, flag = graph.weight(current, nxt), False
         nodes.append(nxt)
         weights.append(w)
         matched.append(flag)
-        mark_ineligible(elig, current)
         current = nxt
     return path
 
@@ -297,10 +268,12 @@ def test_walk_kernel_draws_like_randrange():
     # extend_walk inlines rng.randrange(k); the golden digests rest on it
     # consuming the RNG exactly as randrange does.  Vertex 0 is a hub whose
     # degree runs over 1 and powers of two, where k.bit_length() makes the
-    # rejection loop redraw most often.  Some vertices start ineligible, so
-    # the sampling attempts run out too.
+    # rejection loop redraw most often.  Some walks start on a path that
+    # already holds other vertices, without their matched edges, so the
+    # sampling attempts run out and a needed mate is found on the path.
     rng = random.Random(78)
     degrees = set()
+    stops = Counter()
     for trial in range(300):
         hub_degree = rng.choice((1, 2, 3, 4, 5, 7, 8, 9, 16, 17))
         n = hub_degree + rng.randint(2, 8)
@@ -318,30 +291,36 @@ def test_walk_kernel_draws_like_randrange():
         walk_rng = random.Random(trial)
         for start in range(n):
             degrees.add(g.degree(start))
-            blocked = [x for x in range(n) if x != start and rng.random() < 0.2]
-            max_len = rng.randint(1, 9)
             # A matched start may come with its matched edge already on the
             # path, as _seed_insert lays it; the walk must not take it again.
             mate = st_.mate_of(start)
             seeded = mate != FREE and rng.random() < 0.5
+            prefix = [x for x in range(n)
+                      if x != start and x != mate and rng.random() < 0.2]
+            rng.shuffle(prefix)
+            if seeded:
+                prefix.append(mate)
+            max_len = rng.randint(1, 9)
             runs = []
-            for walk in (extend_walk, reference_extend_walk):
+            for walk in (extend_walk, partial(reference_extend_walk, stops=stops)):
                 state = walk_rng.getstate()
-                elig = EligibilityArray(n)
-                for x in blocked:
-                    mark_ineligible(elig, x)
                 path = WalkPath()
-                if seeded:
-                    start_path(path, mate)
-                    append_step(path, start, st_.stored_weight(start), True)
-                    mark_ineligible(elig, mate)
-                path = walk(g, st_, path, start, max_len, elig, walk_rng)
+                for x in prefix:
+                    if path.nodes:
+                        append_step(path, x, 1, False)
+                    else:
+                        start_path(path, x)
+                if path.nodes:
+                    w = st_.stored_weight(start) if seeded else 1
+                    append_step(path, start, w, seeded)
+                path = walk(g, st_, path, start, max_len, walk_rng)
                 runs.append((path.nodes, path.weights, path.matched,
-                             bytes(elig.flags), elig._marked, walk_rng.getstate()))
+                             walk_rng.getstate()))
                 walk_rng.setstate(state)
             assert runs[0] == runs[1]
             walk_rng.setstate(runs[0][-1])
     assert {1, 2, 3, 4, 5, 7, 8, 9, 16, 17} <= degrees
+    assert stops["attempts exhausted"] and stops["mate on path"], stops
 
 
 # -- apply_path_matching / improve_along_path ---------------------------------

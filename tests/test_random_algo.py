@@ -197,8 +197,7 @@ def test_failure_counter_restarts_after_a_success():
 
 
 class _RecordCampaigns:
-    """Records each campaign's success count and checks that it left every
-    vertex eligible."""
+    """Records each campaign's success count."""
 
     def __init__(self, *args) -> None:
         super().__init__(*args)
@@ -206,7 +205,6 @@ class _RecordCampaigns:
 
     def run_walk_campaign(self, seed_builder, *args) -> int:
         successes = super().run_walk_campaign(seed_builder, *args)
-        assert self._elig.all_eligible()
         self.campaign_successes.append(successes)
         return successes
 
