@@ -57,6 +57,10 @@ from dynmatch.random_walk import RandomConfig
 
 ALGO_CHOICES = ("random", "level-walk", "level-bfs", "oracle")
 
+# Most edges `gen --random` generates: it holds every edge, the stream and
+# its text in memory, a few hundred bytes per edge.
+MAX_GEN_EDGES = 10**6
+
 
 def _default_seed(args) -> int:
     raw = os.environ.get("DYNMATCH_SEED", "1")
@@ -123,9 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--out", help="append result rows to this CSV file")
     p_run.add_argument("--label", help="instance label for result rows")
+    p_run.add_argument(
+        "--epsilon",
+        type=float,
+        default=1.0,
+        help="approximation parameter of the random-walk or level algorithm",
+    )
 
     walk = p_run.add_argument_group("random-walk options")
-    walk.add_argument("--epsilon", type=float, default=1.0)
     walk.add_argument("--walks", type=int, default=1, help="walks per campaign")
     walk.add_argument(
         "--stop-early",
@@ -139,9 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="use the analysed walk budget ceil(max_degree^(2/eps+3) * ln n)",
     )
-
-    lvl = p_run.add_argument_group("level options")
-    lvl.add_argument("--level-epsilon", type=float, default=1.0)
 
     p_run.add_argument(
         "--oracle-interval",
@@ -222,7 +228,7 @@ def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig | None]:
         return random_walk_factory(config), config
     if args.algo in ("level-walk", "level-bfs"):
         config = LevelConfig(
-            epsilon=args.level_epsilon,
+            epsilon=args.epsilon,
             mcm_kind=args.algo.split("-", 1)[1],
         )
         return level_factory(config), config
@@ -322,6 +328,8 @@ def cmd_gen(args) -> int:
             args.error("--random needs at least 2 vertices")
         if n > MAX_N_HINT:
             args.error(f"--random N={n} exceeds the vertex count ceiling {MAX_N_HINT}")
+        if m > MAX_GEN_EDGES:
+            args.error(f"--random M={m} exceeds the edge count ceiling {MAX_GEN_EDGES}")
         if m > n * (n - 1) // 2:
             args.error(f"{m} edges do not fit in a simple graph on {n} vertices")
         rng = random.Random(args.seed)

@@ -19,7 +19,6 @@ costs one mate entry per vertex.
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -146,8 +145,10 @@ class _Level:
         self._adj = adjacency._adj
         self._neg = adjacency._neg
         self.worker = make_worker(self)
-        # Vertices whose level-matching mate changed since the merged view
-        # last consumed them.
+        # The merged view's work queue at this level (see LevelMwm._refresh):
+        # the worker's matching adds every vertex whose mate it changes, and
+        # the refresh adds vertices the view frees or displaces; the
+        # refresh drains it.
         self.changed = self.worker.state.watch()
 
     def degree(self, u: int) -> int:
@@ -229,77 +230,65 @@ class LevelMwm:
 
         The greedy merge keeps a level-i pair iff no kept pair of a higher
         level covers either endpoint.  Pairs within one level never share a
-        vertex, so a level-i decision depends only on the levels above i.
-        Work items (i, x) say "re-decide the level-i candidate at x"; a heap
-        hands them out heaviest level first, so every level above i is final
-        when level i is decided.  Deciding can only displace kept pairs of
-        level i or below, and a displaced or freed vertex re-enters at the
-        displaced pair's level and scans downward until it is covered, so
-        the cascade never reaches back up.
+        vertex, so a level-i decision depends only on the levels above i,
+        and the order of decisions within a level does not matter.  Each
+        level's ``changed`` set is its work queue: the vertices whose
+        level-i candidate must be re-decided.  One sweep drains the sets
+        from the top level down, so every level above i is final when
+        level i is decided.  Deciding can only displace kept pairs of level
+        i or below: a displaced vertex joins the queue of the displaced
+        pair's level, and a vertex left free joins the queue of level i - 1,
+        so no work ever goes back up and the sweep leaves every set empty.
         """
-        heap: list[tuple[int, int]] = []
-        for level in self.levels:
-            if level.changed:
-                neg_i = -level.index
-                heap.extend((neg_i, x) for x in level.changed)
-                level.changed.clear()
-        if not heap:
-            return
-        heapq.heapify(heap)
         view = self._view
         vmate = view._mate
         vpairs = view._pairs
         cover = self._cover
         master_w = self.graph._weight
-        level_mates = [level.state._mate for level in self.levels]
-        push = heapq.heappush
-        pop = heapq.heappop
-
-        def drop(x: int) -> None:
-            # Unkeep x's pair; its partner re-decides from that pair's level.
-            m = vmate[x]
-            j = cover[x]
-            view.unmatch(x)
-            cover[x] = cover[m] = -1
-            push(heap, (-j, m))
-
-        last = None
-        while heap:
-            item = pop(heap)
-            if item == last:
+        queues = [level.changed for level in self.levels]
+        for i in range(len(queues) - 1, -1, -1):
+            todo = queues[i]
+            if not todo:
                 continue
-            last = item
-            neg_i, x = item
-            i = -neg_i
-            c = cover[x]
-            if c > i:
-                continue
-            mates = level_mates[i]
-            y = mates[x]
-            if c == i:
-                m = vmate[x]
-                key = edge_key(x, m)
-                # The weight test catches a delete and re-insert at another
-                # weight between two refreshes.
-                if m == y and vpairs[key] == master_w.get(key):
+            mates = self.levels[i].state._mate
+            while todo:
+                x = todo.pop()
+                c = cover[x]
+                if c > i:
                     continue
-                drop(x)
-            if y != FREE and cover[y] <= i:
-                for e in (x, y):
-                    if cover[e] >= 0:
-                        # A pair kept at a lower level is now outranked; one
-                        # kept at level i has left level i's matching.
-                        drop(e)
-                key = edge_key(x, y)
-                try:
-                    view.match_edge(x, y, master_w[key])
-                except KeyError:
-                    raise MatchingCorruptionError(
-                        f"level {i} matching pair {key} is not a master-graph edge"
-                    ) from None
-                cover[x] = cover[y] = i
-            elif cover[x] < 0 and i > 0:
-                push(heap, (neg_i + 1, x))
+                y = mates[x]
+                if c == i:
+                    m = vmate[x]
+                    key = edge_key(x, m)
+                    # The weight test catches a delete and re-insert at
+                    # another weight between two refreshes.
+                    if m == y and vpairs[key] == master_w.get(key):
+                        continue
+                    # x's kept pair has left level i's matching; its
+                    # partner re-decides from level i.
+                    view.unmatch(x)
+                    cover[x] = cover[m] = -1
+                    todo.add(m)
+                if y != FREE and cover[y] <= i:
+                    for e in (x, y):
+                        j = cover[e]
+                        if j >= 0:
+                            # A pair kept at a lower level is now outranked;
+                            # its partner re-decides from that level.
+                            m = vmate[e]
+                            view.unmatch(e)
+                            cover[e] = cover[m] = -1
+                            queues[j].add(m)
+                    key = edge_key(x, y)
+                    try:
+                        view.match_edge(x, y, master_w[key])
+                    except KeyError:
+                        raise MatchingCorruptionError(
+                            f"level {i} matching pair {key} is not a master-graph edge"
+                        ) from None
+                    cover[x] = cover[y] = i
+                elif cover[x] < 0 and i > 0:
+                    queues[i - 1].add(x)
 
     @property
     def weight(self) -> Weight:
@@ -340,7 +329,7 @@ class LevelMwm:
             )
         self._audit_adjacency()
         for level in self.levels:
-            _audit_level(level)
+            level.worker.audit(f"level {level.index} matching")
 
     def _audit_adjacency(self) -> None:
         """Each vertex's entries in the shared adjacency are its master
@@ -363,34 +352,6 @@ class LevelMwm:
                     f"level adjacency of vertex {u}: classes "
                     f"{[-c for c in neg]} are not heaviest first"
                 )
-
-
-def _audit_level(level: _Level) -> None:
-    """Deep check of one level's matching: consistent, and on the level's
-    prefix of the shared adjacency."""
-    i = level.index
-
-    def fail(what: str) -> None:
-        raise MatchingCorruptionError(f"level {i} {what}")
-
-    adj = level._adj
-    state = level.state
-    mate = state._mate
-    for u, v in state._pairs:
-        if mate[u] != v or mate[v] != u:
-            fail(
-                f"mate array out of sync for pair ({u}, {v}): "
-                f"mate[{u}]={mate[u]}, mate[{v}]={mate[v]}"
-            )
-        if v not in adj[u][: level.degree(u)]:
-            fail(f"matching pair ({u}, {v}) is not a level edge")
-    if level.n - mate.count(FREE) != 2 * len(state._pairs):
-        fail("mate array marks a vertex matched that no pair covers")
-    if state.total_weight != len(state._pairs):
-        fail(
-            f"weight drift: maintained {state.total_weight}, "
-            f"{len(state._pairs)} unit pairs"
-        )
 
 
 def merge_levels(structure: LevelMwm) -> MatchingState:

@@ -29,8 +29,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
+from .errors import MatchingCorruptionError
 from .graph import DynamicGraph
-from .matching import FREE, MatchingState, assert_matching_consistent
+from .matching import FREE, MatchingState
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,11 @@ class DynamicMcm:
     """Maintains a cardinality matching under edge updates.
 
     As everywhere in this package, the caller mutates the graph first and
-    then invokes the handler.  All matched edges carry weight 1.  The
-    searches read only ``graph.n``, ``graph._adj`` and ``graph.degree``,
-    and of ``_adj[u]`` only its first ``degree(u)`` entries, so a LevelMwm
-    level passes itself: its prefix of the shared level adjacency (see
-    levels.py).  ``audit`` needs a DynamicGraph.
+    then invokes the handler.  All matched edges carry weight 1, whatever
+    the graph's weights.  The searches and ``audit`` read only ``graph.n``,
+    ``graph._adj`` and ``graph.degree``, and of ``_adj[u]`` only its first
+    ``degree(u)`` entries, so a LevelMwm level passes itself: its prefix of
+    the shared level adjacency (see levels.py).
     """
 
     def __init__(self, graph: DynamicGraph, config: McmConfig, seed: int) -> None:
@@ -284,5 +285,32 @@ class DynamicMcm:
     def cardinality(self) -> int:
         return self.state.matched_count()
 
-    def audit(self) -> None:
-        assert_matching_consistent(self.state, self.graph)
+    def audit(self, name: str = "matching") -> None:
+        """Check the unit-weight cardinality matching against the graph the
+        searches read: pairs are symmetric, each lies on an edge of the
+        graph (the first ``degree(u)`` entries of ``_adj[u]``), every
+        matched vertex is in a pair, and the total counts the pairs.
+        A failure raises MatchingCorruptionError naming ``name``."""
+
+        def fail(what: str) -> None:
+            raise MatchingCorruptionError(f"{name} {what}")
+
+        adj = self.graph._adj
+        degree = self.graph.degree
+        state = self.state
+        mate = state._mate
+        for u, v in state._pairs:
+            if mate[u] != v or mate[v] != u:
+                fail(
+                    f"mate array out of sync for pair ({u}, {v}): "
+                    f"mate[{u}]={mate[u]}, mate[{v}]={mate[v]}"
+                )
+            if v not in adj[u][: degree(u)]:
+                fail(f"pair ({u}, {v}) is not an edge of its graph")
+        if state.n - mate.count(FREE) != 2 * len(state._pairs):
+            fail("mate array marks a vertex matched that no pair covers")
+        if state.total_weight != len(state._pairs):
+            fail(
+                f"weight drift: maintained {state.total_weight}, "
+                f"{len(state._pairs)} unit pairs"
+            )

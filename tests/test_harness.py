@@ -623,15 +623,18 @@ def test_cli_run_all_algorithms(static_file, tmp_path):
 
 
 def test_cli_run_level_flags(static_file, capsys):
-    assert main([
-        "run", "--input", str(static_file), "--algo", "level-bfs",
-        "--seed", "2", "--reps", "1", "--level-epsilon", "0.1",
-    ]) == 0
-    assert "level-bfs [eps=0.1,mcm=bfs]" in capsys.readouterr().out
+    # --epsilon configures whichever algorithm runs.
+    cases = (("level-bfs", "0.1", "bfs"), ("level-walk", "0.5", "walk"))
+    for algo, epsilon, kind in cases:
+        assert main([
+            "run", "--input", str(static_file), "--algo", algo,
+            "--seed", "2", "--reps", "1", "--epsilon", epsilon,
+        ]) == 0
+        assert f"{algo} [eps={epsilon},mcm={kind}]" in capsys.readouterr().out
 
 
 def test_cli_mcm_flag_contradiction_rejected(static_file):
-    # --algo and --level-epsilon alone configure the per-level subroutine;
+    # --algo and --epsilon alone configure the per-level subroutine;
     # there are no flags to set it apart from them.
     for flags in (
         ["--mcm", "bfs"],
@@ -700,11 +703,11 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
 @pytest.mark.parametrize(
     "argv, env_seed",
     [
-        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0"], "1",
+        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "0"], "1",
                      id="level-epsilon-zero"),
-        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0.05"], "1",
+        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "0.05"], "1",
                      id="level-epsilon-small"),
-        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0.05",
+        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "0.05",
                             "--allow-small-epsilon"], "1",
                      id="allow-small-epsilon-removed"),
         pytest.param(RUN + ["--algo", "random", "--walks", "0"], "1",
@@ -713,8 +716,10 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="epsilon-nan"),
         pytest.param(RUN + ["--algo", "random", "--epsilon", "inf"], "1",
                      id="epsilon-inf"),
-        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "inf"], "1",
+        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "inf"], "1",
                      id="level-epsilon-inf"),
+        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0.5"], "1",
+                     id="level-epsilon-flag-removed"),
         pytest.param(RUN + ["--algo", "oracle", "--oracle-interval", "0"], "1",
                      id="oracle-interval-zero"),
         pytest.param(RUN + ["--algo", "random", "--opt", "foo"], "1",
@@ -731,6 +736,8 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
         pytest.param(RUN + ["--algo", "random"], "x", id="env-seed-not-int"),
         pytest.param(["gen", "--random", "2000000", "3"], "1",
                      id="gen-random-n-above-ceiling"),
+        pytest.param(["gen", "--random", "1000000", "20000000"], "1",
+                     id="gen-random-m-above-ceiling"),
         pytest.param(["profile", "--results", "no-such.csv"], "1",
                      id="profile-results-missing"),
         pytest.param(["profile", "--results", "{input}", "--tau-grid", "2"], "1",

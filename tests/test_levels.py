@@ -356,18 +356,31 @@ def test_walk_backend_stream_stays_consistent():
 
 
 @pytest.mark.parametrize(
-    "epsilon, kind", [(1.0, "walk"), (0.1, "walk"), (0.5, "bfs")]
+    "epsilon, kind, sevenths",
+    [
+        pytest.param(1.0, "walk", False, id="1.0-walk"),
+        pytest.param(0.1, "walk", False, id="0.1-walk"),
+        pytest.param(0.5, "bfs", False, id="0.5-bfs"),
+        pytest.param(0.1, "walk", True, id="0.1-walk-sevenths"),
+    ],
 )
-def test_incremental_view_equals_full_merge_after_every_op(epsilon, kind):
+def test_incremental_view_equals_full_merge_after_every_op(epsilon, kind, sevenths):
     g = DynamicGraph(60)
     algo = make_level_algo(g, seed=5, epsilon=epsilon, mcm_kind=kind)
+    ops = random_stream(60, 2500, seed=31, max_live=50)
+    if sevenths:  # non-integer weights in [1, 106/7]
+        ops = [(k, u, v, (w + 6) / 7) for k, u, v, w in ops]
 
     def check(a, _g):
         ref = merge_levels(a)
         assert a.matched_pairs() == sorted(ref.matched_pairs())
-        assert a.weight == ref.total_weight
+        # Only the summation order of the total may differ.
+        assert math.isclose(a.weight, ref.total_weight, rel_tol=1e-9)
+        assert sevenths or a.weight == ref.total_weight
+        # The refresh drains every level's work queue.
+        assert not any(level.changed for level in a.levels)
 
-    drive(algo, g, random_stream(60, 2500, seed=31, max_live=50), per_update=check)
+    drive(algo, g, ops, per_update=check)
     algo.audit(deep=True)
 
 
@@ -457,7 +470,8 @@ def test_deep_audit_names_the_vertex_of_a_corrupted_adjacency():
     corrupt(0, [(1, 3), (2, 2)], r"vertex 0: .* extra \[\(2, 2\)\], missing \[\(2, 1\)\]")
     algo.levels[3].state.match_edge(3, 4, 1)  # a class-1 edge, off level 3
     with pytest.raises(
-        MatchingCorruptionError, match=r"level 3 matching pair \(3, 4\) is not a level edge"
+        MatchingCorruptionError,
+        match=r"level 3 matching pair \(3, 4\) is not an edge of its graph",
     ):
         algo.audit(deep=True)
 

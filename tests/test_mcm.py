@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynmatch.errors import MatchingCorruptionError
 from dynmatch.graph import DynamicGraph
 from dynmatch.matching import FREE
 from dynmatch.mcm import DynamicMcm, McmConfig
@@ -495,3 +496,17 @@ def test_safe_unbounded_bfs_is_exact_on_bipartite_streams():
             g.delete_edge(u, v)
             mcm.handle_delete(u, v)
             assert mcm.cardinality() == exact_mcm(g)
+
+
+def test_audit_counts_unit_pairs_whatever_the_edge_weights():
+    g = DynamicGraph(4)
+    mcm = make_mcm(g)
+    g.insert_edge(0, 1, 5)
+    mcm.handle_insert(0, 1)
+    mcm.audit()
+    assert mcm.state.total_weight == 1
+    mcm.state.match_edge(2, 3, 1)  # no such edge in the graph
+    with pytest.raises(
+        MatchingCorruptionError, match=r"matching pair \(2, 3\) is not an edge"
+    ):
+        mcm.audit()
