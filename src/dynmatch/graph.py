@@ -1,11 +1,11 @@
 """Adjacency structure for fully-dynamic weighted graphs.
 
-The design target is O(1) expected time per operation: every vertex u keeps
-its neighbors in a plain list ``L[u]`` (so a uniformly random neighbor is one
-``randrange`` away) together with a dict ``pos[u]`` mapping each neighbor to
-its index in ``L[u]`` (so membership tests and deletions need no scanning).
-Deletion swaps the removed entry with the last list element before popping,
-which keeps the list dense and the dict in sync.
+Every vertex u keeps its neighbors in a plain list ``L[u]``, so a uniformly
+random neighbor is one ``randrange`` away, and one dict keyed by the
+canonical edge answers membership and weight.  Insert is O(1) expected.
+Delete finds the removed entry with one ``list.index`` scan per endpoint,
+O(degree), then moves the last list element into the freed slot, which
+keeps the list dense.
 """
 
 from __future__ import annotations
@@ -34,18 +34,19 @@ class DynamicGraph:
     positive and at most MAX_WEIGHT; changing a weight is expressed as
     delete + insert, never as an in-place update (a duplicate insert is
     refused and leaves the stored weight untouched).
+
+    Queries and inserts take O(1) expected time; a delete scans both
+    endpoints' neighbor lists, O(degree).
     """
 
-    __slots__ = ("n", "_adj", "_pos", "_weight", "_m", "_max_degree_seen", "_watchers")
+    __slots__ = ("n", "_adj", "_weight", "_max_degree_seen", "_watchers")
 
     def __init__(self, n: int) -> None:
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         self.n = n
         self._adj: list[list[int]] = [[] for _ in range(n)]
-        self._pos: list[dict[int, int]] = [{} for _ in range(n)]
         self._weight: dict[tuple[int, int], Weight] = {}
-        self._m = 0
         self._max_degree_seen = 0
         self._watchers: list[set[int]] = []
 
@@ -76,17 +77,14 @@ class DynamicGraph:
             raise ValueError(
                 f"edge weight must be positive, finite and at most 2**53, got {w!r}"
             )
-        pos_u = self._pos[u]
-        if v in pos_u:
+        key = edge_key(u, v)
+        if key in self._weight:
             return False
+        self._weight[key] = w
         adj_u = self._adj[u]
         adj_v = self._adj[v]
-        pos_u[v] = len(adj_u)
         adj_u.append(v)
-        self._pos[v][u] = len(adj_v)
         adj_v.append(u)
-        self._weight[edge_key(u, v)] = w
-        self._m += 1
         for touched in self._watchers:
             touched.add(u)
             touched.add(v)
@@ -99,26 +97,24 @@ class DynamicGraph:
         """Delete edge (u, v); returns False when it was not present."""
         self._check_vertex(u)
         self._check_vertex(v)
-        if v not in self._pos[u]:
+        try:
+            del self._weight[edge_key(u, v)]
+        except KeyError:
             return False
         self._remove_half(u, v)
         self._remove_half(v, u)
-        del self._weight[edge_key(u, v)]
-        self._m -= 1
         for touched in self._watchers:
             touched.add(u)
             touched.add(v)
         return True
 
     def _remove_half(self, u: int, v: int) -> None:
-        # Swap-remove v from u's list; the moved entry gets v's old slot.
+        # Swap-remove v from u's list; the last entry takes v's old slot.
         adj = self._adj[u]
-        pos = self._pos[u]
-        i = pos.pop(v)
+        i = adj.index(v)
         last = adj.pop()
         if last != v:
             adj[i] = last
-            pos[last] = i
 
     # -- queries ----------------------------------------------------------
 
@@ -129,7 +125,7 @@ class DynamicGraph:
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self._pos[u]
+        return edge_key(u, v) in self._weight
 
     def weight(self, u: int, v: int) -> Weight:
         try:
@@ -145,7 +141,7 @@ class DynamicGraph:
         return self._adj[u]
 
     def edge_count(self) -> int:
-        return self._m
+        return len(self._weight)
 
     def max_degree_seen(self) -> int:
         """Largest degree any vertex has ever had (never decreases)."""
@@ -161,4 +157,4 @@ class DynamicGraph:
             raise ValueError(f"vertex {u} out of range [0, {self.n})")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DynamicGraph(n={self.n}, m={self._m})"
+        return f"DynamicGraph(n={self.n}, m={len(self._weight)})"

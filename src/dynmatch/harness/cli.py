@@ -20,6 +20,7 @@ import os
 import random
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from dynmatch.errors import (
     MatchingCorruptionError,
@@ -53,7 +54,7 @@ from dynmatch.harness.streams import (
 )
 from dynmatch.levels import LevelConfig
 from dynmatch.oracle import exact_mwm
-from dynmatch.random_walk import RandomConfig
+from dynmatch.random_walk import BETA, RandomConfig
 
 ALGO_CHOICES = ("random", "level-walk", "level-bfs", "oracle")
 
@@ -140,9 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--stop-early",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="abort a campaign after beta consecutive failed walks",
+        help=f"abort a campaign after {BETA} consecutive failed walks",
     )
-    walk.add_argument("--beta", type=int, default=5)
     walk.add_argument(
         "--theorem-mode",
         action="store_true",
@@ -197,6 +197,13 @@ def _read_input(args) -> str:
         args.error(f"cannot read --input: {exc}")
 
 
+def _open_out(args, mode: str) -> TextIO:
+    try:
+        return open(args.out, mode, newline="")
+    except OSError as exc:
+        args.error(f"cannot write --out: {exc}")
+
+
 def _load_stream(args) -> UpdateStream:
     text = _read_input(args)
     if args.temporal:
@@ -222,7 +229,6 @@ def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig | None]:
             epsilon=args.epsilon,
             num_walks=args.walks,
             stop_early=args.stop_early,
-            beta=args.beta,
             theorem_mode=args.theorem_mode,
         )
         return random_walk_factory(config), config
@@ -259,6 +265,9 @@ def cmd_run(args) -> int:
         args.error(str(exc))
     config_label = config.label() if config else f"interval={args.oracle_interval}"
     opt = _numeric_opt(args)
+    if args.out:
+        # Fail on an unwritable path before any replay, not after the last.
+        _open_out(args, "a").close()
     stream = _load_stream(args)
     if args.undo_percent:
         stream = gen_undo_suffix(stream, args.undo_percent, args.seed + 1)
@@ -307,15 +316,13 @@ def cmd_run(args) -> int:
     print(summary)
 
     if args.out:
-        path = Path(args.out)
-        fresh = not path.exists() or path.stat().st_size == 0
-        with path.open("a", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
-            if fresh:
+        with _open_out(args, "a") as out:
+            writer = csv.DictWriter(out, fieldnames=RESULT_FIELDS)
+            if out.tell() == 0:
                 writer.writeheader()
             for r in results:
                 writer.writerow(result_row(r))
-        print(f"appended {len(results)} rows to {path}")
+        print(f"appended {len(results)} rows to {args.out}")
     return 0
 
 
@@ -348,7 +355,8 @@ def cmd_gen(args) -> int:
         stream = gen_undo_suffix(stream, args.undo_percent, args.seed + 1)
     text = format_stream(stream)
     if args.out:
-        Path(args.out).write_text(text)
+        with _open_out(args, "w") as out:
+            out.write(text)
         print(f"wrote {len(stream.ops)} ops to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -367,7 +375,10 @@ def cmd_profile(args) -> int:
         args.error(f"cannot read --results: {exc}")
     if not rows:
         args.error(f"no result rows in {args.results}")
-    profile = perf_profile(rows, taus)
+    try:
+        profile = perf_profile(rows, taus)
+    except ValueError as exc:
+        args.error(f"{args.results}: {exc}")
     if profile.skipped_no_opt:
         print(
             f"warning: {profile.skipped_no_opt} rows without OPT were skipped",
@@ -377,7 +388,8 @@ def cmd_profile(args) -> int:
         args.error("no rows with OPT values; nothing to profile")
     text = profile.to_tsv()
     if args.out:
-        Path(args.out).write_text(text)
+        with _open_out(args, "w") as out:
+            out.write(text)
         print(f"wrote profile to {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -25,23 +25,35 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(logs / len(values))
 
 
+# Most points a 'start:stop:step' tau grid may expand to.
+MAX_TAU_POINTS = 10_000
+
+
 def parse_tau_grid(spec: str) -> list[float]:
-    """Parse '0.8,0.9,0.95' or 'start:stop:step' into a tau grid in (0, 1]."""
+    """Parse '0.8,0.9,0.95' or 'start:stop:step' into a tau grid in (0, 1].
+
+    A range needs 0 < start <= stop <= 1, a finite step > 0 and at most
+    MAX_TAU_POINTS points; it is checked before any point is generated.
+    """
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad tau grid {spec!r}; expected start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError(f"tau grid step must be positive, got {step}")
-        taus = []
-        k = 0
-        while True:
-            t = start + k * step
-            if t > stop + 1e-12:
-                break
-            taus.append(round(t, 10))
-            k += 1
+        if not 0 < start <= stop <= 1:
+            raise ValueError(
+                f"tau grid needs 0 < start <= stop <= 1, got {start}:{stop}"
+            )
+        if not 0 < step < math.inf:
+            raise ValueError(f"tau grid step must be positive and finite, got {step}")
+        # The 1e-12 slack keeps a stop that the steps reach up to rounding.
+        points = (stop - start + 1e-12) // step + 1
+        if points > MAX_TAU_POINTS:
+            raise ValueError(
+                f"tau grid {spec!r} has {points:.3g} points, more than "
+                f"{MAX_TAU_POINTS}"
+            )
+        taus = [round(start + k * step, 10) for k in range(int(points))]
     else:
         taus = [float(p) for p in spec.split(",") if p.strip()]
     if not taus:
@@ -54,6 +66,26 @@ def parse_tau_grid(spec: str) -> list[float]:
 
 def default_tau_grid() -> list[float]:
     return [round(0.50 + 0.01 * k, 2) for k in range(51)]
+
+
+def _cell(row: Mapping[str, object], i: int, column: str) -> str:
+    value = row.get(column)
+    if value is None:
+        raise ValueError(f"results row {i} has no {column!r} column")
+    return str(value)
+
+
+def _number(row: Mapping[str, object], i: int, column: str) -> float:
+    text = _cell(row, i, column)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(
+            f"results row {i}, column {column!r}: {text!r} is not a finite number"
+        )
+    return value
 
 
 @dataclass
@@ -81,7 +113,9 @@ def perf_profile(
     final_weight, opt_weight).
 
     Multiple repetitions of one (algorithm, instance) pair are collapsed to
-    their geometric-mean objective before scoring.
+    their geometric-mean objective before scoring.  Raises ValueError naming
+    the row (1 = first after the header) and the column when a needed cell
+    is missing or a number is not finite.
     """
     for t in taus:
         if not 0 < t <= 1:
@@ -89,19 +123,18 @@ def perf_profile(
     weights: dict[tuple[str, str], list[float]] = {}
     opts: dict[tuple[str, str], float] = {}
     skipped = 0
-    for row in rows:
-        algo = str(row["algorithm"])
-        inst = str(row["instance"])
-        opt_raw = row.get("opt_weight", "")
-        if opt_raw in ("", None):
+    for i, row in enumerate(rows, 1):
+        algo = _cell(row, i, "algorithm")
+        inst = _cell(row, i, "instance")
+        if row.get("opt_weight") in ("", None):
             skipped += 1
             continue
-        opt = float(opt_raw)  # type: ignore[arg-type]
+        opt = _number(row, i, "opt_weight")
         if opt <= 0:
             skipped += 1
             continue
         key = (algo, inst)
-        weights.setdefault(key, []).append(float(row["final_weight"]))  # type: ignore[arg-type]
+        weights.setdefault(key, []).append(_number(row, i, "final_weight"))
         opts[key] = opt
     ratios: dict[str, list[float]] = {}
     for (algo, _inst), ws in weights.items():

@@ -24,7 +24,8 @@ from .graph import DynamicGraph, Weight
 from .matching import FREE, MatchingAuditor, MatchingState
 from .paths import WalkPath, extend_walk, improve_along_path
 
-DEFAULT_BETA = 5
+# Consecutive failed walks after which stop_early ends a campaign.
+BETA = 5
 
 
 @dataclass(frozen=True)
@@ -35,13 +36,12 @@ class RandomConfig:
     per-campaign walk count unless theorem_mode replaces it with
     ceil(Delta^(2/epsilon+3) * ln n), the count under which the quality
     guarantee holds with high probability.  stop_early aborts a campaign
-    after beta consecutive unsuccessful walks.
+    after BETA consecutive unsuccessful walks.
     """
 
     epsilon: float = 1.0
     num_walks: int = 1
     stop_early: bool = True
-    beta: int = DEFAULT_BETA
     theorem_mode: bool = False
 
     def __post_init__(self) -> None:
@@ -49,8 +49,6 @@ class RandomConfig:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.num_walks < 1:
             raise ValueError(f"num_walks must be >= 1, got {self.num_walks}")
-        if self.beta < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
 
     @property
     def walk_length(self) -> int:
@@ -83,8 +81,6 @@ class RandomConfig:
 
     def label(self) -> str:
         parts = [f"eps={self.epsilon:g}", f"walks={self.num_walks}"]
-        if self.beta != DEFAULT_BETA:
-            parts.append(f"beta={self.beta}")
         if self.theorem_mode:
             parts.append("theorem")
         if not self.stop_early:
@@ -146,7 +142,7 @@ class RandomWalkMwm:
         ``mwm_on_path``'s recurrence in its order but without its selection
         flags.  Only when that value strictly beats the path's matched weight
         (a few percent of walks) does ``improve_along_path`` run the full DP
-        with its backtrack and rewrite the matching.  With stop_early, beta
+        with its backtrack and rewrite the matching.  With stop_early, BETA
         consecutive failures abort the campaign; the failure counter resets
         on every success and is local to this campaign.
         """
@@ -156,7 +152,7 @@ class RandomWalkMwm:
         state = self.state
         rng = self.rng
         max_len = cfg.walk_length
-        stop_after = cfg.beta if cfg.stop_early else 0  # 0: never stop early
+        stop_after = BETA if cfg.stop_early else 0  # 0: never stop early
         path = WalkPath()
         nodes = path.nodes
         weights = path.weights

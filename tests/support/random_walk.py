@@ -8,7 +8,7 @@ counters and RNG draws.
 from __future__ import annotations
 
 from dynmatch.paths import WalkPath, extend_walk, improve_along_path
-from dynmatch.random_walk import RandomWalkMwm
+from dynmatch.random_walk import BETA, RandomWalkMwm
 
 
 def reference_walk_campaign(algo: RandomWalkMwm, seed_builder, *args) -> int:
@@ -29,7 +29,7 @@ def reference_walk_campaign(algo: RandomWalkMwm, seed_builder, *args) -> int:
             consecutive_failures = 0
         else:
             consecutive_failures += 1
-            if cfg.stop_early and consecutive_failures >= cfg.beta:
+            if cfg.stop_early and consecutive_failures >= BETA:
                 break
     return successes
 

@@ -8,7 +8,7 @@ from dynmatch.errors import AbsentEdgeError
 from dynmatch.graph import MAX_WEIGHT, DynamicGraph, edge_key
 
 from conftest import random_graph
-from support.graph import random_neighbor
+from support.graph import PositionIndexedGraph, random_neighbor
 
 
 def test_edge_key_canonical():
@@ -125,25 +125,32 @@ def test_round_trip_rebuild_after_1e5_ops():
     assert {edge_key(u, v) for u, v, _ in g.edges()} == present
 
 
-def test_position_index_coherent_after_1e4_ops():
+def test_neighbor_order_matches_position_indexed_model_after_1e4_ops():
+    # The random walks draw adj[r], so the list order itself is pinned: it
+    # must equal the swap-remove order of position-dict bookkeeping.
     rng = random.Random(7)
     n = 200
     g = DynamicGraph(n)
+    model = PositionIndexedGraph(n)
+    edges = 0
     for _ in range(10_000):
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u == v:
             continue
-        if g.has_edge(u, v):
-            g.delete_edge(u, v)
+        if model.has_edge(u, v):
+            assert g.delete_edge(u, v)
+            model.delete(u, v)
+            edges -= 1
         else:
-            g.insert_edge(u, v, 1)
-        # L_u[H_u(v)] == v for every stored position
-        for x in (u, v):
-            adj, pos = g._adj[x], g._pos[x]
-            assert len(adj) == len(pos)
-            for nb, i in pos.items():
-                assert adj[i] == nb
+            assert g.insert_edge(u, v, 1)
+            model.insert(u, v)
+            edges += 1
+        assert g._adj == model.adj
+        assert g.has_edge(u, v) == g.has_edge(v, u) == model.has_edge(u, v)
+        assert g.edge_count() == edges
+        assert g.degree(u) == len(model.adj[u])
+        assert g.degree(v) == len(model.adj[v])
 
 
 def test_neighbors_view_tracks_mutation():

@@ -516,6 +516,13 @@ def test_parse_tau_grid_forms():
         parse_tau_grid("1.0:0.5:-0.1")
     with pytest.raises(ValueError):
         parse_tau_grid("")
+    # Non-finite or reversed bounds and oversized ranges are refused before
+    # any point is generated.
+    for spec in ("nan:1:0.1", "0.5:inf:0.1", "0.5:1:nan", "0.5:1:inf", "0.9:0.5:0.1"):
+        with pytest.raises(ValueError, match="tau grid"):
+            parse_tau_grid(spec)
+    with pytest.raises(ValueError, match="more than 10000"):
+        parse_tau_grid("0.5:1:1e-9")
 
 
 def row(instance, algorithm, final_weight, opt_weight):
@@ -656,9 +663,9 @@ def test_cli_theorem_mode_beyond_float_range_runs(tmp_path, capsys):
     star.write_text("4\n0 1 5\n0 2 3\n0 3 4\n")
     assert main([
         "run", "--input", str(star), "--algo", "random", "--theorem-mode",
-        "--epsilon", "0.001", "--reps", "1", "--beta", "3",
+        "--epsilon", "0.001", "--reps", "1",
     ]) == 0
-    assert "random [eps=0.001,walks=1,beta=3,theorem]" in capsys.readouterr().out
+    assert "random [eps=0.001,walks=1,theorem]" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -720,6 +727,8 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="level-epsilon-inf"),
         pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0.5"], "1",
                      id="level-epsilon-flag-removed"),
+        pytest.param(RUN + ["--algo", "random", "--beta", "3"], "1",
+                     id="beta-flag-removed"),
         pytest.param(RUN + ["--algo", "oracle", "--oracle-interval", "0"], "1",
                      id="oracle-interval-zero"),
         pytest.param(RUN + ["--algo", "random", "--opt", "foo"], "1",
@@ -742,18 +751,65 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="profile-results-missing"),
         pytest.param(["profile", "--results", "{input}", "--tau-grid", "2"], "1",
                      id="profile-tau-above-1"),
+        pytest.param(["profile", "--results", "{results}", "--tau-grid", "nan:1:0.1"],
+                     "1", id="profile-tau-start-nan"),
+        pytest.param(["profile", "--results", "{results}", "--tau-grid", "0.5:inf:0.1"],
+                     "1", id="profile-tau-stop-inf"),
+        pytest.param(["profile", "--results", "{results}", "--tau-grid", "0.5:1:1e-9"],
+                     "1", id="profile-tau-too-many-points"),
+        pytest.param(["profile", "--results", "{input}"], "1",
+                     id="profile-results-no-algorithm-column"),
+        pytest.param(["profile", "--results", "{bad_weight}"], "1",
+                     id="profile-results-weight-not-a-number"),
+        pytest.param(RUN + ["--algo", "random", "--out", "{unwritable}"], "1",
+                     id="run-out-unwritable"),
+        pytest.param(["gen", "--random", "10", "20", "--out", "{unwritable}"], "1",
+                     id="gen-out-unwritable"),
+        pytest.param(["profile", "--results", "{results}", "--out", "{unwritable}"],
+                     "1", id="profile-out-unwritable"),
     ],
 )
-def test_cli_bad_arguments_exit_2(static_file, monkeypatch, capsys, argv, env_seed):
+def test_cli_bad_arguments_exit_2(
+    static_file, tmp_path, monkeypatch, capsys, argv, env_seed
+):
     # A bad argument is a usage error: exit 2 with a one-line message, raised
     # before any replay starts.
+    header = "instance,algorithm,final_weight,opt_weight\n"
+    paths = {
+        "{input}": static_file,
+        "{results}": tmp_path / "results.csv",
+        "{bad_weight}": tmp_path / "bad_weight.csv",
+        "{unwritable}": tmp_path / "no-such-dir" / "out",
+    }
+    paths["{results}"].write_text(header + "toy,random,9,10\n")
+    paths["{bad_weight}"].write_text(header + "toy,random,9,10\ntoy,random,heavy,10\n")
     monkeypatch.setenv("DYNMATCH_SEED", env_seed)
     with pytest.raises(SystemExit) as exc:
-        main([str(static_file) if a == "{input}" else a for a in argv])
+        main([str(paths.get(a, a)) for a in argv])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert ": error: " in captured.err.splitlines()[-1]
+    assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_cli_usage_errors_name_the_bad_cell_and_path(static_file, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    header = "instance,algorithm,final_weight,opt_weight\n"
+    results.write_text(header + "toy,random,9,10\ntoy,random,heavy,10\n")
+    with pytest.raises(SystemExit):
+        main(["profile", "--results", str(results)])
+    assert "results row 2, column 'final_weight': 'heavy'" in capsys.readouterr().err
+    results.write_text("instance,final_weight,opt_weight\ntoy,9,10\n")
+    with pytest.raises(SystemExit):
+        main(["profile", "--results", str(results)])
+    assert "results row 1 has no 'algorithm' column" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([
+            "run", "--input", str(static_file), "--algo", "random",
+            "--out", str(tmp_path / "no-such-dir" / "results.csv"),
+        ])
+    assert "cannot write --out: " in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit_code(tmp_path):

@@ -16,7 +16,7 @@ from dynmatch.harness.replay import random_walk_factory, replay
 from dynmatch.harness.streams import gen_insertion_stream, gen_undo_suffix
 from dynmatch.matching import assert_matching_consistent
 from dynmatch.oracle import exact_mwm
-from dynmatch.random_walk import RandomConfig, RandomWalkMwm
+from dynmatch.random_walk import BETA, RandomConfig, RandomWalkMwm
 
 from conftest import build_graph
 from support.matching import matching_weight_recompute
@@ -42,8 +42,6 @@ def test_config_validation():
             RandomConfig(epsilon=eps)
     with pytest.raises(ValueError):
         RandomConfig(num_walks=0)
-    with pytest.raises(ValueError):
-        RandomConfig(beta=0)
 
 
 def test_walk_length_from_epsilon():
@@ -56,7 +54,6 @@ def test_walk_length_from_epsilon():
 def test_config_label():
     assert RandomConfig(epsilon=0.5, num_walks=7).label() == "eps=0.5,walks=7"
     assert RandomConfig().label() == "eps=1,walks=1"
-    assert RandomConfig(beta=3).label() == "eps=1,walks=1,beta=3"
     assert "theorem" in RandomConfig(theorem_mode=True).label()
     assert "no-stop-early" in RandomConfig(stop_early=False).label()
 
@@ -160,19 +157,19 @@ def test_delete_unmatched_edge_between_matched_vertices_is_noop():
 
 def test_campaign_on_optimal_matching_stops_after_beta_failures():
     g = build_graph(2, [(0, 1, 10)])
-    algo = make_algo(g, num_walks=20, beta=5)
+    algo = make_algo(g, num_walks=20)
     algo.state.match_edge(0, 1, 10)
     successes = algo.run_walk_campaign(algo._seed_anchor, 0)
     assert successes == 0
-    assert algo.walks_run == 5  # min(num_walks, beta)
+    assert algo.walks_run == BETA  # min(num_walks, BETA)
 
 
 def test_campaign_budget_smaller_than_beta_runs_out_first():
     g = build_graph(2, [(0, 1, 10)])
-    algo = make_algo(g, num_walks=3, beta=5)
+    algo = make_algo(g, num_walks=BETA - 2)
     algo.state.match_edge(0, 1, 10)
     assert algo.run_walk_campaign(algo._seed_anchor, 0) == 0
-    assert algo.walks_run == 3
+    assert algo.walks_run == BETA - 2
 
 
 def test_campaign_without_stop_early_runs_full_budget():
@@ -185,15 +182,15 @@ def test_campaign_without_stop_early_runs_full_budget():
 
 def test_failure_counter_restarts_after_a_success():
     # First walk of the insert campaign succeeds, every later walk fails,
-    # so the campaign runs 1 + beta walks in total.
+    # so the campaign runs 1 + BETA walks in total.
     g = build_graph(3, [(0, 1, 3)])
-    algo = make_algo(g, num_walks=20, beta=3)
+    algo = make_algo(g, num_walks=20)
     algo.state.match_edge(0, 1, 3)
     g.insert_edge(1, 2, 9)
     algo.handle_insert(1, 2, 9)
     assert algo.weight == 9
-    assert algo.walks_run == 4
-    assert algo.stats() == {"successes": 1, "failures": 3}
+    assert algo.walks_run == 1 + BETA
+    assert algo.stats() == {"successes": 1, "failures": BETA}
 
 
 class _RecordCampaigns:
@@ -241,18 +238,16 @@ def _snapshot(algo):
     ),
     seed=st.integers(min_value=0, max_value=2**32),
     epsilon=st.sampled_from([0.5, 1.0, 2.0]),
-    num_walks=st.integers(min_value=1, max_value=6),
+    # Up to 12 walks, so a campaign can still stop early after a success.
+    num_walks=st.integers(min_value=1, max_value=12),
     stop_early=st.booleans(),
-    beta=st.integers(min_value=1, max_value=4),
     divisor=st.sampled_from([1, 7]),
 )
 def test_fused_campaign_matches_per_walk_reference(
-    n, toggles, seed, epsilon, num_walks, stop_early, beta, divisor
+    n, toggles, seed, epsilon, num_walks, stop_early, divisor
 ):
     # Each toggle inserts (u, v) when absent and deletes it when present.
-    cfg = RandomConfig(
-        epsilon=epsilon, num_walks=num_walks, stop_early=stop_early, beta=beta
-    )
+    cfg = RandomConfig(epsilon=epsilon, num_walks=num_walks, stop_early=stop_early)
     g_fused, g_ref = DynamicGraph(n), DynamicGraph(n)
     fused = _Fused(g_fused, cfg, seed)
     ref = _Reference(g_ref, cfg, seed)
@@ -324,7 +319,7 @@ def test_theorem_mode_budget_saturates_beyond_float_range():
     algo = make_algo(g, epsilon=0.001, theorem_mode=True)
     g.insert_edge(0, 3, 4)
     algo.handle_insert(0, 3, 4)
-    assert algo.walks_run - algo.walks_improved >= algo.config.beta
+    assert algo.walks_run - algo.walks_improved >= BETA
     algo.audit(deep=True)
 
 
