@@ -1,10 +1,15 @@
 """Command-line entry point.
 
 Subcommands:
-  run      replay a stream through an algorithm, report per-rep results
+  run      replay a stream through an algorithm, report per-rep results; the
+           input is a static edge list or a temporal stream, told apart by
+           its text (see _is_temporal)
   gen      generate an update stream file (random insertion order, optional
            undo suffix)
-  profile  turn a results CSV into a performance-profile TSV
+  profile  turn a results CSV into a performance-profile TSV over the tau
+           grid 0.50, 0.51, ..., 1.00
+
+Seeds default to 1.
 
 Exit codes: 0 on success, 2 on bad arguments, parse errors, replay errors,
 invariant violations found in audit mode, or an oracle-limit breach when the
@@ -16,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import random
 import sys
 from pathlib import Path
@@ -31,7 +35,6 @@ from dynmatch.errors import (
 from dynmatch.harness.profiles import (
     default_tau_grid,
     geometric_mean,
-    parse_tau_grid,
     perf_profile,
 )
 from dynmatch.harness.replay import (
@@ -63,14 +66,6 @@ ALGO_CHOICES = ("random", "level-walk", "level-bfs", "oracle")
 MAX_GEN_EDGES = 10**6
 
 
-def _default_seed(args) -> int:
-    raw = os.environ.get("DYNMATCH_SEED", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        args.error(f"DYNMATCH_SEED must be an integer, got {raw!r}")
-
-
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -93,20 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="replay a stream through an algorithm")
-    p_run.add_argument("--input", required=True, help="input graph/stream file")
     p_run.add_argument(
-        "--temporal",
-        action="store_true",
-        help="input is a temporal stream ('u v w ts [op]'), not a static "
-        "edge list",
+        "--input",
+        required=True,
+        help="static edge list or temporal stream; the format is read from "
+        "the text",
     )
     p_run.add_argument("--algo", required=True, choices=ALGO_CHOICES)
-    p_run.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="master seed (default: $DYNMATCH_SEED or 1)",
-    )
+    p_run.add_argument("--seed", type=int, default=1, help="master seed")
     p_run.add_argument("--reps", type=positive_int, default=10, help="repetitions")
     p_run.add_argument(
         "--undo-percent",
@@ -167,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("N", "M"),
         help="generate M distinct random edges on N vertices instead",
     )
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=1)
     p_gen.add_argument(
         "--undo-percent",
         type=percent,
@@ -179,11 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="results CSV -> profile TSV")
     p_prof.add_argument("--results", required=True, help="results CSV from run")
-    p_prof.add_argument(
-        "--tau-grid",
-        default=None,
-        help="'0.8,0.9,1.0' or 'start:stop:step' (default 0.50:1.00:0.01)",
-    )
     p_prof.add_argument("--out", help="output path (default: stdout)")
     p_prof.set_defaults(func=cmd_profile, error=p_prof.error)
 
@@ -204,9 +188,28 @@ def _open_out(args, mode: str) -> TextIO:
         args.error(f"cannot write --out: {exc}")
 
 
+def _is_temporal(text: str) -> bool:
+    """Whether text is a temporal stream rather than a static edge list.
+
+    The first line that tells them apart decides: a ``# n=K`` hint or a
+    data line of more than one field means temporal, a data line of one
+    field (the static vertex count) means static.  Text with neither,
+    blank or comments only, goes to the static parser, which reports it
+    as empty.
+    """
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line.startswith("#"):
+            if line[1:].replace(" ", "").startswith("n="):
+                return True
+        elif line:
+            return len(line.split()) > 1
+    return False
+
+
 def _load_stream(args) -> UpdateStream:
     text = _read_input(args)
-    if args.temporal:
+    if _is_temporal(text):
         stream = parse_temporal(text)
         dropped = {
             k: v for k, v in stream.provenance.get("warnings", {}).items() if v
@@ -257,8 +260,6 @@ def _numeric_opt(args) -> float | None:
 
 
 def cmd_run(args) -> int:
-    if args.seed is None:
-        args.seed = _default_seed(args)
     try:
         factory, config = _build_factory(args)
     except ValueError as exc:
@@ -327,12 +328,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.seed is None:
-        args.seed = _default_seed(args)
     if args.random:
         n, m = args.random
         if n < 2:
             args.error("--random needs at least 2 vertices")
+        if m < 0:
+            args.error(f"--random M must be >= 0, got {m}")
         if n > MAX_N_HINT:
             args.error(f"--random N={n} exceeds the vertex count ceiling {MAX_N_HINT}")
         if m > MAX_GEN_EDGES:
@@ -365,10 +366,6 @@ def cmd_gen(args) -> int:
 
 def cmd_profile(args) -> int:
     try:
-        taus = parse_tau_grid(args.tau_grid) if args.tau_grid else default_tau_grid()
-    except ValueError as exc:
-        args.error(str(exc))
-    try:
         with open(args.results, newline="") as fh:
             rows = list(csv.DictReader(fh))
     except (OSError, UnicodeDecodeError) as exc:
@@ -376,7 +373,7 @@ def cmd_profile(args) -> int:
     if not rows:
         args.error(f"no result rows in {args.results}")
     try:
-        profile = perf_profile(rows, taus)
+        profile = perf_profile(rows, default_tau_grid())
     except ValueError as exc:
         args.error(f"{args.results}: {exc}")
     if profile.skipped_no_opt:

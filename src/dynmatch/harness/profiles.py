@@ -25,46 +25,8 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(logs / len(values))
 
 
-# Most points a 'start:stop:step' tau grid may expand to.
-MAX_TAU_POINTS = 10_000
-
-
-def parse_tau_grid(spec: str) -> list[float]:
-    """Parse '0.8,0.9,0.95' or 'start:stop:step' into a tau grid in (0, 1].
-
-    A range needs 0 < start <= stop <= 1, a finite step > 0 and at most
-    MAX_TAU_POINTS points; it is checked before any point is generated.
-    """
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad tau grid {spec!r}; expected start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if not 0 < start <= stop <= 1:
-            raise ValueError(
-                f"tau grid needs 0 < start <= stop <= 1, got {start}:{stop}"
-            )
-        if not 0 < step < math.inf:
-            raise ValueError(f"tau grid step must be positive and finite, got {step}")
-        # The 1e-12 slack keeps a stop that the steps reach up to rounding.
-        points = (stop - start + 1e-12) // step + 1
-        if points > MAX_TAU_POINTS:
-            raise ValueError(
-                f"tau grid {spec!r} has {points:.3g} points, more than "
-                f"{MAX_TAU_POINTS}"
-            )
-        taus = [round(start + k * step, 10) for k in range(int(points))]
-    else:
-        taus = [float(p) for p in spec.split(",") if p.strip()]
-    if not taus:
-        raise ValueError(f"empty tau grid {spec!r}")
-    for t in taus:
-        if not 0 < t <= 1:
-            raise ValueError(f"tau values must be in (0, 1], got {t}")
-    return taus
-
-
 def default_tau_grid() -> list[float]:
+    """0.50, 0.51, ..., 1.00: the grid ``dynmatch profile`` scores."""
     return [round(0.50 + 0.01 * k, 2) for k in range(51)]
 
 

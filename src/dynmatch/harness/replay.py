@@ -131,16 +131,18 @@ def replay(
     """Apply every op to a fresh graph and algorithm, timing each update.
 
     With audit=True the algorithm's invariants are checked after every op,
-    outside the timed region; violations raise MatchingCorruptionError and
-    are never swallowed.  The per-op audit is O(Δ): it checks mate symmetry,
-    graph membership and stored weight only at the vertices touched since
-    the previous audit (the op's endpoints and every vertex whose mate
-    changed), plus the weight total against an independently maintained
-    sum.  The full O(n + |M|) audit -- every matched pair, and each
-    algorithm's own structures such as LevelMwm's levels and its merged view
-    against a from-scratch merge -- runs on ops whose ``seq`` is a multiple
-    of ``deep_audit_every`` (0 disables these) and after the last op.  Raises
-    ReplayError when an op does not apply cleanly.
+    outside the timed region; violations raise MatchingCorruptionError,
+    prefixed with ``op <seq>:`` (``after the last op:`` for the tail audit)
+    and chained to the audit's own error, never swallowed.  The per-op
+    audit is O(Δ): it checks mate symmetry, graph membership and stored
+    weight only at the vertices touched since the previous audit (the op's
+    endpoints and every vertex whose mate changed), plus the weight total
+    against an independently maintained sum.  The full O(n + |M|) audit --
+    every matched pair, and each algorithm's own structures such as
+    LevelMwm's levels and its merged view against a from-scratch merge --
+    runs on ops whose ``seq`` is a multiple of ``deep_audit_every`` (0
+    disables these) and after the last op.  Raises ReplayError when an op
+    does not apply cleanly.
 
     The timed region is the graph mutation, the update handler and a read
     of the algorithm's weight, so LevelMwm's greedy merge, which runs on
@@ -177,9 +179,9 @@ def replay(
             worst = dt
         if audit:
             deep = deep_audit_every > 0 and op.seq % deep_audit_every == 0
-            algo.audit(deep=deep)
+            _audit(algo, deep, f"op {op.seq}")
     if audit and stream.ops and not deep:  # the tail since the last deep audit
-        algo.audit(deep=True)
+        _audit(algo, True, "after the last op")
     return ReplayOutcome(
         algorithm=algo,
         graph=graph,
@@ -187,6 +189,14 @@ def replay(
         total_time=total,
         max_op_time=worst,
     )
+
+
+def _audit(algo: MatchingAlgorithm, deep: bool, where: str) -> None:
+    """Audit ``algo``; a failure is re-raised prefixed with ``where``."""
+    try:
+        algo.audit(deep=deep)
+    except MatchingCorruptionError as exc:
+        raise MatchingCorruptionError(f"{where}: {exc}") from exc
 
 
 @dataclass

@@ -8,8 +8,8 @@ update handlers and the same kernel, ``augment_from``:
   a matched one and continue at its displaced mate); the walk fails as soon
   as it draws a vertex it has already touched, so every walk is a simple
   alternating path;
-* ``bfs`` - depth-bounded alternating breadth-first search without blossom
-  contraction.
+* ``bfs`` - alternating breadth-first search without blossom contraction,
+  depth-bounded unless safe_mode.
 
 Neither writes the matching while it searches.  Both read mates through an
 overlay {vertex: mate} that holds only what the search has changed so far,
@@ -19,7 +19,7 @@ and path together.  A failed attempt, the swap included, leaves no trace.
 
 No blossom handling means the BFS can miss augmenting paths through odd
 cycles; it is exact on bipartite graphs only, and that is the only place
-exactness is claimed (safe_mode with unbounded depth).
+exactness is claimed (the BFS in safe_mode).
 """
 
 from __future__ import annotations
@@ -38,20 +38,24 @@ from .matching import FREE, MatchingState
 class McmConfig:
     """Knobs for the cardinality subroutines.
 
-    epsilon sets the search depth ceil(2/epsilon - 1) used by both
-    strategies (when depth_bounded).  safe_mode handles the insert case
-    where both endpoints are matched (otherwise ignored, which can lose
-    optimality even on bipartite graphs).  kind selects the search.
+    epsilon sets the search depth ceil(2/epsilon - 1) of both strategies;
+    2/epsilon must be finite.  safe_mode handles the insert case where both
+    endpoints are matched (otherwise ignored, which can lose optimality even
+    on bipartite graphs) and lifts the depth bound of the BFS and of that
+    case's search, which makes the BFS exact on bipartite graphs.  kind
+    selects the search.
     """
 
     epsilon: float = 1.0
     safe_mode: bool = False
-    depth_bounded: bool = True
     kind: str = "walk"
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (0 < self.epsilon < math.inf and 2.0 / self.epsilon < math.inf):
+            raise ValueError(
+                "epsilon must be finite and > 0 with 2/epsilon finite, "
+                f"got {self.epsilon}"
+            )
         if self.kind not in ("walk", "bfs"):
             raise ValueError(f"kind must be 'walk' or 'bfs', got {self.kind!r}")
 
@@ -216,13 +220,13 @@ class DynamicMcm:
     def _bfs(self, start: int, seed: dict[int, int]) -> dict[int, int] | None:
         """Alternating BFS from a free vertex, reading mates through
         ``seed``; returns the seed plus the first augmenting path found
-        within the depth budget, flipped, or None.  No blossom contraction:
-        odd cycles can hide paths, so this is exact only on bipartite
-        inputs."""
+        within the depth budget (none in safe_mode), flipped, or None.  No
+        blossom contraction: odd cycles can hide paths, so this is exact
+        only on bipartite inputs."""
         adjs = self.graph._adj
         degree = self.graph.degree
         base = self.state._mate
-        budget = self._depth if self.config.depth_bounded else None
+        budget = None if self.config.safe_mode else self._depth
         # parent_odd[y] = even vertex that reached y; parent_even[z] = odd y
         # with mate z.  Even vertices extend via unmatched edges only.
         parent_odd: dict[int, int] = {}
@@ -253,20 +257,18 @@ class DynamicMcm:
 
     def _alternating_free_node(self, u: int) -> int | None:
         """First free vertex reachable from matched u by an alternating path
-        that leaves through u's matched edge; traversal only, no mutation."""
+        of any length that leaves through u's matched edge; traversal only,
+        no mutation.  Only safe_mode calls it."""
         adjs = self.graph._adj
         degree = self.graph.degree
         st = self.state
         if st.mate_of(u) == FREE:
             return None
-        budget = self._depth if self.config.depth_bounded else None
         first = st.mate_of(u)
         seen = {u, first}
-        queue: deque[tuple[int, int]] = deque([(first, 1)])
+        queue: deque[int] = deque([first])
         while queue:
-            x, d = queue.popleft()
-            if budget is not None and d + 1 > budget:
-                continue
+            x = queue.popleft()
             mx = st.mate_of(x)
             for y in adjs[x][: degree(x)]:
                 if y == mx or y in seen:
@@ -277,7 +279,7 @@ class DynamicMcm:
                 z = st.mate_of(y)
                 if z not in seen:
                     seen.add(z)
-                    queue.append((z, d + 2))
+                    queue.append(z)
         return None
 
     # -- reporting ---------------------------------------------------------------

@@ -32,11 +32,11 @@ BETA = 5
 class RandomConfig:
     """Tuning knobs for the walk-based matcher.
 
-    epsilon drives the walk length ceil(2/epsilon + 3); num_walks is the
-    per-campaign walk count unless theorem_mode replaces it with
-    ceil(Delta^(2/epsilon+3) * ln n), the count under which the quality
-    guarantee holds with high probability.  stop_early aborts a campaign
-    after BETA consecutive unsuccessful walks.
+    epsilon, with 2/epsilon finite, drives the walk length
+    ceil(2/epsilon + 3); num_walks is the per-campaign walk count unless
+    theorem_mode replaces it with ceil(Delta^(2/epsilon+3) * ln n), the
+    count under which the quality guarantee holds with high probability.
+    stop_early aborts a campaign after BETA consecutive unsuccessful walks.
     """
 
     epsilon: float = 1.0
@@ -45,8 +45,11 @@ class RandomConfig:
     theorem_mode: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not (0 < self.epsilon < math.inf and 2.0 / self.epsilon < math.inf):
+            raise ValueError(
+                "epsilon must be finite and > 0 with 2/epsilon finite, "
+                f"got {self.epsilon}"
+            )
         if self.num_walks < 1:
             raise ValueError(f"num_walks must be >= 1, got {self.num_walks}")
 

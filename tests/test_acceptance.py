@@ -478,7 +478,7 @@ def test_11_safe_unbounded_mcm_tracks_exact_cardinality():
         n, pairs = random_bipartite_edges(nl, nr, m, rng.randrange(2**30))
         g = DynamicGraph(n)
         mcm = DynamicMcm(
-            g, McmConfig(kind="bfs", safe_mode=True, depth_bounded=False), seed=i
+            g, McmConfig(kind="bfs", safe_mode=True), seed=i
         )
         order = list(pairs)
         rng.shuffle(order)

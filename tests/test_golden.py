@@ -138,7 +138,7 @@ def test_standalone_safe_mode_mcm_digest_unchanged(churn_prefix):
     # bit; test_11 checks only cardinality.  Recorded at commit ffcdc11.
     g = DynamicGraph(churn_prefix.n)
     mcm = DynamicMcm(
-        g, McmConfig(kind="bfs", safe_mode=True, depth_bounded=False), 2026
+        g, McmConfig(kind="bfs", safe_mode=True), 2026
     )
     h = hashlib.sha256()
     for k, op in enumerate(churn_prefix.ops, 1):

@@ -13,7 +13,6 @@ from dynmatch.harness.cli import main
 from dynmatch.harness.profiles import (
     default_tau_grid,
     geometric_mean,
-    parse_tau_grid,
     perf_profile,
 )
 from dynmatch.harness.replay import (
@@ -41,7 +40,7 @@ from dynmatch.harness.streams import (
 )
 from dynmatch.levels import LevelConfig, LevelMwm
 from dynmatch.oracle import exact_mwm
-from dynmatch.random_walk import RandomConfig
+from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
 
 def walk_factory(**cfg):
@@ -312,6 +311,53 @@ def test_replay_error_names_the_offending_op():
         replay(dup, walk_factory(), seed=1)
 
 
+def corrupt_after(k, corrupt):
+    """A RandomWalkMwm factory whose insert handler runs ``corrupt(algo)``
+    after handling op ``k`` of an insert-only stream."""
+
+    def factory(graph, seed):
+        algo = RandomWalkMwm(graph, RandomConfig(), seed)
+        handle = algo.handle_insert
+
+        def handle_insert(u, v, w):
+            handle(u, v, w)
+            if graph.edge_count() == k + 1:
+                corrupt(algo)
+
+        algo.handle_insert = handle_insert
+        return algo
+
+    return factory
+
+
+def drift_weight(algo):
+    algo.state.total_weight += 1
+
+
+def retag_pair_0_1(algo):
+    algo.state._pairs[(0, 1)] = 9  # vertices the last op did not touch
+
+
+@pytest.mark.parametrize(
+    "k, corrupt, message",
+    [
+        (1, drift_weight, r"^op 1: weight drift"),
+        (2, drift_weight, r"^op 2: weight drift"),
+        # Only a deep audit sees a pair the last op did not touch.
+        (2, retag_pair_0_1, r"^after the last op: .*stored weight"),
+    ],
+    ids=["op-1", "last-op", "tail"],
+)
+def test_replay_audit_failure_names_the_op(k, corrupt, message):
+    stream = UpdateStream(
+        n=6,
+        ops=[UpdateOp(INSERT, 2 * i, 2 * i + 1, 5 + i, i) for i in range(3)],
+    )
+    with pytest.raises(MatchingCorruptionError, match=message) as exc:
+        replay(stream, corrupt_after(k, corrupt), seed=1, audit=True)
+    assert isinstance(exc.value.__cause__, MatchingCorruptionError)
+
+
 def test_replay_deterministic_under_fixed_seed():
     edges = [(i, j, None) for i in range(10) for j in range(i + 1, 10)]
     stream = gen_undo_suffix(
@@ -503,28 +549,6 @@ def test_geometric_mean_rejects_bad_inputs():
         geometric_mean([2.0, -1.0])
 
 
-def test_parse_tau_grid_forms():
-    assert parse_tau_grid("0.8,0.9,1.0") == [0.8, 0.9, 1.0]
-    assert parse_tau_grid("0.5:1.0:0.25") == [0.5, 0.75, 1.0]
-    grid = default_tau_grid()
-    assert grid[0] == 0.5 and grid[-1] == 1.0 and len(grid) == 51
-    with pytest.raises(ValueError):
-        parse_tau_grid("0.5,1.5")
-    with pytest.raises(ValueError):
-        parse_tau_grid("0:1:0.1")  # tau 0 not allowed
-    with pytest.raises(ValueError):
-        parse_tau_grid("1.0:0.5:-0.1")
-    with pytest.raises(ValueError):
-        parse_tau_grid("")
-    # Non-finite or reversed bounds and oversized ranges are refused before
-    # any point is generated.
-    for spec in ("nan:1:0.1", "0.5:inf:0.1", "0.5:1:nan", "0.5:1:inf", "0.9:0.5:0.1"):
-        with pytest.raises(ValueError, match="tau grid"):
-            parse_tau_grid(spec)
-    with pytest.raises(ValueError, match="more than 10000"):
-        parse_tau_grid("0.5:1:1e-9")
-
-
 def row(instance, algorithm, final_weight, opt_weight):
     return {
         "instance": instance,
@@ -605,7 +629,7 @@ def test_cli_gen_then_run_round_trip(tmp_path, static_file, capsys):
 
     csv_file = tmp_path / "results.csv"
     code = main([
-        "run", "--input", str(stream_file), "--temporal", "--algo", "random",
+        "run", "--input", str(stream_file), "--algo", "random",
         "--seed", "5", "--reps", "2", "--audit", "--out", str(csv_file),
         "--label", "toy",
     ])
@@ -708,69 +732,68 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
 
 
 @pytest.mark.parametrize(
-    "argv, env_seed",
+    "argv",
     [
-        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "0"], "1",
+        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "0"],
                      id="level-epsilon-zero"),
-        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "0.05"], "1",
+        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "0.05"],
                      id="level-epsilon-small"),
         pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "0.05",
-                            "--allow-small-epsilon"], "1",
+                            "--allow-small-epsilon"],
                      id="allow-small-epsilon-removed"),
-        pytest.param(RUN + ["--algo", "random", "--walks", "0"], "1",
+        pytest.param(RUN + ["--algo", "random", "--walks", "0"],
                      id="walks-zero"),
-        pytest.param(RUN + ["--algo", "random", "--epsilon", "nan"], "1",
+        pytest.param(RUN + ["--algo", "random", "--epsilon", "nan"],
                      id="epsilon-nan"),
-        pytest.param(RUN + ["--algo", "random", "--epsilon", "inf"], "1",
+        pytest.param(RUN + ["--algo", "random", "--epsilon", "inf"],
                      id="epsilon-inf"),
-        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "inf"], "1",
+        pytest.param(RUN + ["--algo", "random", "--epsilon", "1e-320"],
+                     id="epsilon-tiny"),
+        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "inf"],
                      id="level-epsilon-inf"),
-        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0.5"], "1",
+        pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0.5"],
                      id="level-epsilon-flag-removed"),
-        pytest.param(RUN + ["--algo", "random", "--beta", "3"], "1",
+        pytest.param(RUN + ["--algo", "random", "--beta", "3"],
                      id="beta-flag-removed"),
-        pytest.param(RUN + ["--algo", "oracle", "--oracle-interval", "0"], "1",
+        pytest.param(RUN + ["--algo", "random", "--temporal"],
+                     id="temporal-flag-removed"),
+        pytest.param(RUN + ["--algo", "oracle", "--oracle-interval", "0"],
                      id="oracle-interval-zero"),
-        pytest.param(RUN + ["--algo", "random", "--opt", "foo"], "1",
+        pytest.param(RUN + ["--algo", "random", "--opt", "foo"],
                      id="opt-word"),
-        pytest.param(RUN + ["--algo", "random", "--opt", "nan"], "1", id="opt-nan"),
-        pytest.param(RUN + ["--algo", "random", "--opt", "-5"], "1",
+        pytest.param(RUN + ["--algo", "random", "--opt", "nan"], id="opt-nan"),
+        pytest.param(RUN + ["--algo", "random", "--opt", "-5"],
                      id="opt-negative"),
-        pytest.param(RUN + ["--algo", "random", "--reps", "0"], "1",
+        pytest.param(RUN + ["--algo", "random", "--reps", "0"],
                      id="reps-zero"),
-        pytest.param(RUN + ["--algo", "random", "--undo-percent", "150"], "1",
+        pytest.param(RUN + ["--algo", "random", "--undo-percent", "150"],
                      id="undo-percent-above-100"),
-        pytest.param(RUN + ["--algo", "random", "--input", "no-such.graph"], "1",
+        pytest.param(RUN + ["--algo", "random", "--input", "no-such.graph"],
                      id="input-missing"),
-        pytest.param(RUN + ["--algo", "random"], "x", id="env-seed-not-int"),
-        pytest.param(["gen", "--random", "2000000", "3"], "1",
+        pytest.param(["gen", "--random", "2000000", "3"],
                      id="gen-random-n-above-ceiling"),
-        pytest.param(["gen", "--random", "1000000", "20000000"], "1",
+        pytest.param(["gen", "--random", "1000000", "20000000"],
                      id="gen-random-m-above-ceiling"),
-        pytest.param(["profile", "--results", "no-such.csv"], "1",
+        pytest.param(["gen", "--random", "10", "-5"], id="gen-random-m-negative"),
+        pytest.param(["profile", "--results", "no-such.csv"],
                      id="profile-results-missing"),
-        pytest.param(["profile", "--results", "{input}", "--tau-grid", "2"], "1",
+        # profile has no --tau-grid: it always scores 0.50:1.00:0.01.
+        pytest.param(["profile", "--results", "{input}", "--tau-grid", "2"],
                      id="profile-tau-above-1"),
-        pytest.param(["profile", "--results", "{results}", "--tau-grid", "nan:1:0.1"],
-                     "1", id="profile-tau-start-nan"),
-        pytest.param(["profile", "--results", "{results}", "--tau-grid", "0.5:inf:0.1"],
-                     "1", id="profile-tau-stop-inf"),
-        pytest.param(["profile", "--results", "{results}", "--tau-grid", "0.5:1:1e-9"],
-                     "1", id="profile-tau-too-many-points"),
-        pytest.param(["profile", "--results", "{input}"], "1",
+        pytest.param(["profile", "--results", "{input}"],
                      id="profile-results-no-algorithm-column"),
-        pytest.param(["profile", "--results", "{bad_weight}"], "1",
+        pytest.param(["profile", "--results", "{bad_weight}"],
                      id="profile-results-weight-not-a-number"),
-        pytest.param(RUN + ["--algo", "random", "--out", "{unwritable}"], "1",
+        pytest.param(RUN + ["--algo", "random", "--out", "{unwritable}"],
                      id="run-out-unwritable"),
-        pytest.param(["gen", "--random", "10", "20", "--out", "{unwritable}"], "1",
+        pytest.param(["gen", "--random", "10", "20", "--out", "{unwritable}"],
                      id="gen-out-unwritable"),
         pytest.param(["profile", "--results", "{results}", "--out", "{unwritable}"],
-                     "1", id="profile-out-unwritable"),
+                     id="profile-out-unwritable"),
     ],
 )
 def test_cli_bad_arguments_exit_2(
-    static_file, tmp_path, monkeypatch, capsys, argv, env_seed
+    static_file, tmp_path, capsys, argv
 ):
     # A bad argument is a usage error: exit 2 with a one-line message, raised
     # before any replay starts.
@@ -783,7 +806,6 @@ def test_cli_bad_arguments_exit_2(
     }
     paths["{results}"].write_text(header + "toy,random,9,10\n")
     paths["{bad_weight}"].write_text(header + "toy,random,9,10\ntoy,random,heavy,10\n")
-    monkeypatch.setenv("DYNMATCH_SEED", env_seed)
     with pytest.raises(SystemExit) as exc:
         main([str(paths.get(a, a)) for a in argv])
     assert exc.value.code == 2
@@ -841,7 +863,7 @@ def test_cli_temporal_cleaning_leaves_runnable_stream(tmp_path, capsys):
     messy = tmp_path / "messy.stream"
     messy.write_text("# n=3\n0 1 0 0 -\n0 1 5 1 +\n0 1 6 2 +\n1 2 4 3 +\n")
     assert main([
-        "run", "--input", str(messy), "--temporal", "--algo", "random",
+        "run", "--input", str(messy), "--algo", "random",
         "--seed", "1", "--reps", "1",
     ]) == 0
     captured = capsys.readouterr()
@@ -854,7 +876,7 @@ def test_cli_non_finite_temporal_input_exits_2(tmp_path, capsys, algo, record):
     bad = tmp_path / "bad.stream"
     bad.write_text(f"{record}\n1 2 4 1 +\n0 2 5 2 +\n")
     code = main([
-        "run", "--input", str(bad), "--temporal", "--algo", algo,
+        "run", "--input", str(bad), "--algo", algo,
         "--seed", "1", "--reps", "1",
     ])
     captured = capsys.readouterr()
@@ -887,33 +909,75 @@ def test_cli_weight_above_ceiling_exits_2(tmp_path, capsys, algo, text):
 
 
 @pytest.mark.parametrize(
-    "temporal, text, message",
+    "text, message",
     [
-        (True, f"0 1 5 0 +\n0 {10**12} 5 1 +\n", "error: line 2: vertex id"),
-        (False, f"{10**12}\n0 1 5\n", "error: line 1: vertex count"),
+        (f"0 1 5 0 +\n0 {10**12} 5 1 +\n", "error: line 2: vertex id"),
+        (f"{10**12}\n0 1 5\n", "error: line 1: vertex count"),
     ],
     ids=["temporal-id", "static-count"],
 )
-def test_cli_vertex_count_above_ceiling_exits_2(
-    tmp_path, capsys, temporal, text, message
-):
+def test_cli_vertex_count_above_ceiling_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "big.input"
     bad.write_text(text)
     code = main([
         "run", "--input", str(bad), "--algo", "level-walk",
         "--seed", "1", "--reps", "1",
-    ] + (["--temporal"] if temporal else []))
+    ])
     captured = capsys.readouterr()
     assert code == 2
     assert message in captured.err
     assert "Traceback" not in captured.err
 
 
-def test_cli_default_seed_env(static_file, monkeypatch, capsys):
-    monkeypatch.setenv("DYNMATCH_SEED", "99")
+@pytest.mark.parametrize(
+    "text, n, num_ops",
+    [
+        pytest.param(None, 6, 5, id="gen-output"),
+        pytest.param("# toy graph\n# weights 1-9\n6\n0 1 8\n2 3\n", 6, 2,
+                     id="static-after-comments"),
+        pytest.param("0 1 5 0 +\n1 2 4 1\n0 1 0 2 -\n", 3, 3,
+                     id="temporal-without-hint"),
+        pytest.param("# n=7\n", 7, 0, id="hint-only"),
+        pytest.param("\n# nothing here\n", None, None, id="empty"),
+    ],
+)
+def test_cli_run_reads_the_input_format_from_the_text(
+    tmp_path, static_file, capsys, text, n, num_ops
+):
+    # A '# n=K' hint or a first data line of several fields is a temporal
+    # stream; a first data line of one field is a static vertex count.
+    path = tmp_path / "input.txt"
+    if text is None:
+        assert main([
+            "gen", "--input", str(static_file), "--seed", "3",
+            "--undo-percent", "25", "--out", str(path),
+        ]) == 0
+    else:
+        path.write_text(text)
+    csv_file = tmp_path / "results.csv"
+    code = main([
+        "run", "--input", str(path), "--algo", "random", "--reps", "1",
+        "--out", str(csv_file),
+    ])
+    captured = capsys.readouterr()
+    if n is None:
+        assert code == 2
+        assert "error: line 1: empty input" in captured.err
+        return
+    assert code == 0
+    with csv_file.open(newline="") as fh:
+        (result,) = csv.DictReader(fh)
+    assert (int(result["n"]), int(result["num_ops"])) == (n, num_ops)
+
+
+def test_cli_seed_defaults_to_1(static_file, tmp_path):
+    csv_file = tmp_path / "results.csv"
     assert main([
-        "run", "--input", str(static_file), "--algo", "random", "--reps", "1",
+        "run", "--input", str(static_file), "--algo", "random", "--reps", "2",
+        "--out", str(csv_file),
     ]) == 0
+    with csv_file.open(newline="") as fh:
+        assert [r["seed"] for r in csv.DictReader(fh)] == ["1000", "1001"]
 
 
 def test_cli_profile_subcommand(tmp_path, static_file, capsys):
@@ -925,13 +989,13 @@ def test_cli_profile_subcommand(tmp_path, static_file, capsys):
         ]) == 0
     capsys.readouterr()
     tsv_file = tmp_path / "profile.tsv"
-    assert main([
-        "profile", "--results", str(csv_file), "--tau-grid", "0.5,0.9,1.0",
-        "--out", str(tsv_file),
-    ]) == 0
+    assert main(["profile", "--results", str(csv_file), "--out", str(tsv_file)]) == 0
     lines = tsv_file.read_text().strip().splitlines()
     assert lines[0].split("\t") == ["tau", "level-walk", "random"]
-    assert len(lines) == 4
+    # The fixed grid 0.50, 0.51, ..., 1.00.
+    taus = [line.split("\t")[0] for line in lines[1:]]
+    assert taus == [f"{t:.4f}" for t in default_tau_grid()]
+    assert (taus[0], taus[-1], len(taus)) == ("0.5000", "1.0000", 51)
     for line in lines[1:]:
         for cell in line.split("\t")[1:]:
             assert 0.0 <= float(cell) <= 1.0

@@ -34,7 +34,7 @@ def snapshot(mcm):
 
 
 def test_config_validation():
-    for eps in (0, math.inf, math.nan):
+    for eps in (0, math.inf, math.nan, 1e-320):  # 2/1e-320 overflows
         with pytest.raises(ValueError):
             McmConfig(epsilon=eps)
     with pytest.raises(ValueError):
@@ -266,7 +266,7 @@ def test_bfs_no_augmenting_path_returns_false():
     # 0-1-2-3-4 with (1,2), (3,4) matched: from 0 every alternating walk
     # dead-ends at 4, whose only neighbor is its mate.
     g = build_graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
-    mcm = make_mcm(g, kind="bfs", depth_bounded=False)
+    mcm = make_mcm(g, kind="bfs", safe_mode=True)
     mcm.state.match_edge(1, 2, 1)
     mcm.state.match_edge(3, 4, 1)
     before = snapshot(mcm)
@@ -295,6 +295,15 @@ def test_bfs_depth_budget_four_misses_length_five_path():
     before = snapshot(mcm)
     assert mcm.augment_from(0) is False
     assert snapshot(mcm) == before
+
+
+def test_bfs_safe_mode_lifts_the_depth_budget():
+    g = build_graph(6, [(i, i + 1, 1) for i in range(5)])
+    mcm = make_mcm(g, kind="bfs", epsilon=0.4, safe_mode=True)
+    mcm.state.match_edge(1, 2, 1)
+    mcm.state.match_edge(3, 4, 1)
+    assert mcm.augment_from(0) is True
+    assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3), (4, 5)]
 
 
 # -- failed attempts ------------------------------------------------------------
@@ -405,7 +414,7 @@ def test_safe_mode_recovers_augmenting_path_through_both_matched_insert():
     edges = [(0, 1, 1), (2, 3, 1), (0, 4, 1), (3, 5, 1)]
     for safe, expected in ((False, 2), (True, 3)):
         g = build_graph(6, edges)
-        mcm = make_mcm(g, kind="bfs", safe_mode=safe, depth_bounded=False)
+        mcm = make_mcm(g, kind="bfs", safe_mode=safe)
         mcm.state.match_edge(0, 1, 1)
         mcm.state.match_edge(2, 3, 1)
         g.insert_edge(1, 2, 1)
@@ -482,9 +491,7 @@ def test_safe_unbounded_bfs_is_exact_on_bipartite_streams():
         m = rng.randint(1, min(14, n_left * n_right))
         n, edges = random_bipartite_edges(n_left, n_right, m, 4000 + trial)
         g = DynamicGraph(n)
-        mcm = make_mcm(
-            g, seed=trial, kind="bfs", safe_mode=True, depth_bounded=False
-        )
+        mcm = make_mcm(g, seed=trial, kind="bfs", safe_mode=True)
         present = []
         for u, v in edges:
             g.insert_edge(u, v, 1)

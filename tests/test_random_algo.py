@@ -37,7 +37,7 @@ def test_config_validation():
         RandomConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         RandomConfig(epsilon=-1.0)
-    for eps in (math.inf, math.nan):
+    for eps in (math.inf, math.nan, 1e-320):  # 2/1e-320 overflows
         with pytest.raises(ValueError):
             RandomConfig(epsilon=eps)
     with pytest.raises(ValueError):
