@@ -2,9 +2,10 @@
 
 Level i holds exactly the current edges of weight >= (1+eps)^i, so levels
 nest downward and an edge of weight w lives in levels 0..level_index(w).
-Each level maintains its own cardinality matching (ignoring weights); the
-exposed weighted matching greedily merges the per-level matchings from the
-heaviest level down, charging each kept edge its true weight.  With exact
+Each level maintains its own cardinality matching, a UnitMatching that keeps
+mates only and counts pairs, not weights; the exposed weighted matching
+greedily merges the per-level matchings from the heaviest level down,
+charging each kept edge its true weight.  With exact
 per-level matchings this loses at most a factor 2(1+eps) against the
 optimum; approximate subroutines degrade that bound proportionally.
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import MatchingCorruptionError
 from .graph import MAX_WEIGHT, DynamicGraph, Weight, edge_key
-from .matching import FREE, MatchingAuditor, MatchingState
+from .matching import FREE, MatchingAuditor, MatchingState, UnitMatching
 from .mcm import DynamicMcm, McmConfig
 
 # Below this, level counts explode (levels scale with 1/eps).
@@ -155,7 +156,7 @@ class _Level:
         return bisect_right(self._neg[u], -self.index)
 
     @property
-    def state(self) -> MatchingState:
+    def state(self) -> UnitMatching:
         return self.worker.state
 
 
@@ -297,7 +298,7 @@ class LevelMwm:
 
     def matched_pairs(self) -> list[tuple[int, int]]:
         self._refresh()
-        return sorted(self._view.matched_pairs())
+        return self._view.matched_pairs()
 
     def stats(self) -> dict[str, int]:
         return {
@@ -310,10 +311,10 @@ class LevelMwm:
     def audit(self, deep: bool = False) -> None:
         """Verify the merged view that ``weight`` and ``matched_pairs``
         expose, at the vertices touched since the last audit (see
-        MatchingAuditor).  With deep, check the whole view, compare it with
-        a from-scratch ``merge_levels``, check the shared adjacency against
-        the master graph and every level's matching against its prefix of
-        it."""
+        MatchingAuditor).  With deep, check the whole view, the shared
+        adjacency against the master graph and every level's matching
+        against its prefix of it, and then, its inputs checked, compare the
+        view with a from-scratch ``merge_levels``."""
         self._refresh()
         if self._auditor is None:
             self._auditor = MatchingAuditor(self._view, self.graph)
@@ -321,15 +322,15 @@ class LevelMwm:
             self._auditor.check(deep)
         if not deep:
             return
+        self._audit_adjacency()
+        for level in self.levels:
+            level.worker.audit(f"level {level.index} matching")
         reference = merge_levels(self)
         if reference._pairs != self._view._pairs:
             raise MatchingCorruptionError(
                 f"merged view drift: {len(self._view._pairs)} pairs vs "
                 f"{len(reference._pairs)} from a full merge"
             )
-        self._audit_adjacency()
-        for level in self.levels:
-            level.worker.audit(f"level {level.index} matching")
 
     def _audit_adjacency(self) -> None:
         """Each vertex's entries in the shared adjacency are its master
@@ -374,7 +375,7 @@ def merge_levels(structure: LevelMwm) -> MatchingState:
     total: Weight = 0
     try:
         for level in reversed(structure.levels):
-            for pair in sorted(level.state.matched_pairs()):
+            for pair in level.state.matched_pairs():
                 u, v = pair
                 if used[u] or used[v]:
                     continue

@@ -1,16 +1,16 @@
 """Matching bookkeeping shared by every algorithm in the package.
 
-A MatchingState is deliberately dumb: it stores who is matched to whom plus
-the weight each matched edge had at match time, and refuses anything that
-would break the matching property.  Weights are stored here (not read back
-from the graph) because deletion handlers run after the edge has already
-left the graph and still need to subtract its weight.
+A UnitMatching is deliberately dumb: it stores who is matched to whom and
+refuses anything that would break the matching property.  A MatchingState
+also stores the weight each matched edge had at match time.  Weights are
+stored there (not read back from the graph) because deletion handlers run
+after the edge has already left the graph and still need to subtract its
+weight.
 """
 
 from __future__ import annotations
 
 import math
-from typing import KeysView
 
 from .errors import MatchingCorruptionError
 from .graph import DynamicGraph, Weight, edge_key
@@ -18,16 +18,17 @@ from .graph import DynamicGraph, Weight, edge_key
 FREE = -1
 
 
-class MatchingState:
-    """A matching over vertices {0, ..., n-1} with an incremental weight sum."""
+class UnitMatching:
+    """A cardinality matching over vertices {0, ..., n-1}: the mate list only.
 
-    __slots__ = ("n", "_mate", "_pairs", "total_weight", "_watchers")
+    The per-level workers keep this; MatchingState adds weights on top.
+    """
+
+    __slots__ = ("n", "_mate", "_watchers")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self._mate = [FREE] * n
-        self._pairs: dict[tuple[int, int], Weight] = {}
-        self.total_weight: Weight = 0
         self._watchers: list[set[int]] = []
 
     def watch(self) -> set[int]:
@@ -45,11 +46,8 @@ class MatchingState:
         """Partner of u, or FREE (-1)."""
         return self._mate[u]
 
-    def is_free(self, u: int) -> bool:
-        return self._mate[u] == FREE
-
-    def match_edge(self, u: int, v: int, w: Weight) -> None:
-        """Match (u, v) with weight w; both endpoints must be free."""
+    def match_edge(self, u: int, v: int) -> None:
+        """Match (u, v); both endpoints must be free."""
         if u == v:
             raise ValueError(f"cannot match vertex {u} to itself")
         if self._mate[u] != FREE or self._mate[v] != FREE:
@@ -57,12 +55,8 @@ class MatchingState:
                 f"cannot match ({u}, {v}): endpoint already matched "
                 f"(mate({u})={self._mate[u]}, mate({v})={self._mate[v]})"
             )
-        if not w > 0:
-            raise ValueError(f"matched edge weight must be positive, got {w!r}")
         self._mate[u] = v
         self._mate[v] = u
-        self._pairs[edge_key(u, v)] = w
-        self.total_weight += w
         for changed in self._watchers:
             changed.add(u)
             changed.add(v)
@@ -74,10 +68,41 @@ class MatchingState:
             raise ValueError(f"vertex {u} is not matched")
         self._mate[u] = FREE
         self._mate[v] = FREE
-        self.total_weight -= self._pairs.pop(edge_key(u, v))
         for changed in self._watchers:
             changed.add(u)
             changed.add(v)
+
+    def matched_pairs(self) -> list[tuple[int, int]]:
+        """Matched edges as canonical (u, v) pairs, ascending; O(n)."""
+        return [(u, v) for u, v in enumerate(self._mate) if u < v]
+
+    def matched_count(self) -> int:
+        return (self.n - self._mate.count(FREE)) // 2
+
+
+class MatchingState(UnitMatching):
+    """A matching with the weight each matched edge had at match time and
+    an incremental weight sum."""
+
+    __slots__ = ("_pairs", "total_weight")
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        self._pairs: dict[tuple[int, int], Weight] = {}
+        self.total_weight: Weight = 0
+
+    def match_edge(self, u: int, v: int, w: Weight) -> None:
+        """Match (u, v) with weight w > 0; both endpoints must be free."""
+        if not w > 0:
+            raise ValueError(f"matched edge weight must be positive, got {w!r}")
+        UnitMatching.match_edge(self, u, v)
+        self._pairs[edge_key(u, v)] = w
+        self.total_weight += w
+
+    def unmatch(self, u: int) -> None:
+        v = self._mate[u]
+        UnitMatching.unmatch(self, u)
+        self.total_weight -= self._pairs.pop(edge_key(u, v))
 
     def stored_weight(self, u: int) -> Weight:
         """Weight recorded for u's matched edge at match time."""
@@ -85,23 +110,6 @@ class MatchingState:
         if v == FREE:
             raise ValueError(f"vertex {u} is not matched")
         return self._pairs[edge_key(u, v)]
-
-    def matched_pairs(self) -> KeysView[tuple[int, int]]:
-        """View of matched edges as canonical (u, v) pairs."""
-        return self._pairs.keys()
-
-    def matched_count(self) -> int:
-        return len(self._pairs)
-
-    def clear(self) -> None:
-        for u, v in list(self._pairs):
-            self._mate[u] = FREE
-            self._mate[v] = FREE
-            for changed in self._watchers:
-                changed.add(u)
-                changed.add(v)
-        self._pairs.clear()
-        self.total_weight = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .errors import MatchingCorruptionError
 from .graph import DynamicGraph
-from .matching import FREE, MatchingState
+from .matching import FREE, UnitMatching
 
 
 @dataclass(frozen=True)
@@ -69,18 +69,19 @@ class DynamicMcm:
     """Maintains a cardinality matching under edge updates.
 
     As everywhere in this package, the caller mutates the graph first and
-    then invokes the handler.  All matched edges carry weight 1, whatever
-    the graph's weights.  The searches and ``audit`` read only ``graph.n``,
-    ``graph._adj`` and ``graph.degree``, and of ``_adj[u]`` only its first
-    ``degree(u)`` entries, so a LevelMwm level passes itself: its prefix of
-    the shared level adjacency (see levels.py).
+    then invokes the handler.  The matching is a UnitMatching, mates only:
+    it counts pairs and ignores the graph's weights.  The searches and
+    ``audit`` read only ``graph.n``, ``graph._adj`` and ``graph.degree``,
+    and of ``_adj[u]`` only its first ``degree(u)`` entries, so a LevelMwm
+    level passes itself: its prefix of the shared level adjacency (see
+    levels.py).
     """
 
     def __init__(self, graph: DynamicGraph, config: McmConfig, seed: int) -> None:
         self.graph = graph
         self.config = config
         self._depth = config.search_depth
-        self.state = MatchingState(graph.n)
+        self.state = UnitMatching(graph.n)
         self.rng = random.Random(seed)
         self.attempts = 0
         self.successes = 0
@@ -103,7 +104,7 @@ class DynamicMcm:
         fu = mate[u] == FREE
         fv = mate[v] == FREE
         if fu and fv:
-            st.match_edge(u, v, 1)
+            st.match_edge(u, v)
             return
         if not fu and not fv:
             if self.config.safe_mode:
@@ -215,7 +216,7 @@ class DynamicMcm:
                 st.unmatch(x)
         for x, y in moved:
             if y != FREE and mate[x] == FREE:
-                st.match_edge(x, y, 1)
+                st.match_edge(x, y)
 
     def _bfs(self, start: int, seed: dict[int, int]) -> dict[int, int] | None:
         """Alternating BFS from a free vertex, reading mates through
@@ -284,35 +285,23 @@ class DynamicMcm:
 
     # -- reporting ---------------------------------------------------------------
 
-    def cardinality(self) -> int:
-        return self.state.matched_count()
-
     def audit(self, name: str = "matching") -> None:
-        """Check the unit-weight cardinality matching against the graph the
-        searches read: pairs are symmetric, each lies on an edge of the
-        graph (the first ``degree(u)`` entries of ``_adj[u]``), every
-        matched vertex is in a pair, and the total counts the pairs.
-        A failure raises MatchingCorruptionError naming ``name``."""
-
-        def fail(what: str) -> None:
-            raise MatchingCorruptionError(f"{name} {what}")
-
+        """Check the cardinality matching against the graph the searches
+        read: mates are symmetric, and each pair lies on an edge of the
+        graph (the first ``degree(u)`` entries of ``_adj[u]``).  A failure
+        raises MatchingCorruptionError naming ``name``."""
         adj = self.graph._adj
         degree = self.graph.degree
-        state = self.state
-        mate = state._mate
-        for u, v in state._pairs:
-            if mate[u] != v or mate[v] != u:
-                fail(
-                    f"mate array out of sync for pair ({u}, {v}): "
-                    f"mate[{u}]={mate[u]}, mate[{v}]={mate[v]}"
+        mate = self.state._mate
+        for u, v in enumerate(mate):
+            if v == FREE:
+                continue
+            if mate[v] != u:
+                raise MatchingCorruptionError(
+                    f"{name} mate array out of sync at vertex {u}: "
+                    f"mate[{u}]={v}, mate[{v}]={mate[v]}"
                 )
-            if v not in adj[u][: degree(u)]:
-                fail(f"pair ({u}, {v}) is not an edge of its graph")
-        if state.n - mate.count(FREE) != 2 * len(state._pairs):
-            fail("mate array marks a vertex matched that no pair covers")
-        if state.total_weight != len(state._pairs):
-            fail(
-                f"weight drift: maintained {state.total_weight}, "
-                f"{len(state._pairs)} unit pairs"
-            )
+            if u < v and v not in adj[u][: degree(u)]:
+                raise MatchingCorruptionError(
+                    f"{name} pair ({u}, {v}) is not an edge of its graph"
+                )

@@ -246,7 +246,7 @@ class RandomWalkMwm:
         return self.state.total_weight
 
     def matched_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.state.matched_pairs())
+        return self.state.matched_pairs()
 
     def stats(self) -> dict[str, int]:
         return {

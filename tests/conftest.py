@@ -37,14 +37,14 @@ def random_graph(
 
 def random_greedy_matching(graph: DynamicGraph, seed: int):
     """A random maximal matching: shuffled edges, matched when both free."""
-    from dynmatch.matching import MatchingState
+    from dynmatch.matching import FREE, MatchingState
 
     rng = random.Random(seed)
     edges = sorted(graph.edges())
     rng.shuffle(edges)
     st = MatchingState(graph.n)
     for u, v, w in edges:
-        if st.is_free(u) and st.is_free(v):
+        if st.mate_of(u) == FREE and st.mate_of(v) == FREE:
             st.match_edge(u, v, w)
     return st
 

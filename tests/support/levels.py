@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dynmatch.graph import DynamicGraph
 from dynmatch.levels import LevelMwm, _Level
-from dynmatch.matching import MatchingState
+from dynmatch.matching import UnitMatching
 
 from support.oracle import exact_mcm_matching
 
@@ -23,23 +23,26 @@ def level_edges(level: _Level) -> list[tuple[int, int]]:
 
 class ExactMcmBackend:
     """Reference per-level worker: recomputes an exact maximum-cardinality
-    matching after every level update.  Desk scale only."""
+    matching after every level update, kept in a UnitMatching as
+    DynamicMcm keeps its own.  Desk scale only."""
 
     def __init__(self, level: _Level) -> None:
         self.level = level
-        self.state = MatchingState(level.n)
+        self.state = UnitMatching(level.n)
         self.attempts = 0
         self.successes = 0
 
     def _recompute(self) -> None:
         self.attempts += 1
         before = self.state.matched_count()
-        self.state.clear()
+        # Unmatch pair by pair, so the level's watch set sees every vertex.
+        for u, _ in self.state.matched_pairs():
+            self.state.unmatch(u)
         graph = DynamicGraph(self.level.n)
         for u, v in level_edges(self.level):
             graph.insert_edge(u, v, 1)
         for u, v in exact_mcm_matching(graph):
-            self.state.match_edge(u, v, 1)
+            self.state.match_edge(u, v)
         if self.state.matched_count() > before:
             self.successes += 1
 

@@ -486,7 +486,7 @@ def test_11_safe_unbounded_mcm_tracks_exact_cardinality():
             g.insert_edge(u, v, 1)
             mcm.handle_insert(u, v)
             checks += 1
-            if mcm.cardinality() != exact_mcm(g):
+            if mcm.state.matched_count() != exact_mcm(g):
                 fails += 1
         dels = list(order)
         rng.shuffle(dels)
@@ -494,7 +494,7 @@ def test_11_safe_unbounded_mcm_tracks_exact_cardinality():
             g.delete_edge(u, v)
             mcm.handle_delete(u, v)
             checks += 1
-            if mcm.cardinality() != exact_mcm(g):
+            if mcm.state.matched_count() != exact_mcm(g):
                 fails += 1
     elapsed = time.perf_counter() - t0
     assert fails == 0, f"{fails}/{checks} cardinality checks diverged"

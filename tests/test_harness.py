@@ -3,7 +3,9 @@
 import csv
 import math
 import random
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -643,6 +645,28 @@ def test_cli_gen_then_run_round_trip(tmp_path, static_file, capsys):
     assert rows[0]["instance"] == "toy"
     assert rows[0]["algorithm"] == "random"
     assert float(rows[0]["opt_ratio"]) <= 1.0
+
+
+def readme_cli_commands():
+    """The argv of each ``dynmatch`` command in the README's CLI example,
+    the first sh block after its "## CLI" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("dynmatch ")]
+
+
+def test_readme_cli_example_runs_end_to_end(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands] == ["gen", "run", "run", "run", "profile"]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    # profile compares the two algorithms that wrote rows, one line per tau
+    # in 0.50, 0.51, ..., 1.00.
+    lines = capsys.readouterr().out.splitlines()
+    header = lines.index("tau\tlevel-bfs\trandom")
+    assert len(lines) - header - 1 == 51
 
 
 def test_cli_run_all_algorithms(static_file, tmp_path):

@@ -17,6 +17,7 @@ from dynmatch.levels import (
     level_index,
     merge_levels,
 )
+from dynmatch.matching import FREE
 from dynmatch.mcm import DynamicMcm, McmConfig
 from dynmatch.oracle import exact_mwm
 
@@ -226,10 +227,11 @@ def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
 
 def set_level_matchings(algo, per_level):
     for lvl in algo.levels:
-        lvl.state.clear()
+        for u, _ in lvl.state.matched_pairs():
+            lvl.state.unmatch(u)
     for i, pairs in per_level.items():
         for u, v in pairs:
-            algo.levels[i].state.match_edge(u, v, 1)
+            algo.levels[i].state.match_edge(u, v)
 
 
 def test_merge_single_nonempty_level():
@@ -468,10 +470,30 @@ def test_deep_audit_names_the_vertex_of_a_corrupted_adjacency():
     corrupt(3, [(4, 1), (5, 1)], r"vertex 3: .* extra \[\(5, 1\)\], missing \[\]")
     corrupt(3, [(4, 1), (4, 1)], r"vertex 3: membership drift in 2 neighbors")
     corrupt(0, [(1, 3), (2, 2)], r"vertex 0: .* extra \[\(2, 2\)\], missing \[\(2, 1\)\]")
-    algo.levels[3].state.match_edge(3, 4, 1)  # a class-1 edge, off level 3
+    algo.levels[3].state.match_edge(3, 4)  # a class-1 edge, off level 3
     with pytest.raises(
         MatchingCorruptionError,
         match=r"level 3 matching pair \(3, 4\) is not an edge of its graph",
+    ):
+        algo.audit(deep=True)
+
+
+@pytest.mark.parametrize("u, v", [(4, 5), (5, 4)])
+def test_deep_audit_names_the_level_of_a_one_sided_mate(u, v):
+    # The mate list is a level's only record of its matching, so a write
+    # to one side of a pair must not pass the deep audit.
+    g = build_graph(6, [])
+    algo = make_level_algo(g, epsilon=1.0)
+    for (a, b, w) in ((0, 1, 8), (2, 3, 4), (4, 5, 1)):
+        g.insert_edge(a, b, w)
+        algo.handle_insert(a, b, w)
+    algo.audit(deep=True)
+    assert algo.levels[1].state.mate_of(v) == FREE
+    algo.levels[1].state._mate[u] = v  # v is left free
+    with pytest.raises(
+        MatchingCorruptionError,
+        match=rf"level 1 matching mate array out of sync at vertex {u}: "
+        rf"mate\[{u}\]={v}, mate\[{v}\]=-1",
     ):
         algo.audit(deep=True)
 

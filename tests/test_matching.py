@@ -8,6 +8,7 @@ from dynmatch.matching import (
     FREE,
     MatchingAuditor,
     MatchingState,
+    UnitMatching,
     assert_matching_consistent,
 )
 
@@ -15,46 +16,93 @@ from conftest import build_graph
 from support.matching import matching_weight_of, matching_weight_recompute
 
 
-def test_match_and_mate_symmetry():
-    st = MatchingState(4)
-    st.match_edge(0, 2, 7)
+# The mate-list checks run on both kinds of matching; ``match`` adds a pair
+# of weight w to either (a UnitMatching has no weights).
+
+
+def match(st, u, v, w):
+    if isinstance(st, MatchingState):
+        st.match_edge(u, v, w)
+    else:
+        st.match_edge(u, v)
+
+
+def check_mate_symmetry(st):
+    match(st, 0, 2, 7)
     assert st.mate_of(0) == 2
     assert st.mate_of(2) == 0
     assert st.mate_of(1) == FREE
-    assert not st.is_free(0)
-    assert st.is_free(3)
+    assert st.mate_of(3) == FREE
+    assert st.matched_pairs() == [(0, 2)]
+    assert st.matched_count() == 1
+
+
+def check_match_over_matched_vertex_rejected(st):
+    match(st, 0, 1, 3)
+    with pytest.raises(ValueError):
+        match(st, 1, 2, 5)
+    with pytest.raises(ValueError):
+        match(st, 2, 2, 5)
+    assert st.matched_pairs() == [(0, 1)]
+
+
+def check_unmatch_frees_both_endpoints(st):
+    match(st, 0, 1, 3)
+    match(st, 2, 3, 4)
+    changed = st.watch()
+    st.unmatch(1)
+    assert st.mate_of(0) == FREE and st.mate_of(1) == FREE
+    assert changed == {0, 1}
+    assert st.matched_pairs() == [(2, 3)]
+    assert st.matched_count() == 1
+    with pytest.raises(ValueError):
+        st.unmatch(0)
+
+
+def test_match_and_mate_symmetry():
+    st = MatchingState(4)
+    check_mate_symmetry(st)
     assert st.total_weight == 7
     assert st.stored_weight(0) == st.stored_weight(2) == 7
 
 
 def test_match_over_matched_vertex_rejected():
     st = MatchingState(4)
-    st.match_edge(0, 1, 3)
-    with pytest.raises(ValueError):
-        st.match_edge(1, 2, 5)
-    with pytest.raises(ValueError):
-        st.match_edge(2, 2, 5)
+    check_match_over_matched_vertex_rejected(st)
     with pytest.raises(ValueError):
         st.match_edge(2, 3, 0)
 
 
-def test_unmatch_and_clear():
+def test_unmatch_frees_both_endpoints():
     st = MatchingState(4)
-    st.match_edge(0, 1, 3)
-    st.match_edge(2, 3, 4)
-    st.unmatch(1)
-    assert st.is_free(0) and st.is_free(1)
+    check_unmatch_frees_both_endpoints(st)
     assert st.total_weight == 4
-    assert set(st.matched_pairs()) == {(2, 3)}
-    st.clear()
-    assert st.total_weight == 0
-    assert st.matched_count() == 0
 
 
 def test_unmatch_free_vertex_rejected():
     st = MatchingState(2)
     with pytest.raises(ValueError):
         st.unmatch(0)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_mate_symmetry,
+        check_match_over_matched_vertex_rejected,
+        check_unmatch_frees_both_endpoints,
+    ],
+)
+def test_unit_matching_mate_checks(check):
+    check(UnitMatching(4))
+
+
+def test_unit_matching_pairs_are_canonical_and_ascending():
+    st = UnitMatching(6)
+    st.match_edge(5, 2)
+    st.match_edge(1, 0)
+    assert st.matched_pairs() == [(0, 1), (2, 5)]
+    assert st.matched_count() == 2
 
 
 def test_recompute_empty_matching_is_zero():
@@ -120,7 +168,7 @@ def test_random_match_unmatch_churn_stays_consistent():
         if st.mate_of(u) == v:
             st.unmatch(u)
             g.delete_edge(u, v)
-        elif st.is_free(u) and st.is_free(v):
+        elif st.mate_of(u) == FREE and st.mate_of(v) == FREE:
             w = rng.randint(1, 100)
             if not g.has_edge(u, v):
                 g.insert_edge(u, v, w)

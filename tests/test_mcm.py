@@ -26,7 +26,7 @@ def snapshot(mcm):
     return (
         [st.mate_of(i) for i in range(mcm.graph.n)],
         sorted(st.matched_pairs()),
-        st.total_weight,
+        st.matched_count(),
     )
 
 
@@ -56,7 +56,7 @@ def test_walk_matches_adjacent_free_neighbor():
     g = build_graph(2, [(0, 1, 1)])
     mcm = make_mcm(g)
     assert mcm.augment_from(0) is True
-    assert mcm.cardinality() == 1
+    assert mcm.state.matched_count() == 1
 
 
 def test_walk_from_isolated_vertex_fails_without_mutation():
@@ -76,7 +76,7 @@ def test_walk_augments_along_p4():
     for seed in range(20):
         g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
         mcm = make_mcm(g, seed=seed, epsilon=0.5)
-        mcm.state.match_edge(1, 2, 1)
+        mcm.state.match_edge(1, 2)
         if mcm.augment_from(0):
             successes += 1
             assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
@@ -88,15 +88,15 @@ def test_walk_augments_along_p4():
 def test_walk_augments_along_p4_with_retries():
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     mcm = make_mcm(g, seed=3, epsilon=0.5)
-    mcm.state.match_edge(1, 2, 1)
+    mcm.state.match_edge(1, 2)
     assert any(mcm.augment_from(0) for _ in range(30))
-    assert mcm.cardinality() == 2
+    assert mcm.state.matched_count() == 2
 
 
 def test_augment_from_matched_vertex_rejected():
     g = build_graph(2, [(0, 1, 1)])
     mcm = make_mcm(g)
-    mcm.state.match_edge(0, 1, 1)
+    mcm.state.match_edge(0, 1)
     with pytest.raises(ValueError):
         mcm.augment_from(0)
 
@@ -152,10 +152,10 @@ def test_walk_kernel_draws_like_random_neighbor():
                 g.insert_edge(u, v, 1)
         mcm = make_mcm(g, seed=trial, epsilon=rng.choice((1.0, 0.5, 0.2)))
         for u, v, _w in sorted(g.edges()):  # the hub stays free
-            free = mcm.state.is_free(u) and mcm.state.is_free(v)
+            free = mcm.state.mate_of(u) == FREE and mcm.state.mate_of(v) == FREE
             if free and u != 0 and rng.random() < 0.6:
-                mcm.state.match_edge(u, v, 1)
-        for start in [x for x in range(n) if mcm.state.is_free(x)]:
+                mcm.state.match_edge(u, v)
+        for start in [x for x in range(n) if mcm.state.mate_of(x) == FREE]:
             degrees.add(g.degree(start))
             assert_walk_matches_reference(mcm, start, {})
     assert {1, 2, 4, 8, 16} <= degrees
@@ -173,11 +173,11 @@ def test_walk_kernel_reads_mates_through_its_seed():
             if not g.has_edge(u, v):
                 g.insert_edge(u, v, 1)
         mcm = make_mcm(g, seed=trial, epsilon=0.2)
-        mcm.state.match_edge(0, 1, 1)
+        mcm.state.match_edge(0, 1)
         for u, v, _w in sorted(g.edges()):
-            free = mcm.state.is_free(u) and mcm.state.is_free(v)
+            free = mcm.state.mate_of(u) == FREE and mcm.state.mate_of(v) == FREE
             if free and 2 not in (u, v) and rng.random() < 0.5:
-                mcm.state.match_edge(u, v, 1)
+                mcm.state.match_edge(u, v)
         seed = {1: 2, 2: 1, 0: FREE}
         assert_walk_matches_reference(mcm, 0, seed)
         assert seed == {1: 2, 2: 1, 0: FREE}  # the walk copies it
@@ -191,7 +191,7 @@ def test_walk_fails_on_drawing_a_touched_vertex():
         g = build_graph(3, [(0, 1, 1), (1, 2, 1)])
         mcm = make_mcm(g, seed=seed, epsilon=0.1)
         assert mcm.config.search_depth == 19
-        mcm.state.match_edge(1, 2, 1)
+        mcm.state.match_edge(1, 2)
         before = snapshot(mcm)
         assert mcm.augment_from(0) is False
         assert snapshot(mcm) == before
@@ -221,18 +221,18 @@ def test_successful_walk_flips_a_simple_alternating_path(
             g.insert_edge(u, v, 1)
     mcm = make_mcm(g, seed=seed, epsilon=epsilon)
     for i, (u, v, _w) in enumerate(sorted(g.edges())):
-        free = mcm.state.is_free(u) and mcm.state.is_free(v)
+        free = mcm.state.mate_of(u) == FREE and mcm.state.mate_of(v) == FREE
         if free and match_bits >> i & 1:
-            mcm.state.match_edge(u, v, 1)
+            mcm.state.match_edge(u, v)
     for start in range(n):
-        if not mcm.state.is_free(start):
+        if mcm.state.mate_of(start) != FREE:
             continue
         before = [mcm.state.mate_of(x) for x in range(n)]
-        size = mcm.cardinality()
+        size = mcm.state.matched_count()
         if not mcm.augment_from(start):
             continue
         after = [mcm.state.mate_of(x) for x in range(n)]
-        assert mcm.cardinality() == size + 1
+        assert mcm.state.matched_count() == size + 1
         # Follow the path: a new matched edge out of each even vertex, the
         # old one out of each odd vertex, until a vertex that was free.
         path = [start]
@@ -259,7 +259,7 @@ def test_bfs_trivial_free_edge():
     g = build_graph(2, [(0, 1, 1)])
     mcm = make_mcm(g, kind="bfs")
     assert mcm.augment_from(0) is True
-    assert mcm.cardinality() == 1
+    assert mcm.state.matched_count() == 1
 
 
 def test_bfs_no_augmenting_path_returns_false():
@@ -267,8 +267,8 @@ def test_bfs_no_augmenting_path_returns_false():
     # dead-ends at 4, whose only neighbor is its mate.
     g = build_graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
     mcm = make_mcm(g, kind="bfs", safe_mode=True)
-    mcm.state.match_edge(1, 2, 1)
-    mcm.state.match_edge(3, 4, 1)
+    mcm.state.match_edge(1, 2)
+    mcm.state.match_edge(3, 4)
     before = snapshot(mcm)
     assert mcm.augment_from(0) is False
     assert snapshot(mcm) == before
@@ -279,8 +279,8 @@ def test_bfs_depth_budget_five_reaches_length_five_path():
     # uses 5 edges, inside an epsilon = 1/3 budget.
     g = build_graph(6, [(i, i + 1, 1) for i in range(5)])
     mcm = make_mcm(g, kind="bfs", epsilon=1 / 3)
-    mcm.state.match_edge(1, 2, 1)
-    mcm.state.match_edge(3, 4, 1)
+    mcm.state.match_edge(1, 2)
+    mcm.state.match_edge(3, 4)
     assert mcm.config.search_depth == 5
     assert mcm.augment_from(0) is True
     assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3), (4, 5)]
@@ -289,8 +289,8 @@ def test_bfs_depth_budget_five_reaches_length_five_path():
 def test_bfs_depth_budget_four_misses_length_five_path():
     g = build_graph(6, [(i, i + 1, 1) for i in range(5)])
     mcm = make_mcm(g, kind="bfs", epsilon=0.4)
-    mcm.state.match_edge(1, 2, 1)
-    mcm.state.match_edge(3, 4, 1)
+    mcm.state.match_edge(1, 2)
+    mcm.state.match_edge(3, 4)
     assert mcm.config.search_depth == 4
     before = snapshot(mcm)
     assert mcm.augment_from(0) is False
@@ -300,8 +300,8 @@ def test_bfs_depth_budget_four_misses_length_five_path():
 def test_bfs_safe_mode_lifts_the_depth_budget():
     g = build_graph(6, [(i, i + 1, 1) for i in range(5)])
     mcm = make_mcm(g, kind="bfs", epsilon=0.4, safe_mode=True)
-    mcm.state.match_edge(1, 2, 1)
-    mcm.state.match_edge(3, 4, 1)
+    mcm.state.match_edge(1, 2)
+    mcm.state.match_edge(3, 4)
     assert mcm.augment_from(0) is True
     assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3), (4, 5)]
 
@@ -320,8 +320,8 @@ def test_failed_augment_writes_nothing(cfg):
     for seed in range(20):
         g = build_graph(5, [(i, i + 1, 1) for i in range(4)])
         mcm = make_mcm(g, seed=seed, epsilon=0.2, **cfg)
-        mcm.state.match_edge(1, 2, 1)
-        mcm.state.match_edge(3, 4, 1)
+        mcm.state.match_edge(1, 2)
+        mcm.state.match_edge(3, 4)
         watchers = [mcm.state.watch(), mcm.state.watch()]
         before = snapshot(mcm)
         assert mcm.augment_from(0) is False
@@ -336,12 +336,12 @@ def test_failed_insert_swap_restores_the_original_pair(kind):
     for seed in range(10):
         g = build_graph(3, [(0, 1, 1)])
         mcm = make_mcm(g, seed=seed, kind=kind, epsilon=0.2)
-        mcm.state.match_edge(0, 1, 1)
+        mcm.state.match_edge(0, 1)
         g.insert_edge(1, 2, 1)
         mcm.handle_insert(1, 2)
         assert sorted(mcm.state.matched_pairs()) == [(0, 1)]
         assert mcm.state.mate_of(2) == FREE
-        assert mcm.state.total_weight == 1
+        assert mcm.state.matched_count() == 1
         assert (mcm.attempts, mcm.successes) == (1, 0)
         mcm.audit()
 
@@ -357,7 +357,7 @@ def test_failed_insert_swap_writes_nothing(cfg):
     for seed in range(10):
         g = build_graph(3, [(0, 1, 1)])
         mcm = make_mcm(g, seed=seed, epsilon=0.2, **cfg)
-        mcm.state.match_edge(0, 1, 1)
+        mcm.state.match_edge(0, 1)
         watcher = mcm.state.watch()
         before = snapshot(mcm)
         g.insert_edge(1, 2, 1)
@@ -381,8 +381,8 @@ def test_insert_free_free_matches_directly():
 def test_insert_between_matched_vertices_unsafe_is_noop():
     g = build_graph(4, [(0, 1, 1), (2, 3, 1)])
     mcm = make_mcm(g)
-    mcm.state.match_edge(0, 1, 1)
-    mcm.state.match_edge(2, 3, 1)
+    mcm.state.match_edge(0, 1)
+    mcm.state.match_edge(2, 3)
     g.insert_edge(1, 2, 1)
     mcm.handle_insert(1, 2)
     assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
@@ -393,7 +393,7 @@ def test_insert_swap_keeps_gain_when_displaced_mate_recovers():
     # re-augments via (0,3): cardinality grows to 2.
     g = build_graph(4, [(0, 1, 1), (0, 3, 1)])
     mcm = make_mcm(g, kind="bfs")
-    mcm.state.match_edge(0, 1, 1)
+    mcm.state.match_edge(0, 1)
     g.insert_edge(1, 2, 1)
     mcm.handle_insert(1, 2)
     assert sorted(mcm.state.matched_pairs()) == [(0, 3), (1, 2)]
@@ -402,7 +402,7 @@ def test_insert_swap_keeps_gain_when_displaced_mate_recovers():
 def test_insert_swap_rolls_back_when_displaced_mate_stuck():
     g = build_graph(3, [(0, 1, 1)])
     mcm = make_mcm(g, kind="bfs")
-    mcm.state.match_edge(0, 1, 1)
+    mcm.state.match_edge(0, 1)
     g.insert_edge(1, 2, 1)
     mcm.handle_insert(1, 2)
     # 0 has no second neighbor, so the swap is undone wholesale.
@@ -415,23 +415,23 @@ def test_safe_mode_recovers_augmenting_path_through_both_matched_insert():
     for safe, expected in ((False, 2), (True, 3)):
         g = build_graph(6, edges)
         mcm = make_mcm(g, kind="bfs", safe_mode=safe)
-        mcm.state.match_edge(0, 1, 1)
-        mcm.state.match_edge(2, 3, 1)
+        mcm.state.match_edge(0, 1)
+        mcm.state.match_edge(2, 3)
         g.insert_edge(1, 2, 1)
         mcm.handle_insert(1, 2)
-        assert mcm.cardinality() == expected
+        assert mcm.state.matched_count() == expected
         mcm.audit()
 
 
 def test_delete_matched_edge_in_p4_settles_at_cardinality_one():
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     mcm = make_mcm(g)
-    mcm.state.match_edge(0, 1, 1)
-    mcm.state.match_edge(2, 3, 1)
+    mcm.state.match_edge(0, 1)
+    mcm.state.match_edge(2, 3)
     g.delete_edge(0, 1)
     mcm.handle_delete(0, 1)
     # After the delete only edges (1,2), (2,3) remain; max cardinality is 1.
-    assert mcm.cardinality() == 1
+    assert mcm.state.matched_count() == 1
     assert exact_mcm(g) == 1
     mcm.audit()
 
@@ -439,8 +439,8 @@ def test_delete_matched_edge_in_p4_settles_at_cardinality_one():
 def test_delete_unmatched_edge_keeps_matching():
     g = build_graph(4, [(0, 1, 1), (2, 3, 1), (1, 2, 1)])
     mcm = make_mcm(g)
-    mcm.state.match_edge(0, 1, 1)
-    mcm.state.match_edge(2, 3, 1)
+    mcm.state.match_edge(0, 1)
+    mcm.state.match_edge(2, 3)
     g.delete_edge(1, 2)
     mcm.handle_delete(1, 2)
     assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
@@ -470,8 +470,9 @@ def test_failed_attempts_are_side_effect_free():
         )
         # Random partial matching over the edges.
         for u, v, _w in sorted(g.edges()):
-            if rng.random() < 0.5 and mcm.state.is_free(u) and mcm.state.is_free(v):
-                mcm.state.match_edge(u, v, 1)
+            free = mcm.state.mate_of(u) == FREE and mcm.state.mate_of(v) == FREE
+            if rng.random() < 0.5 and free:
+                mcm.state.match_edge(u, v)
         free = [x for x in range(n) if mcm.state.mate_of(x) == FREE]
         rng.shuffle(free)
         for x in free[:4]:
@@ -497,12 +498,12 @@ def test_safe_unbounded_bfs_is_exact_on_bipartite_streams():
             g.insert_edge(u, v, 1)
             mcm.handle_insert(u, v)
             present.append((u, v))
-            assert mcm.cardinality() == exact_mcm(g)
+            assert mcm.state.matched_count() == exact_mcm(g)
         rng.shuffle(present)
         for u, v in present[: len(present) // 2]:
             g.delete_edge(u, v)
             mcm.handle_delete(u, v)
-            assert mcm.cardinality() == exact_mcm(g)
+            assert mcm.state.matched_count() == exact_mcm(g)
 
 
 def test_audit_counts_unit_pairs_whatever_the_edge_weights():
@@ -511,8 +512,8 @@ def test_audit_counts_unit_pairs_whatever_the_edge_weights():
     g.insert_edge(0, 1, 5)
     mcm.handle_insert(0, 1)
     mcm.audit()
-    assert mcm.state.total_weight == 1
-    mcm.state.match_edge(2, 3, 1)  # no such edge in the graph
+    assert mcm.state.matched_count() == 1
+    mcm.state.match_edge(2, 3)  # no such edge in the graph
     with pytest.raises(
         MatchingCorruptionError, match=r"matching pair \(2, 3\) is not an edge"
     ):

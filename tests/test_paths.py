@@ -286,7 +286,8 @@ def test_walk_kernel_draws_like_randrange():
                 g.insert_edge(u, v, rng.randint(1, 50))
         st_ = MatchingState(n)
         for u, v, w in sorted(g.edges()):
-            if st_.is_free(u) and st_.is_free(v) and rng.random() < 0.4:
+            free = st_.mate_of(u) == FREE and st_.mate_of(v) == FREE
+            if free and rng.random() < 0.4:
                 st_.match_edge(u, v, w)
         walk_rng = random.Random(trial)
         for start in range(n):
