@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--opt",
         default="auto",
         help="'auto' solves the final graph exactly (skipped with a warning "
-        "beyond oracle limits), 'none' disables ratios, a finite number > 0 "
-        "supplies a precomputed OPT",
+        "beyond oracle limits), 'none' disables ratios, a finite number >= 1 "
+        "supplies a precomputed OPT (every weight is at least 1)",
     )
     p_run.add_argument("--out", help="append result rows to this CSV file")
     p_run.add_argument("--label", help="instance label for result rows")
@@ -252,9 +252,9 @@ def _numeric_opt(args) -> float | None:
         opt = float(args.opt)
     except ValueError:
         opt = math.nan
-    if not 0 < opt < math.inf:
+    if not 1 <= opt < math.inf:
         args.error(
-            f"--opt must be 'auto', 'none', or a finite number > 0, got {args.opt!r}"
+            f"--opt must be 'auto', 'none', or a finite number >= 1, got {args.opt!r}"
         )
     return opt
 

@@ -137,12 +137,13 @@ def replay(
     audit is O(Δ): it checks mate symmetry, graph membership and stored
     weight only at the vertices touched since the previous audit (the op's
     endpoints and every vertex whose mate changed), plus the weight total
-    against an independently maintained sum.  The full O(n + |M|) audit --
-    every matched pair, and each algorithm's own structures such as
-    LevelMwm's levels and its merged view against a from-scratch merge --
-    runs on ops whose ``seq`` is a multiple of ``deep_audit_every`` (0
-    disables these) and after the last op.  Raises ReplayError when an op
-    does not apply cleanly.
+    against an independently maintained sum.  The deep O(n + |M|) audit --
+    the same check at every vertex, a test that every stored pair is a pair
+    of mates, and each algorithm's own structures such as LevelMwm's levels
+    and its merged view against a from-scratch merge -- runs on ops whose
+    ``seq`` is a multiple of ``deep_audit_every`` (0 disables these) and
+    after the last op.  Raises ReplayError when an op does not apply
+    cleanly.
 
     The timed region is the graph mutation, the update handler and a read
     of the algorithm's weight, so LevelMwm's greedy merge, which runs on

@@ -118,40 +118,6 @@ class MatchingState(UnitMatching):
         )
 
 
-def assert_matching_consistent(state: MatchingState, graph: DynamicGraph) -> None:
-    """Full invariant audit; raises MatchingCorruptionError on any breach.
-
-    Checks mate symmetry, that every matched pair is a current graph edge
-    with the stored weight, and that the maintained weight sum matches a
-    recomputation (exactly for int weights, to 1e-9 relative otherwise).
-    """
-    mate = state._mate
-    gw = graph._weight
-    total: Weight = 0
-    for (u, v), w in state._pairs.items():
-        if mate[u] != v or mate[v] != u:
-            raise MatchingCorruptionError(
-                f"mate array out of sync for pair ({u}, {v}): "
-                f"mate[{u}]={mate[u]}, mate[{v}]={mate[v]}"
-            )
-        stored = gw.get((u, v))
-        if stored is None:
-            raise MatchingCorruptionError(
-                f"matched pair ({u}, {v}) is not an edge of the graph"
-            )
-        if stored != w:
-            raise MatchingCorruptionError(
-                f"matched pair ({u}, {v}) stored weight {w!r} "
-                f"!= graph weight {stored!r}"
-            )
-        total += w
-    if state.n - mate.count(FREE) != 2 * len(state._pairs):
-        raise MatchingCorruptionError(
-            "mate array marks a vertex matched that no pair covers"
-        )
-    _check_total(state.total_weight, total)
-
-
 def _check_total(maintained: Weight, recomputed: Weight) -> None:
     """Exact comparison for int weights, 1e-9 relative/absolute otherwise."""
     if isinstance(maintained, int) and isinstance(recomputed, int):
@@ -170,56 +136,64 @@ class MatchingAuditor:
     Δ is every vertex whose mate changed (per the state) or whose incident
     edges changed (per the graph) since the previous check; both sets are
     collected through ``watch``, so they include edges deleted or inserted
-    without the algorithm being told.  A shallow check verifies, at each
-    vertex of Δ, mate symmetry, that the matched pair is a graph edge and
-    that its stored weight equals the graph weight.  It then compares the
-    state's ``total_weight`` with a sum the auditor maintains itself from
-    the pairs it has verified.  Corruption at a vertex outside Δ (state or
-    graph internals written directly) is only seen by ``check_all``, the
-    full O(n + |M|) audit, which also resynchronizes the auditor's copy.
+    without the algorithm being told.  A check verifies, at each vertex of
+    Δ, mate symmetry, that the matched pair is a stored pair and a graph
+    edge, and that its stored weight equals the graph weight.  It then
+    compares the state's ``total_weight`` with a sum the auditor maintains
+    itself from the pairs it has verified.  Corruption at a vertex outside
+    Δ (state or graph internals written directly) is only seen by the deep
+    check: it forgets every verified pair and runs the same check with
+    every vertex in Δ, in O(n + |M|), then tests that every stored pair
+    was verified, so a stored pair that is not a pair of mates is named.
 
-    Construction runs ``check_all``, so the first audit is always full.
+    Construction runs the deep check, so the first audit is always full.
     """
 
     __slots__ = ("state", "graph", "_state_changes", "_graph_changes",
-                 "_mate", "_weights", "_total")
+                 "_mate", "_weight", "_total")
 
     def __init__(self, state: MatchingState, graph: DynamicGraph) -> None:
         self.state = state
         self.graph = graph
         self._state_changes = state.watch()
         self._graph_changes = graph.watch()
-        self.check_all()
+        self.check(deep=True)
 
     def check(self, deep: bool = False) -> None:
-        """Shallow O(Δ) check, or the full one with ``deep``; raises
-        MatchingCorruptionError on any breach."""
+        """Shallow O(Δ) check, or with ``deep`` the same check at every
+        vertex; raises MatchingCorruptionError on any breach."""
+        state = self.state
         if deep:
-            self.check_all()
-            return
-        touched = self._state_changes | self._graph_changes
+            touched = range(state.n)
+            # _mate[x] and _weight[x]: the mate and pair weight at x as last
+            # verified (FREE when none).
+            self._mate = [FREE] * state.n
+            self._weight = [0] * state.n
+            self._total = 0
+        else:
+            touched = self._state_changes | self._graph_changes
         self._state_changes.clear()
         self._graph_changes.clear()
         snap = self._mate
-        weights = self._weights
+        weight = self._weight
         # Retire the pairs verified earlier at touched vertices ...
         for x in touched:
             y = snap[x]
             if y != FREE:
                 snap[x] = snap[y] = FREE
-                self._total -= weights.pop(edge_key(x, y))
+                self._total -= weight[x]
         # ... and verify and count the pairs there now.
-        mate = self.state._mate
-        pairs = self.state._pairs
+        mate = state._mate
+        pairs = state._pairs
         gw = self.graph._weight
         for x in touched:
             y = mate[x]
             if y == FREE or snap[x] == y:
                 continue
-            if mate[y] != x:
+            if not 0 <= y < state.n or mate[y] != x:
                 raise MatchingCorruptionError(
-                    f"mate array out of sync at vertex {x}: "
-                    f"mate[{x}]={y}, mate[{y}]={mate[y]}"
+                    f"mate array out of sync at vertex {x}: mate[{x}]={y}, "
+                    + (f"mate[{y}]={mate[y]}" if 0 <= y < state.n else "not a vertex")
                 )
             key = edge_key(x, y)
             w = pairs.get(key)
@@ -239,17 +213,15 @@ class MatchingAuditor:
                     f"!= graph weight {stored!r}"
                 )
             snap[x] = y
-            snap[y] = x
-            weights[key] = w
+            # mate[y] is x, but as the state's own int: a deep check's
+            # range makes new ones, which the snapshot would keep alive.
+            snap[y] = mate[y]
+            weight[x] = weight[y] = w
             self._total += w
-        _check_total(self.state.total_weight, self._total)
-
-    def check_all(self) -> None:
-        """Full audit (see assert_matching_consistent); afterwards the
-        auditor's copy equals the verified state and Δ is empty."""
-        assert_matching_consistent(self.state, self.graph)
-        self._state_changes.clear()
-        self._graph_changes.clear()
-        self._mate = self.state._mate.copy()
-        self._weights = self.state._pairs.copy()
-        self._total = sum(self._weights.values())
+        if deep:
+            for u, v in pairs:
+                if snap[u] != v:
+                    raise MatchingCorruptionError(
+                        f"stored pair ({u}, {v}) is not a pair of mates"
+                    )
+        _check_total(state.total_weight, self._total)

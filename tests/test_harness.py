@@ -41,6 +41,7 @@ from dynmatch.harness.streams import (
     parse_temporal,
 )
 from dynmatch.levels import LevelConfig, LevelMwm
+from dynmatch.matching import FREE
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
@@ -458,6 +459,22 @@ def test_deep_audit_flags_tampering_the_op_did_not_touch(name):
         algo.audit(deep=True)
 
 
+@pytest.mark.parametrize("name", sorted(AUDITED_FACTORIES))
+def test_deep_audit_names_what_it_catches_at_an_untouched_vertex(name):
+    g, algo = audited_algo(name)
+    g.delete_edge(4, 5)
+    algo.handle_delete(4, 5)
+    algo.audit()  # shallow: vertices 4 and 5 are verified free
+    state = exposed_state(algo)
+    state._mate[4] = 0  # one-sided: mate[0] is still 1
+    with pytest.raises(MatchingCorruptionError, match=r"out of sync at vertex 4\b"):
+        algo.audit(deep=True)
+    state._mate[4] = FREE
+    state._pairs[(4, 5)] = 6  # a stored pair no mate records
+    with pytest.raises(MatchingCorruptionError, match=r"stored pair \(4, 5\)"):
+        algo.audit(deep=True)
+
+
 def test_every_deep_audit_raises_matching_corruption():
     g, algo = audited_algo("level")
     algo.adjacency.insert(0, 2, 0)  # behind the algorithm's back
@@ -788,6 +805,10 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
         pytest.param(RUN + ["--algo", "random", "--opt", "nan"], id="opt-nan"),
         pytest.param(RUN + ["--algo", "random", "--opt", "-5"],
                      id="opt-negative"),
+        pytest.param(RUN + ["--algo", "random", "--opt", "1e-320"],
+                     id="opt-subnormal"),
+        pytest.param(RUN + ["--algo", "random", "--opt", "0.5"],
+                     id="opt-below-one"),
         pytest.param(RUN + ["--algo", "random", "--reps", "0"],
                      id="reps-zero"),
         pytest.param(RUN + ["--algo", "random", "--undo-percent", "150"],

@@ -9,7 +9,6 @@ from dynmatch.matching import (
     MatchingAuditor,
     MatchingState,
     UnitMatching,
-    assert_matching_consistent,
 )
 
 from conftest import build_graph
@@ -117,7 +116,7 @@ def test_recompute_matches_maintained_weight():
     st.match_edge(0, 1, 5)
     st.match_edge(2, 3, 2)
     assert matching_weight_recompute(st, g) == 7 == st.total_weight
-    assert_matching_consistent(st, g)
+    MatchingAuditor(st, g)
 
 
 def test_recompute_detects_absent_pair():
@@ -128,7 +127,7 @@ def test_recompute_detects_absent_pair():
     with pytest.raises(MatchingCorruptionError):
         matching_weight_recompute(st, g)
     with pytest.raises(MatchingCorruptionError):
-        assert_matching_consistent(st, g)
+        MatchingAuditor(st, g)
 
 
 def test_consistency_detects_weight_drift():
@@ -137,7 +136,7 @@ def test_consistency_detects_weight_drift():
     st.match_edge(0, 1, 5)
     st.total_weight = 6
     with pytest.raises(MatchingCorruptionError):
-        assert_matching_consistent(st, g)
+        MatchingAuditor(st, g)
 
 
 def test_consistency_detects_stale_stored_weight():
@@ -146,7 +145,7 @@ def test_consistency_detects_stale_stored_weight():
     st.match_edge(0, 1, 4)
     st.total_weight = 5
     with pytest.raises(MatchingCorruptionError):
-        assert_matching_consistent(st, g)
+        MatchingAuditor(st, g)
 
 
 def test_matching_weight_of():
@@ -173,7 +172,7 @@ def test_random_match_unmatch_churn_stays_consistent():
             if not g.has_edge(u, v):
                 g.insert_edge(u, v, w)
             st.match_edge(u, v, g.weight(u, v))
-    assert_matching_consistent(st, g)
+    MatchingAuditor(st, g)
     assert matching_weight_recompute(st, g) == st.total_weight
 
 
@@ -231,3 +230,13 @@ def test_deep_check_catches_tampering_at_untouched_vertex():
     auditor.check()  # shallow: only 4 and 5 are inspected
     with pytest.raises(MatchingCorruptionError, match="stored weight"):
         auditor.check(deep=True)
+
+
+def test_deep_check_names_a_mate_that_is_not_a_vertex():
+    g, st, auditor = audited_pairs()
+    for bad in (6, 99, -2):
+        st._mate[4] = bad
+        with pytest.raises(
+            MatchingCorruptionError, match=rf"vertex 4: mate\[4\]={bad}, not a vertex"
+        ):
+            auditor.check(deep=True)

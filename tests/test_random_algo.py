@@ -14,7 +14,7 @@ from dynmatch.errors import ReplayError
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.replay import random_walk_factory, replay
 from dynmatch.harness.streams import gen_insertion_stream, gen_undo_suffix
-from dynmatch.matching import assert_matching_consistent
+from dynmatch.matching import MatchingAuditor
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import BETA, RandomConfig, RandomWalkMwm
 
@@ -404,7 +404,7 @@ def test_churn_stays_consistent_and_below_optimum():
             algo.handle_insert(u, v, w)
         if step % 40 == 0:
             algo.audit(deep=True)
-    assert_matching_consistent(algo.state, g)
+    MatchingAuditor(algo.state, g)
     _, opt = exact_mwm(g)
     assert 0 <= algo.weight <= opt
 
