@@ -166,7 +166,13 @@ class LevelMwm:
     Levels are created lazily: an edge of a new maximum class c extends the
     ladder with empty levels up to c (no present edge reaches them).  Every
     update writes the edge to the shared adjacency once and then runs the
-    handlers of the levels the edge belongs to.  A graph that holds edges at
+    handlers of those levels the edge belongs to whose worker can act on
+    it.  The workers are DynamicMcm without safe_mode, which ignore an
+    insert between two vertices matched at their level and the delete of
+    an edge unmatched at their level between two matched vertices (see
+    mcm.py); the dispatch reads the level's mates and skips those calls.
+    A worker that could act on such an update, such as one that keeps a
+    maximum matching, needs every call.  A graph that holds edges at
     construction is adopted edge by edge, in canonical order.
 
     The merged matching is a view kept incrementally and brought up to date
@@ -206,23 +212,33 @@ class LevelMwm:
         """React to edge (u, v, w) having been inserted into the master graph.
 
         The edge joins levels 0..level_index(w); their workers see it
-        heaviest first."""
+        heaviest first, except at a level where u and v are both matched:
+        a DynamicMcm without safe_mode ignores that insert."""
         c = level_index(w, self.config.epsilon)
         levels = self.levels
         while len(levels) <= c:
             levels.append(_Level(len(levels), self.adjacency, self._make_worker))
         self.adjacency.insert(u, v, c)
         for level in reversed(levels[: c + 1]):
-            level.worker.handle_insert(u, v)
+            worker = level.worker
+            mate = worker.state._mate
+            if mate[u] == FREE or mate[v] == FREE:
+                worker.handle_insert(u, v)
 
     def handle_delete(self, u: int, v: int) -> None:
         """React to edge (u, v) having been deleted from the master graph.
 
-        The edge leaves every level at once; the workers of levels
-        0..its class then see the delete, bottom up."""
+        The edge leaves every level at once; the workers of levels 0..its
+        class then see the delete, bottom up, except at a level where the
+        edge was unmatched and u and v are both matched: a DynamicMcm
+        without safe_mode ignores that delete."""
         c = self.adjacency.delete(u, v)
         for level in self.levels[: c + 1]:
-            level.worker.handle_delete(u, v)
+            worker = level.worker
+            mate = worker.state._mate
+            mu = mate[u]
+            if mu == v or mu == FREE or mate[v] == FREE:
+                worker.handle_delete(u, v)
 
     # -- merged view -------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Dynamic maximum-cardinality matching subroutines.
 
 These are the per-level workers of the weight-bucketed matcher, but stand on
-their own for unweighted graphs.  Two search strategies share the same
-update handlers and the same kernel, ``augment_from``:
+their own for unweighted graphs.  Two search strategies, chosen once at
+construction, share the same update handlers and the same commit:
 
 * ``walk`` - one random walk per attempt (match the free neighbor, or steal
   a matched one and continue at its displaced mate); the walk fails as soon
@@ -16,6 +16,17 @@ overlay {vertex: mate} that holds only what the search has changed so far,
 on top of an optional seed overlay (the edge swap of an insert), and return
 the overlay once it holds an augmenting path; ``_commit`` then writes seed
 and path together.  A failed attempt, the swap included, leaves no trace.
+
+Each search from a free start is one attempt (``attempts``, and
+``successes`` for those that augment).  A free start with no neighbor is a
+failed attempt that runs no search and draws nothing.  ``augment_from`` is
+the public entry to one attempt; the handlers run theirs inline.
+
+Without safe_mode, two updates leave the matching, the watch() sets and the
+RNG untouched: an insert between two matched vertices, and a delete of an
+unmatched edge between two matched vertices (no endpoint is free, so no
+attempt starts).  LevelMwm relies on this to skip those calls, and it never
+sets safe_mode; with safe_mode the first of them searches.
 
 No blossom handling means the BFS can miss augmenting paths through odd
 cycles; it is exact on bipartite graphs only, and that is the only place
@@ -43,7 +54,7 @@ class McmConfig:
     endpoints are matched (otherwise ignored, which can lose optimality even
     on bipartite graphs) and lifts the depth bound of the BFS and of that
     case's search, which makes the BFS exact on bipartite graphs.  kind
-    selects the search.
+    selects the search, once, when a DynamicMcm is built.
     """
 
     epsilon: float = 1.0
@@ -85,6 +96,7 @@ class DynamicMcm:
         self.rng = random.Random(seed)
         self.attempts = 0
         self.successes = 0
+        self._search = self._walk_once if config.kind == "walk" else self._bfs
 
     # -- update handlers -----------------------------------------------------
 
@@ -114,26 +126,38 @@ class DynamicMcm:
             return
         a, b = (u, v) if fv else (v, u)  # a matched, b free
         displaced = mate[a]
-        self.augment_from(displaced, {a: b, b: a, displaced: FREE})
+        self.attempts += 1
+        overlay = self._search(displaced, {a: b, b: a, displaced: FREE})
+        if overlay is not None:
+            self._commit(overlay)
+            self.successes += 1
 
     def handle_delete(self, u: int, v: int) -> None:
         """React to edge (u, v) having been deleted.
 
         A matched edge is unmatched unconditionally; augmentation then
-        restarts from each endpoint that is free.
+        restarts from each endpoint that is free.  An endpoint left without
+        neighbors counts a failed attempt without searching.
         """
         st = self.state
         mate = st._mate
         if mate[u] == v:
             st.unmatch(u)
+        degree = self.graph.degree
         for x in (u, v):
             if mate[x] == FREE:
-                self.augment_from(x)
+                self.attempts += 1
+                if not degree(x):
+                    continue
+                overlay = self._search(x, {})
+                if overlay is not None:
+                    self._commit(overlay)
+                    self.successes += 1
 
     # -- augmentation ----------------------------------------------------------
 
     def augment_from(self, start: int, seed: dict[int, int] | None = None) -> bool:
-        """Try to grow the matching from vertex ``start``.
+        """Try to grow the matching from vertex ``start``: one attempt.
 
         ``seed`` is an overlay {vertex: mate} of changes not yet written to
         the state (handle_insert's swap); the search reads every mate
@@ -141,17 +165,15 @@ class DynamicMcm:
         or a BFS per config.kind, extends a copy of the seed to an
         augmenting path, which ``_commit`` writes together with the seed.
         A failed attempt writes nothing, so the matching and every watch()
-        set stay as they were.
+        set stay as they were.  The handlers run the same count, search and
+        commit inline, since they have just read the start's mate.
         """
         if seed is None:
             seed = {}
         if seed.get(start, self.state._mate[start]) != FREE:
             raise ValueError(f"augment_from requires a free vertex, got {start}")
         self.attempts += 1
-        if self.config.kind == "walk":
-            overlay = self._walk_once(start, seed)
-        else:
-            overlay = self._bfs(start, seed)
+        overlay = self._search(start, seed)
         if overlay is None:
             return False
         self._commit(overlay)
@@ -173,14 +195,15 @@ class DynamicMcm:
         mate is read from the state, which is not written.  An untouched
         neighbor's mate is untouched too (the overlay always holds both
         ends of a pair it breaks), so its mate comes straight from the
-        state.  Returns the overlay when the walk ends in a match, None
-        when it fails.
+        state.  The copy is made at the first step that does not fail, so
+        a walk that fails on its first draw allocates nothing.  Returns the
+        overlay when the walk ends in a match, None when it fails.
         """
         adjs = self.graph._adj
         degree = self.graph.degree
         base = self.state._mate
         getrandbits = self.rng.getrandbits
-        over = dict(seed)
+        over = seed  # read only until the copy below
         cur = start
         for _ in range(self._depth):
             k = degree(cur)
@@ -195,6 +218,8 @@ class DynamicMcm:
             nb = adjs[cur][r]
             if nb in over:
                 return None
+            if over is seed:
+                over = dict(seed)
             displaced = base[nb]
             over[cur] = nb
             over[nb] = cur

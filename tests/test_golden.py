@@ -154,3 +154,39 @@ def test_standalone_safe_mode_mcm_digest_unchanged(churn_prefix):
     assert h.hexdigest() == (
         "ac56f3e5b45463222611ed6a0130091ae21098013ecab700dad672d34a6e1046"
     )
+
+
+# The level workers' counters and RNG streams on the same prefix: stats()
+# and every level's RNG state every 1000 ops.  A dispatch that skips a
+# worker call or an attempt that draws differently changes these even where
+# the merged matching comes out the same.  Recorded at commit 893a2cf.
+LEVEL_STREAM_GOLDEN = {
+    "level-walk-0.1": (
+        GOLDEN["level-walk-0.1"][0],
+        "640b08afd204f9e67d58e875c26b119706b50461e9e14d48036e60255479edec",
+    ),
+    "level-bfs-0.5": (
+        GOLDEN["level-bfs-0.5"][0],
+        "f9861763ca7250de388b27fa7f96b2e8defdca6e7e87348b4214112a5b7d90cb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_STREAM_GOLDEN))
+def test_level_counters_and_rng_streams_unchanged(name, churn_prefix):
+    make, digest = LEVEL_STREAM_GOLDEN[name]
+    g = DynamicGraph(churn_prefix.n)
+    algo = make(g)
+    h = hashlib.sha256()
+    for k, op in enumerate(churn_prefix.ops, 1):
+        if op.kind == INSERT:
+            g.insert_edge(op.u, op.v, op.w)
+            algo.handle_insert(op.u, op.v, op.w)
+        else:
+            g.delete_edge(op.u, op.v)
+            algo.handle_delete(op.u, op.v)
+        if k % 1000 == 0:
+            h.update(f"{k} {algo.stats()}\n".encode())
+            for level in algo.levels:
+                h.update(f"{level.index} {level.worker.rng.getstate()}\n".encode())
+    assert h.hexdigest() == digest

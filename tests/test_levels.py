@@ -23,6 +23,7 @@ from dynmatch.oracle import exact_mwm
 
 from conftest import build_graph, random_graph
 from support.levels import ExactLevelMwm, level_edges
+from support.oracle import exact_mcm_matching
 
 
 def make_level_algo(graph, *, seed=13, **cfg):
@@ -186,14 +187,17 @@ def level_prefixes(level):
 
 def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
     # The delete takes the edge out of the shared adjacency, so out of the
-    # prefix of every level 0..top, then calls those levels' workers, and
-    # leaves every level above alone.
+    # prefix of every level 0..top, then calls the workers of the levels
+    # whose worker can act, and leaves every level above alone.  (1, 2) is
+    # unmatched at level 0, where 0-1 and 2-3 match both its ends, so the
+    # delete skips level 0's worker; at levels 1..3, vertex 1 is free.
     g = build_graph(6, [])
     algo = make_level_algo(g, epsilon=1.0)
-    for (u, v, w) in ((0, 1, 1), (2, 3, 8), (4, 5, 100)):
+    for (u, v, w) in ((0, 1, 1), (2, 3, 8), (4, 5, 100), (1, 2, 8)):
         g.insert_edge(u, v, w)
         algo.handle_insert(u, v, w)
     assert len(algo.levels) == 7
+    assert [lvl.state.mate_of(1) for lvl in algo.levels[:4]] == [0, FREE, FREE, FREE]
     calls = []
     original = DynamicMcm.handle_delete
 
@@ -202,13 +206,18 @@ def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
         return original(worker, u, v)
 
     monkeypatch.setattr(DynamicMcm, "handle_delete", recording_delete)
-    for (u, v), top in (((2, 3), 3), ((0, 1), 0), ((4, 5), 6)):
+    for (u, v), top, called in (
+        ((1, 2), 3, [1, 2, 3]),
+        ((2, 3), 3, [0, 1, 2, 3]),
+        ((0, 1), 0, [0]),
+        ((4, 5), 6, list(range(7))),
+    ):
         calls.clear()
         before = [(level_prefixes(lvl), level_edges(lvl)) for lvl in algo.levels]
         g.delete_edge(u, v)
         algo.handle_delete(u, v)
         assert [worker for worker, _ in calls] == [
-            lvl.worker for lvl in algo.levels[: top + 1]
+            algo.levels[i].worker for i in called
         ]
         assert not any(held for _, held in calls)
         for i, lvl in enumerate(algo.levels):
@@ -219,6 +228,38 @@ def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
             else:
                 assert level_prefixes(lvl) == prefixes
     assert level_edge_sets(algo) == [[]] * 7
+    algo.audit(deep=True)
+
+
+@pytest.mark.parametrize("kind", ["walk", "bfs"])
+def test_dispatch_skips_updates_a_level_worker_ignores(kind, monkeypatch):
+    # At level 0, 0-1 and 2-3 are matched.  Inserting (1, 2) there, and
+    # deleting it again while it is unmatched, calls no level-0 worker
+    # and leaves the level's mates, its change set and its RNG as they were.
+    g = build_graph(4, [])
+    algo = make_level_algo(g, epsilon=1.0, mcm_kind=kind)
+    for u, v in ((0, 1), (2, 3)):
+        g.insert_edge(u, v, 1)
+        algo.handle_insert(u, v, 1)
+    algo.weight  # drains the change sets
+    level = algo.levels[0]
+    before = (list(level.state._mate), level.worker.rng.getstate())
+    assert before[0] == [1, 0, 3, 2]
+
+    def no_call(worker, u, v):
+        raise AssertionError(f"worker called for ({u}, {v})")
+
+    monkeypatch.setattr(DynamicMcm, "handle_insert", no_call)
+    monkeypatch.setattr(DynamicMcm, "handle_delete", no_call)
+    g.insert_edge(1, 2, 1)
+    algo.handle_insert(1, 2, 1)
+    assert (list(level.state._mate), level.worker.rng.getstate()) == before
+    assert not level.changed
+    g.delete_edge(1, 2)
+    algo.handle_delete(1, 2)
+    assert (list(level.state._mate), level.worker.rng.getstate()) == before
+    assert not level.changed
+    assert level.worker.attempts == level.worker.successes == 0
     algo.audit(deep=True)
 
 
@@ -345,6 +386,27 @@ def test_exact_backend_meets_half_times_one_plus_eps_bound():
 
             drive(algo, g, random_stream(10, 50, seed=seed, max_w=100, max_live=18),
                   per_update=check)
+
+
+def test_exact_levels_stay_maximum_after_every_op():
+    # The bound above needs every exact level to hold a maximum matching of
+    # its own edges after every op.  An insert between two vertices matched
+    # at a level can open an augmenting path through the new edge there, so
+    # LevelMwm may skip such a call only for workers that never act on it
+    # (DynamicMcm without safe_mode), never for the exact backend.
+    for seed in range(200):
+        g = DynamicGraph(8)
+        algo = ExactLevelMwm(g, LevelConfig(epsilon=1.0), seed=13)
+
+        def check(a, _g):
+            for level in a.levels:
+                edges = level_edges(level)
+                maximum = exact_mcm_matching(build_graph(8, [(u, v, 1) for u, v in edges]))
+                assert level.state.matched_count() == len(maximum), (
+                    seed, level.index, edges, sorted(level.state.matched_pairs())
+                )
+
+        drive(algo, g, random_stream(8, 30, seed=seed), per_update=check)
 
 
 def test_walk_backend_stream_stays_consistent():

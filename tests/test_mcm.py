@@ -379,13 +379,19 @@ def test_insert_free_free_matches_directly():
 
 
 def test_insert_between_matched_vertices_unsafe_is_noop():
-    g = build_graph(4, [(0, 1, 1), (2, 3, 1)])
-    mcm = make_mcm(g)
-    mcm.state.match_edge(0, 1)
-    mcm.state.match_edge(2, 3)
-    g.insert_edge(1, 2, 1)
-    mcm.handle_insert(1, 2)
-    assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
+    # LevelMwm skips this call, so it must write, count and draw nothing.
+    for kind in ("walk", "bfs"):
+        g = build_graph(4, [(0, 1, 1), (2, 3, 1)])
+        mcm = make_mcm(g, kind=kind)
+        mcm.state.match_edge(0, 1)
+        mcm.state.match_edge(2, 3)
+        changed = mcm.state.watch()
+        rng_state = mcm.rng.getstate()
+        g.insert_edge(1, 2, 1)
+        mcm.handle_insert(1, 2)
+        assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
+        assert not changed and mcm.rng.getstate() == rng_state
+        assert mcm.attempts == 0
 
 
 def test_insert_swap_keeps_gain_when_displaced_mate_recovers():
@@ -437,13 +443,62 @@ def test_delete_matched_edge_in_p4_settles_at_cardinality_one():
 
 
 def test_delete_unmatched_edge_keeps_matching():
-    g = build_graph(4, [(0, 1, 1), (2, 3, 1), (1, 2, 1)])
-    mcm = make_mcm(g)
+    # Both ends matched: LevelMwm skips this call, so it must write, count
+    # and draw nothing.
+    for kind in ("walk", "bfs"):
+        g = build_graph(4, [(0, 1, 1), (2, 3, 1), (1, 2, 1)])
+        mcm = make_mcm(g, kind=kind)
+        mcm.state.match_edge(0, 1)
+        mcm.state.match_edge(2, 3)
+        changed = mcm.state.watch()
+        rng_state = mcm.rng.getstate()
+        g.delete_edge(1, 2)
+        mcm.handle_delete(1, 2)
+        assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
+        assert not changed and mcm.rng.getstate() == rng_state
+        assert mcm.attempts == 0
+
+
+@pytest.mark.parametrize("kind", ["walk", "bfs"])
+def test_free_start_without_neighbors_fails_without_searching(kind):
+    # Deleting the only edge leaves both ends free and isolated: one failed
+    # attempt each, no search run and no draw.
+    g = build_graph(2, [(0, 1, 1)])
+    mcm = make_mcm(g, kind=kind)
     mcm.state.match_edge(0, 1)
-    mcm.state.match_edge(2, 3)
-    g.delete_edge(1, 2)
-    mcm.handle_delete(1, 2)
-    assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
+    rng_state = mcm.rng.getstate()
+
+    def no_search(start, seed):
+        raise AssertionError(f"search from isolated vertex {start}")
+
+    mcm._search = no_search
+    g.delete_edge(0, 1)
+    mcm.handle_delete(0, 1)
+    assert mcm.attempts == 2 and mcm.successes == 0
+    assert mcm.rng.getstate() == rng_state
+    assert mcm.state.matched_count() == 0
+
+
+def test_insert_displacing_a_degree_one_vertex_fails_after_one_draw():
+    # (0, 1) matched and (1, 2) inserted: the walk starts at the displaced
+    # 0, whose only neighbor 1 is in the seed, so it fails on its first
+    # draw and writes nothing, the seed included.
+    for seed in range(10):
+        g = build_graph(3, [(0, 1, 1)])
+        mcm = make_mcm(g, seed=seed, epsilon=0.1)
+        mcm.state.match_edge(0, 1)
+        changed = mcm.state.watch()
+        before = snapshot(mcm)
+        g.insert_edge(1, 2, 1)
+        mcm.handle_insert(1, 2)
+        assert snapshot(mcm) == before and not changed
+        assert mcm.attempts == 1 and mcm.successes == 0
+        fresh = random.Random(seed)
+        fresh.randrange(1)
+        assert mcm.rng.getstate() == fresh.getstate()
+        swap = {1: 2, 2: 1, 0: FREE}
+        assert mcm._walk_once(0, swap) is None
+        assert swap == {1: 2, 2: 1, 0: FREE}
 
 
 # -- properties ----------------------------------------------------------------
