@@ -211,9 +211,7 @@ def _load_stream(args) -> UpdateStream:
     text = _read_input(args)
     if _is_temporal(text):
         stream = parse_temporal(text)
-        dropped = {
-            k: v for k, v in stream.provenance.get("warnings", {}).items() if v
-        }
+        dropped = {k: v for k, v in stream.warnings.items() if v}
         if dropped:
             print(f"warning: cleaned temporal input: {dropped}", file=sys.stderr)
         return stream

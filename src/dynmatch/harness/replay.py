@@ -134,13 +134,14 @@ def replay(
     outside the timed region; violations raise MatchingCorruptionError,
     prefixed with ``op <seq>:`` (``after the last op:`` for the tail audit)
     and chained to the audit's own error, never swallowed.  The per-op
-    audit is O(Δ): it checks mate symmetry, graph membership and stored
-    weight only at the vertices touched since the previous audit (the op's
-    endpoints and every vertex whose mate changed), plus the weight total
-    against an independently maintained sum.  The deep O(n + |M|) audit --
-    the same check at every vertex, a test that every stored pair is a pair
-    of mates, and each algorithm's own structures such as LevelMwm's levels
-    and its merged view against a from-scratch merge -- runs on ops whose
+    audit is O(Δ): it checks the weight stored at each vertex touched since
+    the previous audit (the op's endpoints and every vertex whose mate
+    changed), none at a free vertex, and at a matched one mate symmetry,
+    equal weights at both mates, graph membership and the graph weight,
+    plus the weight total against an independently maintained sum.  The
+    deep audit -- the same check at every vertex, in O(n), and each
+    algorithm's own structures such as LevelMwm's levels and its merged
+    view against a from-scratch merge -- runs on ops whose
     ``seq`` is a multiple of ``deep_audit_every`` (0 disables these) and
     after the last op.  Raises ReplayError when an op does not apply
     cleanly.

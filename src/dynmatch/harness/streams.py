@@ -53,13 +53,12 @@ class UpdateOp(NamedTuple):
 class UpdateStream:
     """A replayable sequence of edge updates on vertices {0, ..., n-1}.
 
-    provenance records how the stream came to be (source, seeds, undo
-    fraction) so result rows stay reproducible.
+    warnings counts the input lines the temporal parser dropped, by cause.
     """
 
     n: int
     ops: list[UpdateOp]
-    provenance: dict = field(default_factory=dict)
+    warnings: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -207,9 +206,7 @@ def parse_temporal(text: str) -> UpdateStream:
             ops.append(UpdateOp(DELETE, u, v, None, len(ops)))
         max_id = max(max_id, u, v)
     n = max(max_id + 1, n_hint)
-    return UpdateStream(
-        n=n, ops=ops, provenance={"source": "temporal", "warnings": warnings}
-    )
+    return UpdateStream(n=n, ops=ops, warnings=warnings)
 
 
 def gen_insertion_stream(
@@ -229,9 +226,7 @@ def gen_insertion_stream(
         if w is None:
             w = rng.randint(GEN_WEIGHT_LO, GEN_WEIGHT_HI)
         ops.append(UpdateOp(INSERT, u, v, w, i))
-    return UpdateStream(
-        n=n, ops=ops, provenance={"source": "insertion", "seed": seed}
-    )
+    return UpdateStream(n=n, ops=ops)
 
 
 def gen_undo_suffix(stream: UpdateStream, percent: float, seed: int) -> UpdateStream:
@@ -253,10 +248,7 @@ def gen_undo_suffix(stream: UpdateStream, percent: float, seed: int) -> UpdateSt
         else:
             w = rng.randint(GEN_WEIGHT_LO, GEN_WEIGHT_HI)
             ops.append(UpdateOp(INSERT, op.u, op.v, w, seq))
-    provenance = dict(stream.provenance)
-    provenance["undo_percent"] = percent
-    provenance["undo_seed"] = seed
-    return UpdateStream(n=stream.n, ops=ops, provenance=provenance)
+    return UpdateStream(n=stream.n, ops=ops, warnings=dict(stream.warnings))
 
 
 def format_stream(stream: UpdateStream) -> str:

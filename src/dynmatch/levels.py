@@ -49,16 +49,13 @@ class LevelConfig:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         if self.epsilon < MIN_SAFE_EPSILON:
             raise ValueError(
-                f"epsilon={self.epsilon:g} creates ~{self.level_count_for(10**9)} "
-                f"levels per billion weight units; the minimum is {MIN_SAFE_EPSILON:g}"
+                f"epsilon={self.epsilon:g} makes too many levels; "
+                f"the minimum is {MIN_SAFE_EPSILON:g}"
             )
         if self.mcm_kind not in ("walk", "bfs"):
             raise ValueError(
                 f"mcm_kind must be 'walk' or 'bfs', got {self.mcm_kind!r}"
             )
-
-    def level_count_for(self, max_weight: float) -> int:
-        return int(math.log(max(max_weight, 1.0)) / math.log1p(self.epsilon)) + 1
 
     def label(self) -> str:
         return f"eps={self.epsilon:g},mcm={self.mcm_kind}"
@@ -259,7 +256,7 @@ class LevelMwm:
         """
         view = self._view
         vmate = view._mate
-        vpairs = view._pairs
+        vmw = view._mw
         cover = self._cover
         master_w = self.graph._weight
         queues = [level.changed for level in self.levels]
@@ -276,10 +273,9 @@ class LevelMwm:
                 y = mates[x]
                 if c == i:
                     m = vmate[x]
-                    key = edge_key(x, m)
                     # The weight test catches a delete and re-insert at
                     # another weight between two refreshes.
-                    if m == y and vpairs[key] == master_w.get(key):
+                    if m == y and vmw[x] == master_w.get(edge_key(x, m)):
                         continue
                     # x's kept pair has left level i's matching; its
                     # partner re-decides from level i.
@@ -342,10 +338,16 @@ class LevelMwm:
         for level in self.levels:
             level.worker.audit(f"level {level.index} matching")
         reference = merge_levels(self)
-        if reference._pairs != self._view._pairs:
+        view = self._view
+        if reference._mate != view._mate or reference._mw != view._mw:
+            x = next(
+                x for x in range(view.n)
+                if (view._mate[x], view._mw[x]) != (reference._mate[x], reference._mw[x])
+            )
             raise MatchingCorruptionError(
-                f"merged view drift: {len(self._view._pairs)} pairs vs "
-                f"{len(reference._pairs)} from a full merge"
+                f"merged view drift at vertex {x}: mate {view._mate[x]}, weight "
+                f"{view._mw[x]!r}; a full merge gives mate {reference._mate[x]}, "
+                f"weight {reference._mw[x]!r}"
             )
 
     def _audit_adjacency(self) -> None:
@@ -381,26 +383,23 @@ def merge_levels(structure: LevelMwm) -> MatchingState:
     """
     graph = structure.graph
     out = MatchingState(graph.n)
-    used = bytearray(graph.n)
-    # Write the output state's internals directly -- the `used` array
-    # already guarantees the pairs are vertex-disjoint, and candidate pairs
-    # are canonical (min, max).
+    # Write the output state's internals directly -- a vertex is covered
+    # iff its mate is set, so the kept pairs are vertex-disjoint, and
+    # candidate pairs are canonical (min, max).
     master_w = graph._weight
     mate = out._mate
-    out_pairs = out._pairs
+    mw = out._mw
     total: Weight = 0
     try:
         for level in reversed(structure.levels):
             for pair in level.state.matched_pairs():
                 u, v = pair
-                if used[u] or used[v]:
+                if mate[u] != FREE or mate[v] != FREE:
                     continue
-                used[u] = 1
-                used[v] = 1
                 w = master_w[pair]
                 mate[u] = v
                 mate[v] = u
-                out_pairs[pair] = w
+                mw[u] = mw[v] = w
                 total += w
     except KeyError as exc:
         raise MatchingCorruptionError(

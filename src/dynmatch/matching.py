@@ -2,10 +2,10 @@
 
 A UnitMatching is deliberately dumb: it stores who is matched to whom and
 refuses anything that would break the matching property.  A MatchingState
-also stores the weight each matched edge had at match time.  Weights are
-stored there (not read back from the graph) because deletion handlers run
-after the edge has already left the graph and still need to subtract its
-weight.
+also stores the weight each matched edge had at match time, at both
+endpoints, so both index the matching by vertex only.  Weights are stored
+there (not read back from the graph) because deletion handlers run after
+the edge has already left the graph and still need to subtract its weight.
 """
 
 from __future__ import annotations
@@ -82,13 +82,17 @@ class UnitMatching:
 
 class MatchingState(UnitMatching):
     """A matching with the weight each matched edge had at match time and
-    an incremental weight sum."""
+    an incremental weight sum.
 
-    __slots__ = ("_pairs", "total_weight")
+    ``_mw[x]`` is the weight of x's matched edge, written at both endpoints,
+    and 0 while x is free.
+    """
+
+    __slots__ = ("_mw", "total_weight")
 
     def __init__(self, n: int) -> None:
         super().__init__(n)
-        self._pairs: dict[tuple[int, int], Weight] = {}
+        self._mw: list[Weight] = [0] * n
         self.total_weight: Weight = 0
 
     def match_edge(self, u: int, v: int, w: Weight) -> None:
@@ -96,24 +100,24 @@ class MatchingState(UnitMatching):
         if not w > 0:
             raise ValueError(f"matched edge weight must be positive, got {w!r}")
         UnitMatching.match_edge(self, u, v)
-        self._pairs[edge_key(u, v)] = w
+        self._mw[u] = self._mw[v] = w
         self.total_weight += w
 
     def unmatch(self, u: int) -> None:
         v = self._mate[u]
         UnitMatching.unmatch(self, u)
-        self.total_weight -= self._pairs.pop(edge_key(u, v))
+        self.total_weight -= self._mw[u]
+        self._mw[u] = self._mw[v] = 0
 
     def stored_weight(self, u: int) -> Weight:
         """Weight recorded for u's matched edge at match time."""
-        v = self._mate[u]
-        if v == FREE:
+        if self._mate[u] == FREE:
             raise ValueError(f"vertex {u} is not matched")
-        return self._pairs[edge_key(u, v)]
+        return self._mw[u]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MatchingState(n={self.n}, matched={len(self._pairs)}, "
+            f"MatchingState(n={self.n}, matched={self.matched_count()}, "
             f"weight={self.total_weight})"
         )
 
@@ -137,14 +141,15 @@ class MatchingAuditor:
     edges changed (per the graph) since the previous check; both sets are
     collected through ``watch``, so they include edges deleted or inserted
     without the algorithm being told.  A check verifies, at each vertex of
-    Δ, mate symmetry, that the matched pair is a stored pair and a graph
-    edge, and that its stored weight equals the graph weight.  It then
+    Δ, that a free vertex stores no weight, and at a matched one mate
+    symmetry, that both mates store the same weight, that the pair is a
+    graph edge and that the stored weight equals the graph weight.  It then
     compares the state's ``total_weight`` with a sum the auditor maintains
     itself from the pairs it has verified.  Corruption at a vertex outside
     Δ (state or graph internals written directly) is only seen by the deep
     check: it forgets every verified pair and runs the same check with
-    every vertex in Δ, in O(n + |M|), then tests that every stored pair
-    was verified, so a stored pair that is not a pair of mates is named.
+    every vertex in Δ, in O(n).  The state keeps nothing but per-vertex
+    entries and the total, so that check covers all of it.
 
     Construction runs the deep check, so the first audit is always full.
     """
@@ -184,24 +189,30 @@ class MatchingAuditor:
                 self._total -= weight[x]
         # ... and verify and count the pairs there now.
         mate = state._mate
-        pairs = state._pairs
+        mw = state._mw
         gw = self.graph._weight
         for x in touched:
             y = mate[x]
-            if y == FREE or snap[x] == y:
+            if y == FREE:
+                if mw[x]:
+                    raise MatchingCorruptionError(
+                        f"a weight stored at free vertex {x}: {mw[x]!r}"
+                    )
+                continue
+            if snap[x] == y:
                 continue
             if not 0 <= y < state.n or mate[y] != x:
                 raise MatchingCorruptionError(
                     f"mate array out of sync at vertex {x}: mate[{x}]={y}, "
                     + (f"mate[{y}]={mate[y]}" if 0 <= y < state.n else "not a vertex")
                 )
-            key = edge_key(x, y)
-            w = pairs.get(key)
-            if w is None:
+            w = mw[x]
+            if mw[y] != w:
                 raise MatchingCorruptionError(
-                    f"vertices {x} and {y} are mates but ({key[0]}, {key[1]}) "
-                    "is not a stored pair"
+                    f"vertices {x} and {y} are mates but store different "
+                    f"weights {w!r} and {mw[y]!r}"
                 )
+            key = edge_key(x, y)
             stored = gw.get(key)
             if stored is None:
                 raise MatchingCorruptionError(
@@ -218,10 +229,4 @@ class MatchingAuditor:
             snap[y] = mate[y]
             weight[x] = weight[y] = w
             self._total += w
-        if deep:
-            for u, v in pairs:
-                if snap[u] != v:
-                    raise MatchingCorruptionError(
-                        f"stored pair ({u}, {v}) is not a pair of mates"
-                    )
         _check_total(state.total_weight, self._total)

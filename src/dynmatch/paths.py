@@ -96,7 +96,7 @@ def extend_walk(
     weights = path.weights
     matched = path.matched
     mate = state._mate
-    pairs = state._pairs
+    mw = state._mw
     adjs = graph._adj
     gw = graph._weight
     on_path = set(nodes)
@@ -109,7 +109,7 @@ def extend_walk(
             if m in on_path:
                 break
             nxt = m
-            weights.append(pairs[(current, m) if current < m else (m, current)])
+            weights.append(mw[current])
             matched.append(True)
         else:
             if len(weights) >= max_len:

@@ -207,29 +207,24 @@ class RandomWalkMwm:
         matched the new edge itself; it then seeds as a single matched edge.
         """
         mate = self.state._mate
-        pairs = self.state._pairs
+        mw = self.state._mw
         mu = mate[u]
         mv = mate[v]
         if mu == v or (mu == FREE and mv == FREE):
             a, b = (u, v) if self.rng.random() < 0.5 else (v, u)
             path.nodes += (a, b)
-            path.weights.append(pairs[(u, v) if u < v else (v, u)] if mu == v else w)
+            path.weights.append(mw[u] if mu == v else w)
             path.matched.append(mu == v)
             return b
         if mu != FREE and mv != FREE:
             path.nodes += (mu, u, v, mv)
-            path.weights += (
-                pairs[(u, mu) if u < mu else (mu, u)],
-                w,
-                pairs[(v, mv) if v < mv else (mv, v)],
-            )
+            path.weights += (mw[u], w, mw[v])
             path.matched += (True, False, True)
             return mv
         # Exactly one endpoint matched; orient so a is the matched one.
         a, b = (u, v) if mu != FREE else (v, u)
-        ma = mate[a]
-        path.nodes += (ma, a, b)
-        path.weights += (pairs[(a, ma) if a < ma else (ma, a)], w)
+        path.nodes += (mate[a], a, b)
+        path.weights += (mw[a], w)
         path.matched += (True, False)
         return b
 

@@ -17,7 +17,7 @@ def matching_weight_recompute(state: MatchingState, graph: DynamicGraph) -> Weig
     """
     total: Weight = 0
     gw = graph._weight
-    for pair in state._pairs:
+    for pair in state.matched_pairs():
         try:
             total += gw[pair]
         except KeyError:

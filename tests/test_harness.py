@@ -115,7 +115,7 @@ def test_temporal_cleaning_warnings():
     text = "1 1 5 1 +\n0 1 5 2 +\n0 1 6 3 +\n2 3 0 4 -\n"
     stream = parse_temporal(text)
     assert len(stream.ops) == 1
-    w = stream.provenance["warnings"]
+    w = stream.warnings
     assert w == {"self_loops": 1, "duplicate_inserts": 1, "absent_deletes": 1}
 
 
@@ -236,8 +236,6 @@ def test_undo_ten_percent_of_ten_ops_deletes_the_last_insert():
     last, tail = stream.ops[-1], out.ops[-1]
     assert tail.kind == DELETE
     assert (tail.u, tail.v) == (last.u, last.v)
-    assert out.provenance["undo_percent"] == 10
-    assert out.provenance["undo_seed"] == 6
 
 
 def test_undo_of_a_delete_reinserts_with_fresh_weight():
@@ -338,7 +336,7 @@ def drift_weight(algo):
 
 
 def retag_pair_0_1(algo):
-    algo.state._pairs[(0, 1)] = 9  # vertices the last op did not touch
+    algo.state._mw[0] = algo.state._mw[1] = 9  # vertices the last op did not touch
 
 
 @pytest.mark.parametrize(
@@ -451,7 +449,8 @@ def test_shallow_audit_flags_weight_drift(name):
 @pytest.mark.parametrize("name", sorted(AUDITED_FACTORIES))
 def test_deep_audit_flags_tampering_the_op_did_not_touch(name):
     g, algo = audited_algo(name)
-    exposed_state(algo)._pairs[(0, 1)] = 9
+    state = exposed_state(algo)
+    state._mw[0] = state._mw[1] = 9
     g.delete_edge(4, 5)
     algo.handle_delete(4, 5)
     algo.audit()  # shallow: vertices 0 and 1 were not touched
@@ -470,8 +469,17 @@ def test_deep_audit_names_what_it_catches_at_an_untouched_vertex(name):
     with pytest.raises(MatchingCorruptionError, match=r"out of sync at vertex 4\b"):
         algo.audit(deep=True)
     state._mate[4] = FREE
-    state._pairs[(4, 5)] = 6  # a stored pair no mate records
-    with pytest.raises(MatchingCorruptionError, match=r"stored pair \(4, 5\)"):
+    state._mw[4] = 6  # a weight no mate records
+    with pytest.raises(
+        MatchingCorruptionError, match=r"a weight stored at free vertex 4\b"
+    ):
+        algo.audit(deep=True)
+    state._mw[4] = 0
+    state._mw[1] = 4  # its mate 0 still stores 5
+    with pytest.raises(
+        MatchingCorruptionError,
+        match=r"vertices 0 and 1 are mates but store different weights 5 and 4",
+    ):
         algo.audit(deep=True)
 
 
@@ -792,6 +800,8 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="epsilon-tiny"),
         pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "inf"],
                      id="level-epsilon-inf"),
+        pytest.param(RUN + ["--algo", "level-walk", "--epsilon", "1e-320"],
+                     id="level-epsilon-tiny"),
         pytest.param(RUN + ["--algo", "level-walk", "--level-epsilon", "0.5"],
                      id="level-epsilon-flag-removed"),
         pytest.param(RUN + ["--algo", "random", "--beta", "3"],

@@ -102,6 +102,10 @@ def test_config_validation():
 def test_config_small_epsilon_guard():
     with pytest.raises(ValueError, match="minimum is 0.1"):
         LevelConfig(epsilon=MIN_SAFE_EPSILON / 2)
+    # Subnormal values: building the message must not overflow.
+    for tiny in (5e-324, 1e-320, 1e-310):
+        with pytest.raises(ValueError, match="minimum is 0.1"):
+            LevelConfig(epsilon=tiny)
     assert LevelConfig(epsilon=MIN_SAFE_EPSILON).epsilon == MIN_SAFE_EPSILON
 
 
@@ -556,6 +560,22 @@ def test_deep_audit_names_the_level_of_a_one_sided_mate(u, v):
         MatchingCorruptionError,
         match=rf"level 1 matching mate array out of sync at vertex {u}: "
         rf"mate\[{u}\]={v}, mate\[{v}\]=-1",
+    ):
+        algo.audit(deep=True)
+
+
+def test_deep_audit_names_the_vertex_where_the_merged_view_drifts():
+    g = build_graph(6, [])
+    algo = make_level_algo(g, epsilon=1.0)
+    for (a, b, w) in ((0, 1, 8), (2, 3, 4), (4, 5, 1)):
+        g.insert_edge(a, b, w)
+        algo.handle_insert(a, b, w)
+    algo.audit(deep=True)
+    algo._view.unmatch(2)  # a self-consistent view no full merge gives
+    with pytest.raises(
+        MatchingCorruptionError,
+        match=r"merged view drift at vertex 2: mate -1, weight 0; "
+        r"a full merge gives mate 3, weight 4$",
     ):
         algo.audit(deep=True)
 

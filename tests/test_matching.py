@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from dynmatch.errors import MatchingCorruptionError
 from dynmatch.graph import DynamicGraph
@@ -240,3 +242,55 @@ def test_deep_check_names_a_mate_that_is_not_a_vertex():
             MatchingCorruptionError, match=rf"vertex 4: mate\[4\]={bad}, not a vertex"
         ):
             auditor.check(deep=True)
+
+
+# -- MatchingState against a pair-dict model -----------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hs.lists(
+        hs.tuples(
+            hs.booleans(),
+            hs.integers(0, 7),
+            hs.integers(0, 7),
+            hs.integers(1, 100),
+        ),
+        max_size=60,
+    )
+)
+def test_matching_state_agrees_with_a_pair_dict_model(ops):
+    """Random match_edge/unmatch sequences, refused ones included, keep the
+    per-vertex weights equal to a {(min, max): w} model after every step."""
+    n = 8
+    g = DynamicGraph(n)
+    state = MatchingState(n)
+    auditor = MatchingAuditor(state, g)
+    model: dict[tuple[int, int], int] = {}
+    for is_match, u, v, w in ops:
+        covered = {x for pair in model for x in pair}
+        if is_match:
+            if u == v or u in covered or v in covered:
+                with pytest.raises(ValueError):
+                    state.match_edge(u, v, w)
+            else:
+                # The auditor compares stored weights with the graph's.
+                if g.has_edge(u, v):
+                    g.delete_edge(u, v)
+                g.insert_edge(u, v, w)
+                state.match_edge(u, v, w)
+                model[(min(u, v), max(u, v))] = w
+        elif u not in covered:
+            with pytest.raises(ValueError):
+                state.unmatch(u)
+        else:
+            m = state.mate_of(u)
+            state.unmatch(u)
+            del model[(min(u, m), max(u, m))]
+        for (a, b), w in model.items():
+            assert state.stored_weight(a) == state.stored_weight(b) == w
+        covered = {x for pair in model for x in pair}
+        assert all(state._mw[x] == 0 for x in range(n) if x not in covered)
+        assert state.total_weight == sum(model.values())
+        assert state.matched_pairs() == sorted(model)
+        auditor.check(deep=True)
