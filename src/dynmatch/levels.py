@@ -1,21 +1,24 @@
 """Weight-bucketed matching: cardinality subroutines per geometric level.
 
-Level i holds exactly the current edges of weight >= (1+eps)^i, so levels
-nest downward and an edge of weight w lives in levels 0..level_index(w).
-Each level maintains its own cardinality matching, a UnitMatching that keeps
-mates only and counts pairs, not weights; the exposed weighted matching
-greedily merges the per-level matchings from the heaviest level down,
-charging each kept edge its true weight.  With exact
-per-level matchings this loses at most a factor 2(1+eps) against the
-optimum; approximate subroutines degrade that bound proportionally.
+There is one level per weight class that has had an edge.  Level i holds
+exactly the current edges of weight >= (1+eps)^i, so levels nest downward
+and an edge of weight w lives in every level with index <= level_index(w).
+A class no edge has reached would hold exactly the edges of the next level
+above it, so it gets no level.  Each level maintains its own cardinality
+matching, a UnitMatching that keeps mates only and counts pairs, not
+weights; the exposed weighted matching greedily merges the per-level
+matchings from the heaviest level down, charging each kept edge its true
+weight.  With exact per-level matchings this loses at most a factor
+2(1+eps) against the optimum; approximate subroutines degrade that bound
+proportionally.
 
 Weights must lie in [1, MAX_WEIGHT] (so level 0 is the bottom bucket);
 normalize inputs by dividing by their minimum weight if necessary.
 
 Because levels nest, they share one LevelAdjacency, where each vertex's
 neighbors are sorted heaviest class first: its level-i neighbors are the
-prefix of class >= i.  A level stores no edges of its own, so an empty level
-costs one mate entry per vertex.
+prefix of class >= i.  A level stores no edges of its own, so a level costs
+one mate entry per vertex.
 """
 
 from __future__ import annotations
@@ -137,16 +140,21 @@ class _Level:
 
     __slots__ = ("index", "n", "_adj", "_neg", "worker", "changed")
 
-    def __init__(self, index: int, adjacency: LevelAdjacency, make_worker) -> None:
+    def __init__(self, index: int, adjacency: LevelAdjacency, make_worker, above) -> None:
         self.index = index
         self.n = adjacency.n
         self._adj = adjacency._adj
         self._neg = adjacency._neg
         self.worker = make_worker(self)
+        # Until now this level's graph was that of ``above``, the next level
+        # up, so its matching is a matching here too.
+        if above is not None:
+            self.worker.state._mate[:] = above.state._mate
         # The merged view's work queue at this level (see LevelMwm._refresh):
         # the worker's matching adds every vertex whose mate it changes, and
         # the refresh adds vertices the view frees or displaces; the
-        # refresh drains it.
+        # refresh drains it.  It starts empty: every copied pair is a pair
+        # of the level above too, which the merge decides first.
         self.changed = self.worker.state.watch()
 
     def degree(self, u: int) -> int:
@@ -160,14 +168,16 @@ class _Level:
 class LevelMwm:
     """Fully-dynamic approximate MWM via per-level cardinality matchings.
 
-    Levels are created lazily: an edge of a new maximum class c extends the
-    ladder with empty levels up to c (no present edge reaches them).  Every
-    update writes the edge to the shared adjacency once and then runs the
-    handlers of those levels the edge belongs to whose worker can act on
-    it.  The workers are DynamicMcm without safe_mode, which ignore an
-    insert between two vertices matched at their level and the delete of
-    an edge unmatched at their level between two matched vertices (see
-    mcm.py); the dispatch reads the level's mates and skips those calls.
+    ``levels`` lists one level per class that has had an edge, ascending by
+    index.  The first edge of class c creates level c (see ``_ladder``)
+    with the mates of the next level above it, or none if c is the new top
+    class.  Every update writes the edge to the shared adjacency once and
+    then runs the handlers of those levels the edge belongs to, the
+    existing levels with index <= its class, whose worker can act on it.
+    The workers are DynamicMcm without safe_mode, which ignore an insert
+    between two vertices matched at their level and the delete of an edge
+    unmatched at their level between two matched vertices (see mcm.py);
+    the dispatch reads the level's mates and skips those calls.
     A worker that could act on such an update, such as one that keeps a
     maximum matching, needs every call.  A graph that holds edges at
     construction is adopted edge by edge, in canonical order.
@@ -190,9 +200,11 @@ class LevelMwm:
         self._mcm_config = McmConfig(epsilon=config.epsilon, kind=config.mcm_kind)
         self.adjacency = LevelAdjacency(graph.n)
         self.levels: list[_Level] = []
+        # _pos[c]: position of level c in ``levels``.
+        self._pos: dict[int, int] = {}
         self._view = MatchingState(graph.n)
-        # _cover[x]: index of the level whose kept pair covers x in the view,
-        # or -1 when x is free there.
+        # _cover[x]: index (class) of the level whose kept pair covers x in
+        # the view, or -1 when x is free there.
         self._cover = [-1] * graph.n
         self._auditor: MatchingAuditor | None = None
         for u, v, w in sorted(graph.edges()):
@@ -205,18 +217,32 @@ class LevelMwm:
 
     # -- update handlers ------------------------------------------------------
 
+    def _ladder(self, c: int) -> int:
+        """Position in ``levels`` of level c, created by the first edge of
+        class c before that edge enters the shared adjacency.
+
+        Until then level c's graph was that of the next level above, so the
+        new level starts with a copy of its mates: one O(n) list copy, no
+        search and no draw.  A new top class starts with no mates."""
+        p = self._pos.get(c)
+        if p is None:
+            levels = self.levels
+            p = sum(level.index < c for level in levels)
+            above = levels[p] if p < len(levels) else None
+            levels.insert(p, _Level(c, self.adjacency, self._make_worker, above))
+            self._pos = {level.index: q for q, level in enumerate(levels)}
+        return p
+
     def handle_insert(self, u: int, v: int, w: Weight) -> None:
         """React to edge (u, v, w) having been inserted into the master graph.
 
-        The edge joins levels 0..level_index(w); their workers see it
-        heaviest first, except at a level where u and v are both matched:
-        a DynamicMcm without safe_mode ignores that insert."""
+        The edge joins every level with index <= level_index(w); their
+        workers see it heaviest first, except at a level where u and v are
+        both matched: a DynamicMcm without safe_mode ignores that insert."""
         c = level_index(w, self.config.epsilon)
-        levels = self.levels
-        while len(levels) <= c:
-            levels.append(_Level(len(levels), self.adjacency, self._make_worker))
+        p = self._ladder(c)
         self.adjacency.insert(u, v, c)
-        for level in reversed(levels[: c + 1]):
+        for level in reversed(self.levels[: p + 1]):
             worker = level.worker
             mate = worker.state._mate
             if mate[u] == FREE or mate[v] == FREE:
@@ -225,12 +251,12 @@ class LevelMwm:
     def handle_delete(self, u: int, v: int) -> None:
         """React to edge (u, v) having been deleted from the master graph.
 
-        The edge leaves every level at once; the workers of levels 0..its
-        class then see the delete, bottom up, except at a level where the
-        edge was unmatched and u and v are both matched: a DynamicMcm
-        without safe_mode ignores that delete."""
+        The edge leaves every level at once; the workers of the levels with
+        index <= its class then see the delete, bottom up, except at a
+        level where the edge was unmatched and u and v are both matched: a
+        DynamicMcm without safe_mode ignores that delete."""
         c = self.adjacency.delete(u, v)
-        for level in self.levels[: c + 1]:
+        for level in self.levels[: self._pos.get(c, -1) + 1]:
             worker = level.worker
             mate = worker.state._mate
             mu = mate[u]
@@ -251,20 +277,25 @@ class LevelMwm:
         from the top level down, so every level above i is final when
         level i is decided.  Deciding can only displace kept pairs of level
         i or below: a displaced vertex joins the queue of the displaced
-        pair's level, and a vertex left free joins the queue of level i - 1,
-        so no work ever goes back up and the sweep leaves every set empty.
+        pair's level, found from its class, and a vertex left free joins
+        the queue of the next level below, so no work ever goes back up
+        and the sweep leaves every set empty.
         """
         view = self._view
         vmate = view._mate
         vmw = view._mw
         cover = self._cover
         master_w = self.graph._weight
-        queues = [level.changed for level in self.levels]
-        for i in range(len(queues) - 1, -1, -1):
-            todo = queues[i]
+        levels = self.levels
+        pos = self._pos
+        queues = [level.changed for level in levels]
+        for p in range(len(queues) - 1, -1, -1):
+            todo = queues[p]
             if not todo:
                 continue
-            mates = self.levels[i].state._mate
+            level = levels[p]
+            i = level.index
+            mates = level.state._mate
             while todo:
                 x = todo.pop()
                 c = cover[x]
@@ -291,7 +322,7 @@ class LevelMwm:
                             m = vmate[e]
                             view.unmatch(e)
                             cover[e] = cover[m] = -1
-                            queues[j].add(m)
+                            queues[pos[j]].add(m)
                     key = edge_key(x, y)
                     try:
                         view.match_edge(x, y, master_w[key])
@@ -300,8 +331,8 @@ class LevelMwm:
                             f"level {i} matching pair {key} is not a master-graph edge"
                         ) from None
                     cover[x] = cover[y] = i
-                elif cover[x] < 0 and i > 0:
-                    queues[i - 1].add(x)
+                elif cover[x] < 0 and p > 0:
+                    queues[p - 1].add(x)
 
     @property
     def weight(self) -> Weight:

@@ -127,7 +127,9 @@ class DynamicMcm:
         a, b = (u, v) if fv else (v, u)  # a matched, b free
         displaced = mate[a]
         self.attempts += 1
-        overlay = self._search(displaced, {a: b, b: a, displaced: FREE})
+        overlay = self._search(
+            displaced, {a: b, b: a, displaced: FREE}, self.graph.degree(displaced)
+        )
         if overlay is not None:
             self._commit(overlay)
             self.successes += 1
@@ -147,9 +149,10 @@ class DynamicMcm:
         for x in (u, v):
             if mate[x] == FREE:
                 self.attempts += 1
-                if not degree(x):
+                k = degree(x)
+                if not k:
                     continue
-                overlay = self._search(x, {})
+                overlay = self._search(x, {}, k)
                 if overlay is not None:
                     self._commit(overlay)
                     self.successes += 1
@@ -173,15 +176,18 @@ class DynamicMcm:
         if seed.get(start, self.state._mate[start]) != FREE:
             raise ValueError(f"augment_from requires a free vertex, got {start}")
         self.attempts += 1
-        overlay = self._search(start, seed)
+        overlay = self._search(start, seed, self.graph.degree(start))
         if overlay is None:
             return False
         self._commit(overlay)
         self.successes += 1
         return True
 
-    def _walk_once(self, start: int, seed: dict[int, int]) -> dict[int, int] | None:
-        """Simulate one random walk of at most search_depth steps.
+    def _walk_once(
+        self, start: int, seed: dict[int, int], k: int
+    ) -> dict[int, int] | None:
+        """Simulate one random walk of at most search_depth steps from
+        ``start``, whose degree the caller has read as ``k``.
 
         At the current free vertex, pick one uniformly random neighbor:
         match it if free, else steal it from its mate and continue the walk
@@ -206,7 +212,6 @@ class DynamicMcm:
         over = seed  # read only until the copy below
         cur = start
         for _ in range(self._depth):
-            k = degree(cur)
             if not k:
                 return None
             # rng.randrange(k), drawn the way CPython draws it, so the RNG
@@ -227,6 +232,7 @@ class DynamicMcm:
                 return over
             over[displaced] = FREE
             cur = displaced
+            k = degree(cur)
         return None
 
     def _commit(self, overlay: dict[int, int]) -> None:
@@ -243,12 +249,12 @@ class DynamicMcm:
             if y != FREE and mate[x] == FREE:
                 st.match_edge(x, y)
 
-    def _bfs(self, start: int, seed: dict[int, int]) -> dict[int, int] | None:
-        """Alternating BFS from a free vertex, reading mates through
-        ``seed``; returns the seed plus the first augmenting path found
-        within the depth budget (none in safe_mode), flipped, or None.  No
-        blossom contraction: odd cycles can hide paths, so this is exact
-        only on bipartite inputs."""
+    def _bfs(self, start: int, seed: dict[int, int], k: int) -> dict[int, int] | None:
+        """Alternating BFS from a free vertex of degree ``k``, reading mates
+        through ``seed``; returns the seed plus the first augmenting path
+        found within the depth budget (none in safe_mode), flipped, or
+        None.  No blossom contraction: odd cycles can hide paths, so this
+        is exact only on bipartite inputs."""
         adjs = self.graph._adj
         degree = self.graph.degree
         base = self.state._mate
@@ -263,7 +269,8 @@ class DynamicMcm:
             if budget is not None and d + 1 > budget:
                 continue
             mx = seed.get(x, base[x])
-            for y in adjs[x][: degree(x)]:
+            # Only the first pop is the start: no vertex has it as mate.
+            for y in adjs[x][: k if x == start else degree(x)]:
                 if y == mx or y in parent_odd or y in parent_even:
                     continue
                 z = seed.get(y, base[y])

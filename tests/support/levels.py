@@ -68,14 +68,12 @@ class ExactLevelMwm(LevelMwm):
 
     def handle_insert(self, u: int, v: int, w: Weight) -> None:
         c = level_index(w, self.config.epsilon)
-        levels = self.levels
-        while len(levels) <= c:
-            levels.append(_Level(len(levels), self.adjacency, self._make_worker))
+        p = self._ladder(c)
         self.adjacency.insert(u, v, c)
-        for level in reversed(levels[: c + 1]):
+        for level in reversed(self.levels[: p + 1]):
             level.worker.handle_insert(u, v)
 
     def handle_delete(self, u: int, v: int) -> None:
         c = self.adjacency.delete(u, v)
-        for level in self.levels[: c + 1]:
+        for level in self.levels[: self._pos.get(c, -1) + 1]:
             level.worker.handle_delete(u, v)

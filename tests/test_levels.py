@@ -1,4 +1,4 @@
-"""Geometric weight levels: bucketing, lazy creation, greedy merge."""
+"""Geometric weight levels: bucketing, one level per class reached, greedy merge."""
 
 import math
 import random
@@ -32,6 +32,16 @@ def make_level_algo(graph, *, seed=13, **cfg):
 
 def level_edge_sets(algo):
     return [level_edges(lvl) for lvl in algo.levels]
+
+
+def level_of(algo, index):
+    """The level of class ``index``, looked up by its index, not its position."""
+    (level,) = [lvl for lvl in algo.levels if lvl.index == index]
+    return level
+
+
+def indices(algo):
+    return [lvl.index for lvl in algo.levels]
 
 
 # -- level_index ----------------------------------------------------------
@@ -114,8 +124,9 @@ def test_config_nested_mcm_defaults():
     for cfg in (LevelConfig(epsilon=0.5), LevelConfig(mcm_kind="bfs")):
         g = build_graph(4, [])
         algo = LevelMwm(g, cfg, 13)
-        g.insert_edge(0, 1, 9)
-        algo.handle_insert(0, 1, 9)
+        for u, v, w in ((0, 1, 9), (2, 3, 1)):
+            g.insert_edge(u, v, w)
+            algo.handle_insert(u, v, w)
         assert len(algo.levels) > 1
         for level in algo.levels:
             assert level.worker.config == McmConfig(
@@ -145,13 +156,16 @@ def test_unit_weight_insert_touches_only_level_zero():
     assert algo.weight == 1
 
 
-def test_weight_100_insert_populates_levels_zero_through_six():
+def test_weight_100_insert_creates_level_six_only():
+    # Weight 100 is class 6 (thresholds 1, 2, 4, ..., 64); no edge has
+    # reached classes 0..5, so they have no level.
     g = build_graph(2, [])
     algo = make_level_algo(g, epsilon=1.0)
     g.insert_edge(0, 1, 100)
     algo.handle_insert(0, 1, 100)
-    assert len(algo.levels) == 7  # thresholds 1, 2, 4, ..., 64
-    assert level_edge_sets(algo) == [[(0, 1)]] * 7
+    assert indices(algo) == [6]
+    assert level_edges(level_of(algo, 6)) == [(0, 1)]
+    assert algo.weight == 100
     algo.audit(deep=True)
 
 
@@ -160,15 +174,69 @@ def test_ladder_extension_backfills_existing_edges():
     algo = make_level_algo(g, epsilon=1.0)
     g.insert_edge(0, 1, 8)
     algo.handle_insert(0, 1, 8)
-    assert len(algo.levels) == 4
+    assert indices(algo) == [3]
     g.insert_edge(2, 3, 100)
     algo.handle_insert(2, 3, 100)
-    assert len(algo.levels) == 7
-    # Levels 4..6 were created after (0,1,8) existed but exclude it by weight.
-    sets = level_edge_sets(algo)
-    assert sets[3] == [(0, 1), (2, 3)]
-    assert sets[4] == [(2, 3)]
-    assert sets[6] == [(2, 3)]
+    assert indices(algo) == [3, 6]
+    # Level 6 was created after (0,1,8) existed but excludes it by weight.
+    assert level_edges(level_of(algo, 3)) == [(0, 1), (2, 3)]
+    assert level_edges(level_of(algo, 6)) == [(2, 3)]
+    # A level created below an existing edge holds it from the start.
+    g.insert_edge(0, 2, 1)
+    algo.handle_insert(0, 2, 1)
+    assert indices(algo) == [0, 3, 6]
+    assert level_edges(level_of(algo, 0)) == [(0, 1), (0, 2), (2, 3)]
+    assert sorted(level_of(algo, 0).state.matched_pairs()) == [(0, 1), (2, 3)]
+    algo.audit(deep=True)
+
+
+def test_middle_class_level_starts_with_the_mates_of_the_level_above():
+    # Classes 6 and 0 have levels when the first class-3 edge arrives.
+    # Level 3 starts as a copy of level 6's mates, with no search, no draw
+    # and an empty change set, and then takes the new edge between two
+    # free vertices.
+    g = build_graph(8, [])
+    algo = make_level_algo(g, epsilon=1.0)
+    for u, v, w in ((0, 1, 100), (2, 3, 64), (4, 5, 1), (1, 4, 1)):
+        g.insert_edge(u, v, w)
+        algo.handle_insert(u, v, w)
+    assert indices(algo) == [0, 6]
+    algo.weight  # drains the change sets
+    top = level_of(algo, 6)
+    assert sorted(top.state.matched_pairs()) == [(0, 1), (2, 3)]
+    g.insert_edge(6, 7, 8)
+    algo.handle_insert(6, 7, 8)
+    assert indices(algo) == [0, 3, 6]
+    middle = level_of(algo, 3)
+    assert sorted(middle.state.matched_pairs()) == [(0, 1), (2, 3), (6, 7)]
+    assert middle.changed == {6, 7}
+    assert middle.worker.attempts == 0
+    assert middle.worker.rng.getstate() == random.Random(13 * 1_000_003 + 3).getstate()
+    assert algo.weight == 100 + 64 + 1 + 8
+    algo.audit(deep=True)
+    # The new level then follows its own edges: (0, 6) is class 3, so not
+    # an edge of level 6.
+    g.insert_edge(0, 6, 8)
+    algo.handle_insert(0, 6, 8)
+    assert level_edges(middle) == [(0, 1), (0, 6), (2, 3), (6, 7)]
+    assert level_edges(top) == [(0, 1), (2, 3)]
+    algo.audit(deep=True)
+
+
+def test_integer_weights_at_eps_tenth_make_one_level_per_class_reached():
+    # Weights 1..100 reach 34 of the classes 0..48 at eps=0.1; the 15 they
+    # skip are low classes, which get no level.
+    weights = list(range(1, 101))
+    random.Random(3).shuffle(weights)
+    g = build_graph(200, [])
+    algo = make_level_algo(g, epsilon=0.1)
+    for k, w in enumerate(weights):
+        g.insert_edge(2 * k, 2 * k + 1, w)
+        algo.handle_insert(2 * k, 2 * k + 1, w)
+    reached = sorted({level_index(w, 0.1) for w in weights})
+    assert len(reached) == 34 and reached[-1] == 48
+    assert indices(algo) == reached
+    assert algo.weight == sum(weights)
     algo.audit(deep=True)
 
 
@@ -191,17 +259,18 @@ def level_prefixes(level):
 
 def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
     # The delete takes the edge out of the shared adjacency, so out of the
-    # prefix of every level 0..top, then calls the workers of the levels
-    # whose worker can act, and leaves every level above alone.  (1, 2) is
-    # unmatched at level 0, where 0-1 and 2-3 match both its ends, so the
-    # delete skips level 0's worker; at levels 1..3, vertex 1 is free.
+    # prefix of every level with index <= its class, then calls the workers
+    # of those levels whose worker can act, and leaves every level above
+    # alone.  Levels 0, 3 and 6 exist.  (1, 2) is unmatched at level 0,
+    # where 0-1 and 2-3 match both its ends, so the delete skips level 0's
+    # worker; at level 3, vertex 1 is free.
     g = build_graph(6, [])
     algo = make_level_algo(g, epsilon=1.0)
     for (u, v, w) in ((0, 1, 1), (2, 3, 8), (4, 5, 100), (1, 2, 8)):
         g.insert_edge(u, v, w)
         algo.handle_insert(u, v, w)
-    assert len(algo.levels) == 7
-    assert [lvl.state.mate_of(1) for lvl in algo.levels[:4]] == [0, FREE, FREE, FREE]
+    assert indices(algo) == [0, 3, 6]
+    assert [lvl.state.mate_of(1) for lvl in algo.levels] == [0, FREE, FREE]
     calls = []
     original = DynamicMcm.handle_delete
 
@@ -211,27 +280,52 @@ def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
 
     monkeypatch.setattr(DynamicMcm, "handle_delete", recording_delete)
     for (u, v), top, called in (
-        ((1, 2), 3, [1, 2, 3]),
-        ((2, 3), 3, [0, 1, 2, 3]),
+        ((1, 2), 3, [3]),
+        ((2, 3), 3, [0, 3]),
         ((0, 1), 0, [0]),
-        ((4, 5), 6, list(range(7))),
+        ((4, 5), 6, [0, 3, 6]),
     ):
         calls.clear()
         before = [(level_prefixes(lvl), level_edges(lvl)) for lvl in algo.levels]
         g.delete_edge(u, v)
         algo.handle_delete(u, v)
         assert [worker for worker, _ in calls] == [
-            algo.levels[i].worker for i in called
+            level_of(algo, i).worker for i in called
         ]
         assert not any(held for _, held in calls)
         for i, lvl in enumerate(algo.levels):
             prefixes, edges = before[i]
-            if i <= top:
+            if lvl.index <= top:
                 assert (u, v) in edges
                 assert level_edges(lvl) == [e for e in edges if e != (u, v)]
             else:
                 assert level_prefixes(lvl) == prefixes
-    assert level_edge_sets(algo) == [[]] * 7
+    assert level_edge_sets(algo) == [[]] * 3
+    algo.audit(deep=True)
+
+
+def test_delete_calls_only_levels_at_or_below_its_class(monkeypatch):
+    # Edge (0, 1) of class 3 is matched at every level that holds it, so
+    # its delete leaves both ends free there: every level with index <= 3
+    # is called, bottom up, and no level above.
+    g = build_graph(6, [])
+    algo = make_level_algo(g, epsilon=1.0)
+    for (u, v, w) in ((2, 3, 1), (0, 1, 8), (4, 5, 100)):
+        g.insert_edge(u, v, w)
+        algo.handle_insert(u, v, w)
+    assert algo.levels[-1].index == 6
+    called = []
+    original = DynamicMcm.handle_delete
+
+    def recording_delete(worker, u, v):
+        called.append(worker.graph.index)
+        return original(worker, u, v)
+
+    monkeypatch.setattr(DynamicMcm, "handle_delete", recording_delete)
+    g.delete_edge(0, 1)
+    algo.handle_delete(0, 1)
+    assert called == [lvl.index for lvl in algo.levels if lvl.index <= 3]
+    assert 0 in called and 3 in called
     algo.audit(deep=True)
 
 
@@ -276,7 +370,7 @@ def set_level_matchings(algo, per_level):
             lvl.state.unmatch(u)
     for i, pairs in per_level.items():
         for u, v in pairs:
-            algo.levels[i].state.match_edge(u, v)
+            level_of(algo, i).state.match_edge(u, v)
 
 
 def test_merge_single_nonempty_level():
@@ -294,7 +388,7 @@ def test_merge_blocks_lower_level_edge_sharing_a_vertex():
     # a=0 b=1 c=2 d=3 e=4: level 2 holds {(a,b)}, level 0 {(b,c), (d,e)};
     # (b,c) loses vertex b to the higher level, (d,e) survives.
     g = build_graph(5, [(0, 1, 4), (1, 2, 1), (3, 4, 1)])
-    algo = make_level_algo(g)  # adopts the edges: levels 0..2
+    algo = make_level_algo(g)  # adopts the edges: levels 0 and 2
     set_level_matchings(algo, {2: [(0, 1)], 0: [(1, 2), (3, 4)]})
     out = merge_levels(algo)
     assert sorted(out.matched_pairs()) == [(0, 1), (3, 4)]
@@ -309,7 +403,7 @@ def test_merge_identical_matchings_is_idempotent():
     g.insert_edge(2, 3, 4)
     algo.handle_insert(2, 3, 4)
     set_level_matchings(
-        algo, {i: [(0, 1), (2, 3)] for i in range(len(algo.levels))}
+        algo, {lvl.index: [(0, 1), (2, 3)] for lvl in algo.levels}
     )
     out = merge_levels(algo)
     assert sorted(out.matched_pairs()) == [(0, 1), (2, 3)]
@@ -473,8 +567,8 @@ def assert_heaviest_class_first(algo):
         st.tuples(
             st.integers(0, 7),
             st.integers(0, 7),
-            # Mostly light weights, with heavy ones that extend the ladder
-            # over edges already present.
+            # Mostly light weights, with heavy ones that add levels above
+            # edges already present, and light ones that add levels below.
             st.one_of(st.integers(1, 12), st.integers(13, 5000)),
         ),
         max_size=60,
@@ -505,7 +599,7 @@ def test_carriers_track_master_edges_under_random_updates(epsilon, kind, ops):
 def test_built_over_a_populated_graph_adopts_every_edge():
     g = random_graph(12, 30, seed=4)
     algo = make_level_algo(g, epsilon=0.5)
-    assert len(algo.levels) == 1 + max(level_index(w, 0.5) for *_, w in g.edges())
+    assert indices(algo) == sorted({level_index(w, 0.5) for *_, w in g.edges()})
     for lvl in algo.levels:
         thr = 1.5**lvl.index
         assert level_edges(lvl) == sorted((u, v) for u, v, w in g.edges() if w >= thr)
@@ -536,7 +630,8 @@ def test_deep_audit_names_the_vertex_of_a_corrupted_adjacency():
     corrupt(3, [(4, 1), (5, 1)], r"vertex 3: .* extra \[\(5, 1\)\], missing \[\]")
     corrupt(3, [(4, 1), (4, 1)], r"vertex 3: membership drift in 2 neighbors")
     corrupt(0, [(1, 3), (2, 2)], r"vertex 0: .* extra \[\(2, 2\)\], missing \[\(2, 1\)\]")
-    algo.levels[3].state.match_edge(3, 4)  # a class-1 edge, off level 3
+    assert indices(algo) == [1, 3]
+    level_of(algo, 3).state.match_edge(3, 4)  # a class-1 edge, off level 3
     with pytest.raises(
         MatchingCorruptionError,
         match=r"level 3 matching pair \(3, 4\) is not an edge of its graph",
@@ -554,11 +649,12 @@ def test_deep_audit_names_the_level_of_a_one_sided_mate(u, v):
         g.insert_edge(a, b, w)
         algo.handle_insert(a, b, w)
     algo.audit(deep=True)
-    assert algo.levels[1].state.mate_of(v) == FREE
-    algo.levels[1].state._mate[u] = v  # v is left free
+    assert indices(algo) == [0, 2, 3]
+    assert level_of(algo, 2).state.mate_of(v) == FREE
+    level_of(algo, 2).state._mate[u] = v  # v is left free
     with pytest.raises(
         MatchingCorruptionError,
-        match=rf"level 1 matching mate array out of sync at vertex {u}: "
+        match=rf"level 2 matching mate array out of sync at vertex {u}: "
         rf"mate\[{u}\]={v}, mate\[{v}\]=-1",
     ):
         algo.audit(deep=True)
@@ -580,33 +676,48 @@ def test_deep_audit_names_the_vertex_where_the_merged_view_drifts():
         algo.audit(deep=True)
 
 
-def peak_bytes_of_ten_heavy_edges(n):
+def peak_bytes(n, weights):
     """Peak traced memory of a master graph on n vertices and LevelMwm at
-    eps=0.1 over 10 edges of weight 100: 49 levels, all but 20 vertices
-    isolated."""
+    eps=0.1 over disjoint edges of the given weights, all but
+    2 * len(weights) vertices isolated; also returns the level count."""
     tracemalloc.start()
     try:
         g = DynamicGraph(n)
         algo = LevelMwm(g, LevelConfig(epsilon=0.1), seed=1)
-        for k in range(10):
-            g.insert_edge(2 * k, 2 * k + 1, 100)
-            algo.handle_insert(2 * k, 2 * k + 1, 100)
-        assert len(algo.levels) == 49
-        assert algo.weight == 1000
+        for k, w in enumerate(weights):
+            g.insert_edge(2 * k, 2 * k + 1, w)
+            algo.handle_insert(2 * k, 2 * k + 1, w)
+        assert math.isclose(algo.weight, sum(weights), rel_tol=1e-12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, len(algo.levels)
+
+
+def peak_bytes_of_a_full_ladder(n):
+    """49 edges, one per class 0..48 at eps=0.1 (weight 1.1**i is exactly
+    class i), so all 49 levels exist."""
+    peak, count = peak_bytes(n, [1.1**i for i in range(49)])
+    assert count == 49
     return peak
 
 
 def test_empty_levels_cost_little_on_a_large_vertex_set():
     # Each level costs one mate entry per vertex; the shared adjacency two
     # slots per vertex once.  A DynamicGraph per level took 146 MB here.
-    peak = peak_bytes_of_ten_heavy_edges(20_000)
+    peak = peak_bytes_of_a_full_ladder(20_000)
     assert peak <= 30e6, peak
 
 
 def test_empty_levels_cost_one_mate_entry_per_vertex():
     # With a carrier per level this took 94 MB.
-    peak = peak_bytes_of_ten_heavy_edges(100_000)
+    peak = peak_bytes_of_a_full_ladder(100_000)
     assert peak <= 65e6, peak
+
+
+def test_one_weight_class_builds_one_level():
+    # 10 edges of weight 100 reach class 48 only.  With a level for every
+    # class up to the top this took 49.9 MB.
+    peak, count = peak_bytes(100_000, [100] * 10)
+    assert count == 1
+    assert peak <= 15e6, peak

@@ -126,7 +126,7 @@ def reference_walk(mcm, start, seed):
 def assert_walk_matches_reference(mcm, start, seed):
     # Same overlay and same RNG state afterwards, from the same RNG state.
     state = mcm.rng.getstate()
-    got = mcm._walk_once(start, seed)
+    got = mcm._walk_once(start, seed, mcm.graph.degree(start))
     after = mcm.rng.getstate()
     mcm.rng.setstate(state)
     assert got == reference_walk(mcm, start, seed)
@@ -468,7 +468,7 @@ def test_free_start_without_neighbors_fails_without_searching(kind):
     mcm.state.match_edge(0, 1)
     rng_state = mcm.rng.getstate()
 
-    def no_search(start, seed):
+    def no_search(start, seed, k):
         raise AssertionError(f"search from isolated vertex {start}")
 
     mcm._search = no_search
@@ -497,7 +497,7 @@ def test_insert_displacing_a_degree_one_vertex_fails_after_one_draw():
         fresh.randrange(1)
         assert mcm.rng.getstate() == fresh.getstate()
         swap = {1: 2, 2: 1, 0: FREE}
-        assert mcm._walk_once(0, swap) is None
+        assert mcm._walk_once(0, swap, 1) is None
         assert swap == {1: 2, 2: 1, 0: FREE}
 
 
