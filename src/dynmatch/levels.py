@@ -174,13 +174,13 @@ class LevelMwm:
     class.  Every update writes the edge to the shared adjacency once and
     then runs the handlers of those levels the edge belongs to, the
     existing levels with index <= its class, whose worker can act on it.
-    The workers are DynamicMcm without safe_mode, which ignore an insert
-    between two vertices matched at their level and the delete of an edge
-    unmatched at their level between two matched vertices (see mcm.py);
-    the dispatch reads the level's mates and skips those calls.
-    A worker that could act on such an update, such as one that keeps a
-    maximum matching, needs every call.  A graph that holds edges at
-    construction is adopted edge by edge, in canonical order.
+    The workers are DynamicMcm, which ignore an insert between two vertices
+    matched at their level and the delete of an edge unmatched at their
+    level between two matched vertices (see mcm.py); the dispatch reads the
+    level's mates and skips those calls.  A worker that could act on such
+    an update, such as one that keeps a maximum matching, needs every call.
+    A graph that holds edges at construction is adopted edge by edge, in
+    canonical order.
 
     The merged matching is a view kept incrementally and brought up to date
     on read: each level records the vertices whose mate changed, and the
@@ -238,7 +238,7 @@ class LevelMwm:
 
         The edge joins every level with index <= level_index(w); their
         workers see it heaviest first, except at a level where u and v are
-        both matched: a DynamicMcm without safe_mode ignores that insert."""
+        both matched: a DynamicMcm ignores that insert."""
         c = level_index(w, self.config.epsilon)
         p = self._ladder(c)
         self.adjacency.insert(u, v, c)
@@ -254,7 +254,7 @@ class LevelMwm:
         The edge leaves every level at once; the workers of the levels with
         index <= its class then see the delete, bottom up, except at a
         level where the edge was unmatched and u and v are both matched: a
-        DynamicMcm without safe_mode ignores that delete."""
+        DynamicMcm ignores that delete."""
         c = self.adjacency.delete(u, v)
         for level in self.levels[: self._pos.get(c, -1) + 1]:
             worker = level.worker

@@ -8,8 +8,8 @@ construction, share the same update handlers and the same commit:
   a matched one and continue at its displaced mate); the walk fails as soon
   as it draws a vertex it has already touched, so every walk is a simple
   alternating path;
-* ``bfs`` - alternating breadth-first search without blossom contraction,
-  depth-bounded unless safe_mode.
+* ``bfs`` - depth-bounded alternating breadth-first search without blossom
+  contraction.
 
 Neither writes the matching while it searches.  Both read mates through an
 overlay {vertex: mate} that holds only what the search has changed so far,
@@ -19,18 +19,17 @@ and path together.  A failed attempt, the swap included, leaves no trace.
 
 Each search from a free start is one attempt (``attempts``, and
 ``successes`` for those that augment).  A free start with no neighbor is a
-failed attempt that runs no search and draws nothing.  ``augment_from`` is
-the public entry to one attempt; the handlers run theirs inline.
+failed attempt that runs no search and draws nothing.
 
-Without safe_mode, two updates leave the matching, the watch() sets and the
-RNG untouched: an insert between two matched vertices, and a delete of an
-unmatched edge between two matched vertices (no endpoint is free, so no
-attempt starts).  LevelMwm relies on this to skip those calls, and it never
-sets safe_mode; with safe_mode the first of them searches.
+Two updates leave the matching, the watch() sets and the RNG untouched: an
+insert between two matched vertices, and a delete of an unmatched edge
+between two matched vertices (no endpoint is free, so no attempt starts).
+LevelMwm relies on this to skip those calls.
 
-No blossom handling means the BFS can miss augmenting paths through odd
-cycles; it is exact on bipartite graphs only, and that is the only place
-exactness is claimed (the BFS in safe_mode).
+The searches are approximate by design: the depth bound cuts long
+augmenting paths, an insert between two matched vertices is ignored, and
+without blossom contraction the BFS can miss augmenting paths through odd
+cycles.
 """
 
 from __future__ import annotations
@@ -50,15 +49,11 @@ class McmConfig:
     """Knobs for the cardinality subroutines.
 
     epsilon sets the search depth ceil(2/epsilon - 1) of both strategies;
-    2/epsilon must be finite.  safe_mode handles the insert case where both
-    endpoints are matched (otherwise ignored, which can lose optimality even
-    on bipartite graphs) and lifts the depth bound of the BFS and of that
-    case's search, which makes the BFS exact on bipartite graphs.  kind
-    selects the search, once, when a DynamicMcm is built.
+    2/epsilon must be finite.  kind selects the search, once, when a
+    DynamicMcm is built.
     """
 
     epsilon: float = 1.0
-    safe_mode: bool = False
     kind: str = "walk"
 
     def __post_init__(self) -> None:
@@ -106,10 +101,8 @@ class DynamicMcm:
         Both endpoints free: match directly.  Exactly one matched: search
         from the displaced mate with the new edge swapped in only in the
         search's seed overlay, so the swap is written together with an
-        augmenting path or not at all.  Both matched: nothing, unless
-        safe_mode locates a free vertex alternating-reachable from u
-        (through u's matched edge) and augments from there with a fresh
-        budget.
+        augmenting path or not at all.  Both matched: nothing, even where
+        the new edge opens an augmenting path.
         """
         st = self.state
         mate = st._mate
@@ -119,10 +112,6 @@ class DynamicMcm:
             st.match_edge(u, v)
             return
         if not fu and not fv:
-            if self.config.safe_mode:
-                free_node = self._alternating_free_node(u)
-                if free_node is not None:
-                    self.augment_from(free_node)
             return
         a, b = (u, v) if fv else (v, u)  # a matched, b free
         displaced = mate[a]
@@ -158,30 +147,6 @@ class DynamicMcm:
                     self.successes += 1
 
     # -- augmentation ----------------------------------------------------------
-
-    def augment_from(self, start: int, seed: dict[int, int] | None = None) -> bool:
-        """Try to grow the matching from vertex ``start``: one attempt.
-
-        ``seed`` is an overlay {vertex: mate} of changes not yet written to
-        the state (handle_insert's swap); the search reads every mate
-        through it, and ``start`` must be free there.  The search, a walk
-        or a BFS per config.kind, extends a copy of the seed to an
-        augmenting path, which ``_commit`` writes together with the seed.
-        A failed attempt writes nothing, so the matching and every watch()
-        set stay as they were.  The handlers run the same count, search and
-        commit inline, since they have just read the start's mate.
-        """
-        if seed is None:
-            seed = {}
-        if seed.get(start, self.state._mate[start]) != FREE:
-            raise ValueError(f"augment_from requires a free vertex, got {start}")
-        self.attempts += 1
-        overlay = self._search(start, seed, self.graph.degree(start))
-        if overlay is None:
-            return False
-        self._commit(overlay)
-        self.successes += 1
-        return True
 
     def _walk_once(
         self, start: int, seed: dict[int, int], k: int
@@ -252,13 +217,13 @@ class DynamicMcm:
     def _bfs(self, start: int, seed: dict[int, int], k: int) -> dict[int, int] | None:
         """Alternating BFS from a free vertex of degree ``k``, reading mates
         through ``seed``; returns the seed plus the first augmenting path
-        found within the depth budget (none in safe_mode), flipped, or
-        None.  No blossom contraction: odd cycles can hide paths, so this
-        is exact only on bipartite inputs."""
+        found within the depth budget, flipped, or None.  No blossom
+        contraction: odd cycles can hide paths, so even within the budget
+        the search is complete only on bipartite inputs."""
         adjs = self.graph._adj
         degree = self.graph.degree
         base = self.state._mate
-        budget = None if self.config.safe_mode else self._depth
+        depth = self._depth
         # parent_odd[y] = even vertex that reached y; parent_even[z] = odd y
         # with mate z.  Even vertices extend via unmatched edges only.
         parent_odd: dict[int, int] = {}
@@ -266,7 +231,7 @@ class DynamicMcm:
         queue: deque[tuple[int, int]] = deque([(start, 0)])
         while queue:
             x, d = queue.popleft()
-            if budget is not None and d + 1 > budget:
+            if d >= depth:
                 continue
             mx = seed.get(x, base[x])
             # Only the first pop is the start: no vertex has it as mate.
@@ -286,33 +251,6 @@ class DynamicMcm:
                 parent_odd[y] = x
                 parent_even[z] = y
                 queue.append((z, d + 2))
-        return None
-
-    def _alternating_free_node(self, u: int) -> int | None:
-        """First free vertex reachable from matched u by an alternating path
-        of any length that leaves through u's matched edge; traversal only,
-        no mutation.  Only safe_mode calls it."""
-        adjs = self.graph._adj
-        degree = self.graph.degree
-        st = self.state
-        if st.mate_of(u) == FREE:
-            return None
-        first = st.mate_of(u)
-        seen = {u, first}
-        queue: deque[int] = deque([first])
-        while queue:
-            x = queue.popleft()
-            mx = st.mate_of(x)
-            for y in adjs[x][: degree(x)]:
-                if y == mx or y in seen:
-                    continue
-                if st.mate_of(y) == FREE:
-                    return y
-                seen.add(y)
-                z = st.mate_of(y)
-                if z not in seen:
-                    seen.add(z)
-                    queue.append(z)
         return None
 
     # -- reporting ---------------------------------------------------------------

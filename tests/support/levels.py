@@ -7,6 +7,7 @@ from dynmatch.graph import DynamicGraph, Weight
 from dynmatch.levels import LevelMwm, _Level, level_index
 from dynmatch.matching import UnitMatching
 
+from support.mcm import ExactBipartiteMcm
 from support.oracle import exact_mcm_matching
 
 
@@ -59,9 +60,9 @@ class ExactLevelMwm(LevelMwm):
     The config's mcm_kind is not used.
 
     Its handlers call the worker of every level the edge belongs to.
-    LevelMwm skips the calls a DynamicMcm without safe_mode ignores, but an
-    insert between two vertices matched at a level can open an augmenting
-    path through the new edge there, which an exact level must take."""
+    LevelMwm skips the calls a DynamicMcm ignores, but an insert between
+    two vertices matched at a level can open an augmenting path through the
+    new edge there, which an exact level must take."""
 
     def _make_worker(self, level: _Level) -> ExactMcmBackend:
         return ExactMcmBackend(level)
@@ -77,3 +78,13 @@ class ExactLevelMwm(LevelMwm):
         c = self.adjacency.delete(u, v)
         for level in self.levels[: self._pos.get(c, -1) + 1]:
             level.worker.handle_delete(u, v)
+
+
+class BipartiteLevelMwm(ExactLevelMwm):
+    """ExactLevelMwm whose levels run ExactBipartiteMcm, for bipartite
+    graphs of any size: each level keeps a maximum matching incrementally
+    instead of recomputing one, so the 2(1+eps) bound holds at bench
+    scale."""
+
+    def _make_worker(self, level: _Level) -> ExactBipartiteMcm:
+        return ExactBipartiteMcm(level, self.seed * 1_000_003 + level.index)

@@ -28,7 +28,8 @@ from conftest import (
     random_graph,
     random_greedy_matching,
 )
-from support.levels import ExactLevelMwm
+from support.levels import BipartiteLevelMwm, ExactLevelMwm, level_edges
+from support.mcm import ExactBipartiteMcm
 from support.oracle import exact_mcm, verify_proposition1
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.profiles import geometric_mean
@@ -47,8 +48,7 @@ from dynmatch.harness.streams import (
     gen_insertion_stream,
     gen_undo_suffix,
 )
-from dynmatch.levels import LevelConfig
-from dynmatch.mcm import DynamicMcm, McmConfig
+from dynmatch.levels import LevelConfig, LevelMwm
 from dynmatch.oracle import exact_mwm
 from dynmatch.paths import WalkPath, mwm_on_path
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
@@ -96,8 +96,13 @@ def build_desk_suite(suite_seed: int):
     return suite
 
 
-def churn_stream(n: int, n_ops: int, seed: int, target_live: int) -> UpdateStream:
-    """Mixed insert/delete stream whose live edge count hovers near target_live."""
+def churn_stream(
+    n: int, n_ops: int, seed: int, target_live: int, n_left: int = 0
+) -> UpdateStream:
+    """Mixed insert/delete stream whose live edge count hovers near target_live.
+
+    With n_left > 0 every edge joins a vertex below n_left to one at or
+    above it, so the graph stays bipartite."""
     rng = random.Random(seed)
     present: set[tuple[int, int]] = set()
     ops: list[UpdateOp] = []
@@ -108,7 +113,10 @@ def churn_stream(n: int, n_ops: int, seed: int, target_live: int) -> UpdateStrea
             present.discard(e)
             ops.append(UpdateOp(DELETE, e[0], e[1], None, len(ops)))
         else:
-            u, v = rng.randrange(n), rng.randrange(n)
+            if n_left:
+                u, v = rng.randrange(n_left), rng.randrange(n_left, n)
+            else:
+                u, v = rng.randrange(n), rng.randrange(n)
             if u == v:
                 continue
             key = (min(u, v), max(u, v))
@@ -178,6 +186,33 @@ def mixed_small_stream(n: int, n_ops: int, seed: int, max_live: int):
             present.add(key)
             ops.append(("i", key[0], key[1], rng.randint(1, 100)))
     return ops
+
+
+def networkx_optimum(nx, graph: DynamicGraph) -> int:
+    """The weight of a maximum-weight matching of ``graph``, by networkx."""
+    g = nx.Graph()
+    g.add_weighted_edges_from(graph.edges())
+    return sum(g[u][v]["weight"] for u, v in nx.max_weight_matching(g))
+
+
+def replay_checkpoints(stream: UpdateStream, factories, every: int):
+    """Replay ``stream`` under each factory (graph -> algorithm) in
+    lockstep, one graph each; after every ``every``-th op yield the op
+    count, the first graph and the algorithms."""
+    runs = []
+    for make in factories:
+        g = DynamicGraph(stream.n)
+        runs.append((g, make(g)))
+    for k, op in enumerate(stream.ops, 1):
+        for g, algo in runs:
+            if op.kind == INSERT:
+                g.insert_edge(op.u, op.v, op.w)
+                algo.handle_insert(op.u, op.v, op.w)
+            else:
+                g.delete_edge(op.u, op.v)
+                algo.handle_delete(op.u, op.v)
+        if k % every == 0:
+            yield k, runs[0][0], [algo for _g, algo in runs]
 
 
 # -- shared fixtures -----------------------------------------------------------
@@ -477,9 +512,7 @@ def test_11_safe_unbounded_mcm_tracks_exact_cardinality():
         m = rng.randint(1, min(nl * nr, 24))
         n, pairs = random_bipartite_edges(nl, nr, m, rng.randrange(2**30))
         g = DynamicGraph(n)
-        mcm = DynamicMcm(
-            g, McmConfig(kind="bfs", safe_mode=True), seed=i
-        )
+        mcm = ExactBipartiteMcm(g, seed=i)
         order = list(pairs)
         rng.shuffle(order)
         for u, v in order:
@@ -499,3 +532,88 @@ def test_11_safe_unbounded_mcm_tracks_exact_cardinality():
     elapsed = time.perf_counter() - t0
     assert fails == 0, f"{fails}/{checks} cardinality checks diverged"
     print(f"PASS 11 cardinality == exact in {checks}/{checks} checks, {elapsed:.1f}s")
+
+
+def test_12_exact_bipartite_levels_meet_merged_weight_bound_at_bench_scale():
+    """With exact levels on bipartite churn at n=500, merged weight >=
+    OPT/(2(1+eps)) at every 500th op, and every level is maximum."""
+    nx = pytest.importorskip("networkx")
+    t0 = time.perf_counter()
+    epsilons = (1.0, 0.5)
+    worst = dict.fromkeys(epsilons, 1.0)
+    checks = 0
+    for seed in (1, 2):
+        stream = churn_stream(500, 3000, seed, target_live=400, n_left=250)
+        factories = [
+            lambda g, eps=eps: BipartiteLevelMwm(g, LevelConfig(epsilon=eps), 1000)
+            for eps in epsilons
+        ]
+        for k, g, algos in replay_checkpoints(stream, factories, 500):
+            opt = networkx_optimum(nx, g)
+            for eps, algo in zip(epsilons, algos):
+                checks += 1
+                assert 2 * (1 + eps) * algo.weight >= opt, (
+                    f"seed {seed} eps {eps} op {k}: weight {algo.weight}, OPT {opt}"
+                )
+                worst[eps] = min(worst[eps], algo.weight / opt)
+                for level in algo.levels:
+                    edges = level_edges(level)
+                    maximum = nx.bipartite.hopcroft_karp_matching(
+                        nx.Graph(edges), top_nodes={u for u, _v in edges}
+                    )
+                    assert level.state.matched_count() == len(maximum) // 2, (
+                        f"seed {seed} eps {eps} op {k}: level {level.index} "
+                        "is not maximum"
+                    )
+    elapsed = time.perf_counter() - t0
+    print(
+        f"PASS 12 bound held in {checks}/{checks} checks, min ratio "
+        + ", ".join(f"{worst[e]:.4f} (eps={e:g})" for e in epsilons)
+        + f", {elapsed:.1f}s"
+    )
+
+
+# Minimum OPT ratio over churn seeds 1-10 at ops 1,000, 2,000 and 3,000
+# (algorithm seed 1000), less a 0.02 margin, rounded down to the hundredth.
+# The minima were 0.9710, 0.9391 and 0.9243.
+SHIPPED_RATIO_GATES = {
+    "random": (
+        lambda g: RandomWalkMwm(g, RandomConfig(epsilon=1.0, num_walks=5), 1000),
+        0.95,
+    ),
+    "level-walk": (
+        lambda g: LevelMwm(g, LevelConfig(epsilon=0.1, mcm_kind="walk"), 1000),
+        0.91,
+    ),
+    "level-bfs": (
+        lambda g: LevelMwm(g, LevelConfig(epsilon=0.5, mcm_kind="bfs"), 1000),
+        0.90,
+    ),
+}
+
+
+def test_13_shipped_configs_stay_near_optimum_on_churn_at_n500():
+    """The bench's three configs stay above their OPT-ratio gates on churn
+    streams at n=500, against networkx's exact optimum."""
+    nx = pytest.importorskip("networkx")
+    t0 = time.perf_counter()
+    names = list(SHIPPED_RATIO_GATES)
+    worst = dict.fromkeys(names, 1.0)
+    for seed in (1, 2, 3):
+        stream = churn_stream(500, 3000, seed, target_live=400)
+        factories = [SHIPPED_RATIO_GATES[name][0] for name in names]
+        for k, g, algos in replay_checkpoints(stream, factories, 1000):
+            opt = networkx_optimum(nx, g)
+            for name, algo in zip(names, algos):
+                ratio = algo.weight / opt
+                worst[name] = min(worst[name], ratio)
+                gate = SHIPPED_RATIO_GATES[name][1]
+                assert ratio >= gate, (
+                    f"{name} seed {seed} op {k}: ratio {ratio:.4f} < {gate}"
+                )
+    elapsed = time.perf_counter() - t0
+    print(
+        "PASS 13 min OPT ratio "
+        + ", ".join(f"{n} {worst[n]:.4f}" for n in names)
+        + f", {elapsed:.1f}s"
+    )

@@ -22,9 +22,9 @@ import pytest
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.streams import INSERT
 from dynmatch.levels import LevelConfig, LevelMwm
-from dynmatch.mcm import DynamicMcm, McmConfig
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
+from support.mcm import ExactBipartiteMcm
 from test_acceptance import churn_stream
 
 GOLDEN = {
@@ -140,12 +140,11 @@ def test_walk_campaign_digest_unchanged(name, churn_prefix):
 
 
 def test_standalone_safe_mode_mcm_digest_unchanged(churn_prefix):
-    # Pins the both-matched insert handler (_alternating_free_node) bit for
-    # bit; test_11 checks only cardinality.  Recorded at commit ffcdc11.
+    # Pins the both-matched insert handler (support.mcm's
+    # alternating_free_node) bit for bit; test_11 checks only cardinality.
+    # Recorded at commit ffcdc11.
     g = DynamicGraph(churn_prefix.n)
-    mcm = DynamicMcm(
-        g, McmConfig(kind="bfs", safe_mode=True), 2026
-    )
+    mcm = ExactBipartiteMcm(g, 2026)
     h = hashlib.sha256()
     for k, op in enumerate(churn_prefix.ops, 1):
         if op.kind == INSERT:

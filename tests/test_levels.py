@@ -491,7 +491,7 @@ def test_exact_levels_stay_maximum_after_every_op():
     # its own edges after every op.  An insert between two vertices matched
     # at a level can open an augmenting path through the new edge there, so
     # LevelMwm may skip such a call only for workers that never act on it
-    # (DynamicMcm without safe_mode), never for the exact backend.
+    # (DynamicMcm), never for the exact backend.
     for seed in range(200):
         g = DynamicGraph(8)
         algo = ExactLevelMwm(g, LevelConfig(epsilon=1.0), seed=13)

@@ -14,6 +14,7 @@ from dynmatch.mcm import DynamicMcm, McmConfig
 
 from conftest import build_graph, random_bipartite_edges
 from support.graph import random_neighbor
+from support.mcm import ExactBipartiteMcm, augment_from
 from support.oracle import exact_mcm
 
 
@@ -55,7 +56,7 @@ def test_search_depth_values():
 def test_walk_matches_adjacent_free_neighbor():
     g = build_graph(2, [(0, 1, 1)])
     mcm = make_mcm(g)
-    assert mcm.augment_from(0) is True
+    assert augment_from(mcm, 0) is True
     assert mcm.state.matched_count() == 1
 
 
@@ -63,7 +64,7 @@ def test_walk_from_isolated_vertex_fails_without_mutation():
     g = build_graph(3, [(1, 2, 1)])
     mcm = make_mcm(g)
     before = snapshot(mcm)
-    assert mcm.augment_from(0) is False
+    assert augment_from(mcm, 0) is False
     assert snapshot(mcm) == before
 
 
@@ -77,7 +78,7 @@ def test_walk_augments_along_p4():
         g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
         mcm = make_mcm(g, seed=seed, epsilon=0.5)
         mcm.state.match_edge(1, 2)
-        if mcm.augment_from(0):
+        if augment_from(mcm, 0):
             successes += 1
             assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3)]
         else:
@@ -89,7 +90,7 @@ def test_walk_augments_along_p4_with_retries():
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     mcm = make_mcm(g, seed=3, epsilon=0.5)
     mcm.state.match_edge(1, 2)
-    assert any(mcm.augment_from(0) for _ in range(30))
+    assert any(augment_from(mcm, 0) for _ in range(30))
     assert mcm.state.matched_count() == 2
 
 
@@ -98,7 +99,7 @@ def test_augment_from_matched_vertex_rejected():
     mcm = make_mcm(g)
     mcm.state.match_edge(0, 1)
     with pytest.raises(ValueError):
-        mcm.augment_from(0)
+        augment_from(mcm, 0)
 
 
 def reference_walk(mcm, start, seed):
@@ -193,7 +194,7 @@ def test_walk_fails_on_drawing_a_touched_vertex():
         assert mcm.config.search_depth == 19
         mcm.state.match_edge(1, 2)
         before = snapshot(mcm)
-        assert mcm.augment_from(0) is False
+        assert augment_from(mcm, 0) is False
         assert snapshot(mcm) == before
         fresh = random.Random(seed)
         fresh.randrange(1)
@@ -229,7 +230,7 @@ def test_successful_walk_flips_a_simple_alternating_path(
             continue
         before = [mcm.state.mate_of(x) for x in range(n)]
         size = mcm.state.matched_count()
-        if not mcm.augment_from(start):
+        if not augment_from(mcm, start):
             continue
         after = [mcm.state.mate_of(x) for x in range(n)]
         assert mcm.state.matched_count() == size + 1
@@ -258,7 +259,7 @@ def test_successful_walk_flips_a_simple_alternating_path(
 def test_bfs_trivial_free_edge():
     g = build_graph(2, [(0, 1, 1)])
     mcm = make_mcm(g, kind="bfs")
-    assert mcm.augment_from(0) is True
+    assert augment_from(mcm, 0) is True
     assert mcm.state.matched_count() == 1
 
 
@@ -266,11 +267,11 @@ def test_bfs_no_augmenting_path_returns_false():
     # 0-1-2-3-4 with (1,2), (3,4) matched: from 0 every alternating walk
     # dead-ends at 4, whose only neighbor is its mate.
     g = build_graph(5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)])
-    mcm = make_mcm(g, kind="bfs", safe_mode=True)
+    mcm = ExactBipartiteMcm(g, 11)
     mcm.state.match_edge(1, 2)
     mcm.state.match_edge(3, 4)
     before = snapshot(mcm)
-    assert mcm.augment_from(0) is False
+    assert augment_from(mcm, 0) is False
     assert snapshot(mcm) == before
 
 
@@ -282,7 +283,7 @@ def test_bfs_depth_budget_five_reaches_length_five_path():
     mcm.state.match_edge(1, 2)
     mcm.state.match_edge(3, 4)
     assert mcm.config.search_depth == 5
-    assert mcm.augment_from(0) is True
+    assert augment_from(mcm, 0) is True
     assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3), (4, 5)]
 
 
@@ -293,16 +294,17 @@ def test_bfs_depth_budget_four_misses_length_five_path():
     mcm.state.match_edge(3, 4)
     assert mcm.config.search_depth == 4
     before = snapshot(mcm)
-    assert mcm.augment_from(0) is False
+    assert augment_from(mcm, 0) is False
     assert snapshot(mcm) == before
 
 
 def test_bfs_safe_mode_lifts_the_depth_budget():
+    # The P6 path that an epsilon = 0.4 budget misses (above).
     g = build_graph(6, [(i, i + 1, 1) for i in range(5)])
-    mcm = make_mcm(g, kind="bfs", epsilon=0.4, safe_mode=True)
+    mcm = ExactBipartiteMcm(g, 11)
     mcm.state.match_edge(1, 2)
     mcm.state.match_edge(3, 4)
-    assert mcm.augment_from(0) is True
+    assert augment_from(mcm, 0) is True
     assert sorted(mcm.state.matched_pairs()) == [(0, 1), (2, 3), (4, 5)]
 
 
@@ -324,7 +326,7 @@ def test_failed_augment_writes_nothing(cfg):
         mcm.state.match_edge(3, 4)
         watchers = [mcm.state.watch(), mcm.state.watch()]
         before = snapshot(mcm)
-        assert mcm.augment_from(0) is False
+        assert augment_from(mcm, 0) is False
         assert watchers == [set(), set()]
         assert snapshot(mcm) == before
 
@@ -418,9 +420,9 @@ def test_insert_swap_rolls_back_when_displaced_mate_stuck():
 
 def test_safe_mode_recovers_augmenting_path_through_both_matched_insert():
     edges = [(0, 1, 1), (2, 3, 1), (0, 4, 1), (3, 5, 1)]
-    for safe, expected in ((False, 2), (True, 3)):
+    for exact, expected in ((False, 2), (True, 3)):
         g = build_graph(6, edges)
-        mcm = make_mcm(g, kind="bfs", safe_mode=safe)
+        mcm = ExactBipartiteMcm(g, 11) if exact else make_mcm(g, kind="bfs")
         mcm.state.match_edge(0, 1)
         mcm.state.match_edge(2, 3)
         g.insert_edge(1, 2, 1)
@@ -534,7 +536,7 @@ def test_failed_attempts_are_side_effect_free():
             if mcm.state.mate_of(x) != FREE:  # an earlier success took it
                 continue
             before = snapshot(mcm)
-            if not mcm.augment_from(x):
+            if not augment_from(mcm, x):
                 failures += 1
                 assert snapshot(mcm) == before
         assert trials < 30_000, "not enough failing attempts generated"
@@ -547,7 +549,7 @@ def test_safe_unbounded_bfs_is_exact_on_bipartite_streams():
         m = rng.randint(1, min(14, n_left * n_right))
         n, edges = random_bipartite_edges(n_left, n_right, m, 4000 + trial)
         g = DynamicGraph(n)
-        mcm = make_mcm(g, seed=trial, kind="bfs", safe_mode=True)
+        mcm = ExactBipartiteMcm(g, trial)
         present = []
         for u, v in edges:
             g.insert_edge(u, v, 1)
