@@ -20,6 +20,8 @@ from ..oracle import exact_mwm
 from ..random_walk import RandomConfig, RandomWalkMwm
 from .streams import INSERT, UpdateStream
 
+DEEP_AUDIT_EVERY = 500  # replay(audit=True) deep-audits ops whose seq it divides
+
 
 class MatchingAlgorithm(Protocol):
     name: str
@@ -126,7 +128,6 @@ def replay(
     seed: int,
     *,
     audit: bool = False,
-    deep_audit_every: int = 500,
 ) -> ReplayOutcome:
     """Apply every op to a fresh graph and algorithm, timing each update.
 
@@ -141,10 +142,9 @@ def replay(
     plus the weight total against an independently maintained sum.  The
     deep audit -- the same check at every vertex, in O(n), and each
     algorithm's own structures such as LevelMwm's levels and its merged
-    view against a from-scratch merge -- runs on ops whose
-    ``seq`` is a multiple of ``deep_audit_every`` (0 disables these) and
-    after the last op.  Raises ReplayError when an op does not apply
-    cleanly.
+    view against a from-scratch merge -- runs on ops whose ``seq`` is a
+    multiple of ``DEEP_AUDIT_EVERY`` and after the last op.  Raises
+    ReplayError when an op does not apply cleanly.
 
     The timed region is the graph mutation, the update handler and a read
     of the algorithm's weight, so LevelMwm's greedy merge, which runs on
@@ -180,7 +180,7 @@ def replay(
         if dt > worst:
             worst = dt
         if audit:
-            deep = deep_audit_every > 0 and op.seq % deep_audit_every == 0
+            deep = op.seq % DEEP_AUDIT_EVERY == 0
             _audit(algo, deep, f"op {op.seq}")
     if audit and stream.ops and not deep:  # the tail since the last deep audit
         _audit(algo, True, "after the last op")

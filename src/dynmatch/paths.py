@@ -6,17 +6,16 @@ walker.  Two invariants make a finished path safe to rewrite:
 * simplicity - no vertex appears twice, enforced by the walk's own vertex
   set (a vertex already on the path is never drawn or traversed to);
 * closure - every matched edge incident to a path vertex lies on the path,
-  enforced by traversing the matched edge immediately whenever the walk
-  arrives at a matched vertex.
+  laid so by the seed and kept by traversing the matched edge immediately
+  whenever the walk arrives at a matched vertex.
 
 Closure is what lets ``apply_path_matching`` treat the path as a closed
 world: unmatching the path's matched edges and matching any independent
 subset of path edges cannot double-match a vertex elsewhere.
 
-The random-walk campaign (random_walk.py) computes the DP's value online,
-with ``mwm_on_path``'s recurrence and order, and calls
-``improve_along_path`` -- the DP with its backtrack, then the rewrite --
-only for walks whose value strictly beats the matched weight.
+The random-walk campaign (random_walk.py) scores each walk with the DP's
+value online and runs ``mwm_on_path`` and ``apply_path_matching`` only on
+walks whose value strictly beats the matched weight.
 """
 
 from __future__ import annotations
@@ -54,10 +53,6 @@ class WalkPath:
     def edge_count(self) -> int:
         return len(self.weights)
 
-    def matched_weight(self) -> Weight:
-        """Total weight of path edges currently flagged matched."""
-        return sum(compress(self.weights, self.matched))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"WalkPath({self.nodes})"
 
@@ -66,18 +61,19 @@ def extend_walk(
     graph: DynamicGraph,
     state: MatchingState,
     path: WalkPath,
-    current: int,
     max_len: int,
     rng: random.Random,
 ) -> WalkPath:
-    """Grow ``path`` from ``current`` until it stalls or reaches ``max_len`` edges.
+    """Grow ``path`` from its head until it stalls or reaches ``max_len`` edges.
 
-    The automaton: on arriving at a matched vertex whose matched edge is not
-    yet on the path, that edge is traversed next (no sampling, no attempt
-    cost); otherwise a neighbor off the path is sampled with at most
+    ``path`` must be a non-empty, simple, closed seed, as both seed builders
+    in random_walk.py lay it: every matched edge at a path vertex other than
+    the head lies on the path.  The automaton: on arriving at a matched
+    vertex whose matched edge is not yet on the path, that edge is traversed
+    next (no sampling, no attempt cost), and closure keeps its other end off
+    the path; otherwise a neighbor off the path is sampled with at most
     SAMPLE_ATTEMPTS tries and the walk departs through it.  The walk stops
-    when sampling fails, when a needed mate is already on the path, or when
-    the length cap is reached.
+    when sampling fails or when the length cap is reached.
 
     A pending matched edge is appended even when the cap has just been hit
     (overshooting by one edge): the closure invariant must hold at stop or a
@@ -89,10 +85,7 @@ def extend_walk(
     would.
     """
     nodes = path.nodes
-    if not nodes:
-        nodes.append(current)
-    elif nodes[-1] != current:
-        raise ValueError(f"current vertex {current} is not the path head {nodes[-1]}")
+    current = nodes[-1]
     weights = path.weights
     matched = path.matched
     mate = state._mate
@@ -106,8 +99,6 @@ def extend_walk(
     while True:
         m = mate[current]
         if m != FREE and m != prev:
-            if m in on_path:
-                break
             nxt = m
             weights.append(mw[current])
             matched.append(True)
@@ -177,38 +168,14 @@ def apply_path_matching(
 ) -> None:
     """Replace the path's matched edges with the selected edge subset.
 
-    ``selected`` holds edge indices into the path and must be independent
-    within the path (no two consecutive indices).  Path closure guarantees
-    the rewrite cannot collide with matched edges off the path.
+    ``selected`` is a selection as ``mwm_on_path`` returns it, and the path's
+    matched flags are those the walk read from ``state``.  Path closure
+    guarantees the rewrite cannot collide with matched edges off the path.
     """
     nodes = path.nodes
     weights = path.weights
-    prev = -2
-    for i in selected:
-        if not 0 <= i < len(weights):
-            raise ValueError(f"selected index {i} out of range")
-        if i <= prev:
-            raise ValueError("selected indices must be strictly increasing")
-        if i == prev + 1:
-            raise ValueError(
-                f"selected edges {prev} and {i} share a vertex on the path"
-            )
-        prev = i
-    mate = state._mate
     for i in compress(range(len(weights)), path.matched):
-        if mate[nodes[i]] == nodes[i + 1]:
-            state.unmatch(nodes[i])
+        state.unmatch(nodes[i])
     for i in selected:
         state.match_edge(nodes[i], nodes[i + 1], weights[i])
 
-
-def improve_along_path(state: MatchingState, path: WalkPath) -> bool:
-    """Rewrite the matching along the path when the DP strictly improves it.
-
-    Returns True iff a rewrite happened; ties leave the matching untouched.
-    """
-    selected, dp_weight = mwm_on_path(path)
-    if dp_weight > path.matched_weight():
-        apply_path_matching(state, path, selected)
-        return True
-    return False

@@ -22,7 +22,8 @@ from itertools import compress
 from .errors import ReplayError
 from .graph import DynamicGraph, Weight
 from .matching import FREE, MatchingAuditor, MatchingState
-from .paths import WalkPath, extend_walk, improve_along_path
+from . import paths
+from .paths import WalkPath, extend_walk
 
 # Consecutive failed walks after which stop_early ends a campaign.
 BETA = 5
@@ -139,13 +140,13 @@ class RandomWalkMwm:
         """Run up to the configured number of walks; returns success count.
 
         One ``WalkPath`` serves the whole campaign.  Before each walk its
-        lists are cleared and ``seed_builder(path, *args)`` lays a fresh seed
-        in it and returns the vertex to walk on from.  Once the walk stops,
-        the best independent edge subset's weight is computed online, with
+        lists are cleared, ``seed_builder(path, *args)`` lays a fresh closed
+        seed in it and ``extend_walk`` grows it from its head.  Then the best
+        independent edge subset's weight is computed online, with
         ``mwm_on_path``'s recurrence in its order but without its selection
         flags.  Only when that value strictly beats the path's matched weight
-        (a few percent of walks) does ``improve_along_path`` run the full DP
-        with its backtrack and rewrite the matching.  With stop_early, BETA
+        (a few percent of walks) does ``mwm_on_path`` run with its backtrack
+        and ``apply_path_matching`` rewrite the matching.  With stop_early, BETA
         consecutive failures abort the campaign; the failure counter resets
         on every success and is local to this campaign.
         """
@@ -167,8 +168,8 @@ class RandomWalkMwm:
             nodes.clear()
             weights.clear()
             matched.clear()
-            start = seed_builder(path, *args)
-            extend_walk(graph, state, path, start, max_len, rng)
+            seed_builder(path, *args)
+            extend_walk(graph, state, path, max_len, rng)
             walks += 1
             # W[k] of mwm_on_path: W[i-2] and W[i-1] while scanning.
             best_prev = best = 0
@@ -178,9 +179,9 @@ class RandomWalkMwm:
                     best_prev, best = best, cand
                 else:
                     best_prev = best
-            # sum() rather than +=: it must equal matched_weight() bit for bit.
             if best > sum(compress(weights, matched)):
-                improve_along_path(state, path)
+                # Through the module, where bench/tracer.py times them.
+                paths.apply_path_matching(state, path, paths.mwm_on_path(path)[0])
                 successes += 1
                 consecutive_failures = 0
             else:
@@ -196,9 +197,9 @@ class RandomWalkMwm:
 
     # -- seed paths ----------------------------------------------------------
 
-    def _seed_insert(self, path: WalkPath, u: int, v: int, w: Weight) -> int:
-        """Lay the seed forcing the inserted edge, per the endpoints' mates,
-        in the empty ``path``; returns the vertex the walk continues from.
+    def _seed_insert(self, path: WalkPath, u: int, v: int, w: Weight) -> None:
+        """Lay the closed seed forcing the inserted edge, per the endpoints'
+        mates, in the empty ``path``; the walk continues from its head.
 
         Both free: start at a random endpoint.  One matched: its matched
         edge leads in and the walk continues at the free endpoint.  Both
@@ -215,24 +216,21 @@ class RandomWalkMwm:
             path.nodes += (a, b)
             path.weights.append(mw[u] if mu == v else w)
             path.matched.append(mu == v)
-            return b
-        if mu != FREE and mv != FREE:
+        elif mu != FREE and mv != FREE:
             path.nodes += (mu, u, v, mv)
             path.weights += (mw[u], w, mw[v])
             path.matched += (True, False, True)
-            return mv
-        # Exactly one endpoint matched; orient so a is the matched one.
-        a, b = (u, v) if mu != FREE else (v, u)
-        path.nodes += (mate[a], a, b)
-        path.weights += (mw[a], w)
-        path.matched += (True, False)
-        return b
+        else:
+            # Exactly one endpoint matched; orient so a is the matched one.
+            a, b = (u, v) if mu != FREE else (v, u)
+            path.nodes += (mate[a], a, b)
+            path.weights += (mw[a], w)
+            path.matched += (True, False)
 
-    def _seed_anchor(self, path: WalkPath, anchor: int) -> int:
+    def _seed_anchor(self, path: WalkPath, anchor: int) -> None:
         """Lay a deletion endpoint alone in the empty ``path``; extend_walk
         traverses the anchor's matched edge first when there is one."""
         path.nodes.append(anchor)
-        return anchor
 
     # -- reporting -----------------------------------------------------------
 

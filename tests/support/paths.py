@@ -27,8 +27,14 @@ def append_step(path: WalkPath, to: int, w: Weight, matched: bool) -> None:
     path.matched.append(matched)
 
 
-def validate_walk_path(path: WalkPath, state: MatchingState) -> None:
-    """Assert simplicity, list coherence, and closure."""
+def validate_walk_path(
+    path: WalkPath, state: MatchingState, open_head: bool = False
+) -> None:
+    """Assert simplicity, list coherence, and closure.
+
+    With ``open_head`` the head's matched edge may still lie off the path, as
+    in a lone-anchor seed: ``extend_walk`` traverses it first.
+    """
     nodes = path.nodes
     if len(set(nodes)) != len(nodes):
         raise AssertionError(f"path repeats a vertex: {nodes}")
@@ -44,7 +50,7 @@ def validate_walk_path(path: WalkPath, state: MatchingState) -> None:
             raise AssertionError(
                 f"edge {i} ({nodes[i]}, {nodes[i + 1]}) matched flag stale: {flag}"
             )
-    for x in nodes:
+    for x in nodes[:-1] if open_head else nodes:
         m = mate[x]
         if m != FREE and not _pair_on_path(path, x, m):
             raise AssertionError(

@@ -1,13 +1,16 @@
 """The per-walk campaign loop that ``RandomWalkMwm.run_walk_campaign`` fuses.
 
-Each walk gets a fresh ``WalkPath`` and the full path DP with its backtrack
-runs on every walk.  The shipped campaign must match it in matchings, walk
-counters and RNG draws.
+Each walk gets a fresh ``WalkPath``, the full path DP with its backtrack
+runs on every walk, and the walk rewrites the matching when the DP's weight
+strictly beats the path's matched weight.  The shipped campaign must match
+it in matchings, walk counters and RNG draws.
 """
 
 from __future__ import annotations
 
-from dynmatch.paths import WalkPath, extend_walk, improve_along_path
+from itertools import compress
+
+from dynmatch.paths import WalkPath, apply_path_matching, extend_walk, mwm_on_path
 from dynmatch.random_walk import BETA, RandomWalkMwm
 
 
@@ -19,11 +22,12 @@ def reference_walk_campaign(algo: RandomWalkMwm, seed_builder, *args) -> int:
     consecutive_failures = 0
     for _ in range(budget):
         path = WalkPath()
-        start = seed_builder(path, *args)
-        extend_walk(algo.graph, algo.state, path, start, cfg.walk_length, algo.rng)
-        improved = improve_along_path(algo.state, path)
+        seed_builder(path, *args)
+        extend_walk(algo.graph, algo.state, path, cfg.walk_length, algo.rng)
+        selected, dp_weight = mwm_on_path(path)
         algo.walks_run += 1
-        if improved:
+        if dp_weight > sum(compress(path.weights, path.matched)):
+            apply_path_matching(algo.state, path, selected)
             algo.walks_improved += 1
             successes += 1
             consecutive_failures = 0

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import dynmatch.harness.replay as replay_mod
 from dynmatch.errors import MatchingCorruptionError, ReplayError, StreamParseError
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.cli import main
@@ -495,7 +496,7 @@ def test_every_deep_audit_raises_matching_corruption():
         oracle.audit()
 
 
-def test_replay_runs_a_deep_audit_after_the_last_op():
+def test_replay_runs_a_deep_audit_after_the_last_op(monkeypatch):
     calls = []
 
     def spying_factory(graph, seed):
@@ -511,10 +512,12 @@ def test_replay_runs_a_deep_audit_after_the_last_op():
 
     edges = [(i, i + 1, 10 + i) for i in range(7)]
     stream = gen_insertion_stream(8, edges, seed=5)
-    replay(stream, spying_factory, seed=1, audit=True, deep_audit_every=5)
+    monkeypatch.setattr(replay_mod, "DEEP_AUDIT_EVERY", 5)
+    replay(stream, spying_factory, seed=1, audit=True)
     assert calls == [True, False, False, False, False, True, False, True]
     calls.clear()
-    replay(stream, spying_factory, seed=1, audit=True, deep_audit_every=7)
+    monkeypatch.setattr(replay_mod, "DEEP_AUDIT_EVERY", 7)
+    replay(stream, spying_factory, seed=1, audit=True)
     assert calls == [True] + [False] * 6 + [True]
 
 
@@ -672,11 +675,17 @@ def test_cli_gen_then_run_round_trip(tmp_path, static_file, capsys):
     assert float(rows[0]["opt_ratio"]) <= 1.0
 
 
+def readme_block(heading, lang):
+    """The first ``lang`` code block after the README's ``## heading``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def readme_cli_commands():
     """The argv of each ``dynmatch`` command in the README's CLI example,
     the first sh block after its "## CLI" heading."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme_block("CLI", "sh")
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("dynmatch ")]
 
@@ -692,6 +701,14 @@ def test_readme_cli_example_runs_end_to_end(tmp_path, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     header = lines.index("tau\tlevel-bfs\trandom")
     assert len(lines) - header - 1 == 51
+
+
+def test_readme_library_quickstart_runs(capsys):
+    # The first python block after the README's "## Library quickstart"
+    # heading, as it stands; it ends on a deep audit.
+    code = readme_block("Library quickstart", "python")
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "10 [(0, 1), (3, 4)]\n"
 
 
 def test_cli_run_all_algorithms(static_file, tmp_path):

@@ -13,7 +13,6 @@ from dynmatch.paths import (
     WalkPath,
     apply_path_matching,
     extend_walk,
-    improve_along_path,
     mwm_on_path,
 )
 
@@ -120,7 +119,6 @@ def test_walkpath_bookkeeping():
     assert p.nodes == [0, 3, 5]
     assert p.weights == [2, 4]
     assert p.matched == [False, True]
-    assert p.matched_weight() == 4
 
 
 # -- validate_walk_path -------------------------------------------------------
@@ -161,10 +159,17 @@ def test_validate_rejects_closure_violation():
 # -- extend_walk automaton ----------------------------------------------------
 
 
+def seeded_at(u):
+    """The one-vertex seed at u, as _seed_anchor lays it."""
+    path = WalkPath()
+    start_path(path, u)
+    return path
+
+
 def test_walk_from_isolated_vertex_is_empty():
     g = DynamicGraph(3)
     st_ = MatchingState(3)
-    path = extend_walk(g, st_, WalkPath(), 0, 5, random.Random(1))
+    path = extend_walk(g, st_, seeded_at(0), 5, random.Random(1))
     assert path.nodes == [0]
     assert path.edge_count == 0
 
@@ -172,7 +177,7 @@ def test_walk_from_isolated_vertex_is_empty():
 def test_walk_two_path_all_free():
     g = build_graph(3, [(0, 1, 4), (1, 2, 6)])
     st_ = MatchingState(3)
-    path = extend_walk(g, st_, WalkPath(), 0, 5, random.Random(3))
+    path = extend_walk(g, st_, seeded_at(0), 5, random.Random(3))
     assert path.nodes == [0, 1, 2]
     assert path.weights == [4, 6]
     assert path.matched == [False, False]
@@ -183,7 +188,7 @@ def test_walk_triangle_traverses_matched_edge_then_stops():
     st_ = MatchingState(3)
     st_.match_edge(1, 2, 5)
     for seed in range(20):
-        path = extend_walk(g, st_, WalkPath(), 0, 9, random.Random(seed))
+        path = extend_walk(g, st_, seeded_at(0), 9, random.Random(seed))
         # first step samples 1 or 2; the matched edge follows immediately;
         # then both neighbors of the last vertex are on the path
         assert path.edge_count == 2
@@ -196,51 +201,22 @@ def test_walk_appends_pending_matched_edge_beyond_cap():
     g = build_graph(3, [(0, 1, 2), (1, 2, 5)])
     st_ = MatchingState(3)
     st_.match_edge(1, 2, 5)
-    path = extend_walk(g, st_, WalkPath(), 0, 1, random.Random(0))
+    path = extend_walk(g, st_, seeded_at(0), 1, random.Random(0))
     # cap is 1 edge, but stopping at matched vertex 1 would break closure
     assert path.nodes == [0, 1, 2]
     assert path.matched == [False, True]
     validate_walk_path(path, st_)
 
 
-def test_walk_stops_when_needed_mate_ineligible():
-    # The seed [2, 0] puts 2 on the path without its matched edge; the walk
-    # from 0 can only go on to 1, whose mate 2 it may not visit again.
-    g = build_graph(3, [(0, 1, 2), (0, 2, 3), (1, 2, 5)])
-    st_ = MatchingState(3)
-    st_.match_edge(1, 2, 5)
-    for seed in range(10):
-        path = WalkPath()
-        start_path(path, 2)
-        append_step(path, 0, 3, False)
-        extend_walk(g, st_, path, 0, 5, random.Random(seed))
-        assert path.nodes == [2, 0, 1]
-        assert path.weights == [3, 2]
-        assert path.matched == [False, False]
-
-
-def test_walk_rejects_mismatched_current():
-    g = build_graph(3, [(0, 1, 2)])
-    st_ = MatchingState(3)
-    p = WalkPath()
-    start_path(p, 0)
-    with pytest.raises(ValueError):
-        extend_walk(g, st_, p, 2, 5, random.Random(0))
-
-
-def reference_extend_walk(graph, state, path, current, max_len, rng, stops):
+def reference_extend_walk(graph, state, path, max_len, rng, stops):
     """extend_walk through the public accessors and rng.randrange, with the
     path's own node list as the visited set; counts why it stopped."""
     nodes, weights, matched = path.nodes, path.weights, path.matched
-    if not nodes:
-        nodes.append(current)
+    current = nodes[-1]
     while True:
         m = state.mate_of(current)
         on_path = len(nodes) > 1 and {nodes[-2], nodes[-1]} == {current, m}
         if m != FREE and not on_path:
-            if m in nodes:
-                stops["mate on path"] += 1
-                break
             nxt, w, flag = m, state.stored_weight(current), True
         else:
             if len(weights) >= max_len:
@@ -268,9 +244,8 @@ def test_walk_kernel_draws_like_randrange():
     # extend_walk inlines rng.randrange(k); the golden digests rest on it
     # consuming the RNG exactly as randrange does.  Vertex 0 is a hub whose
     # degree runs over 1 and powers of two, where k.bit_length() makes the
-    # rejection loop redraw most often.  Some walks start on a path that
-    # already holds other vertices, without their matched edges, so the
-    # sampling attempts run out and a needed mate is found on the path.
+    # rejection loop redraw most often.  Some walks start on a closed path
+    # that already holds other vertices, so the sampling attempts run out.
     rng = random.Random(78)
     degrees = set()
     stops = Counter()
@@ -292,50 +267,46 @@ def test_walk_kernel_draws_like_randrange():
         walk_rng = random.Random(trial)
         for start in range(n):
             degrees.add(g.degree(start))
-            # A matched start may come with its matched edge already on the
-            # path, as _seed_insert lays it; the walk must not take it again.
+            # The prefix before the start is closed, as the seed builders
+            # lay it: a matched prefix vertex is followed by its mate as a
+            # matched step.  A matched start may come with its matched edge
+            # already on the path, as _seed_insert lays it; the walk must
+            # not take it again.
             mate = st_.mate_of(start)
             seeded = mate != FREE and rng.random() < 0.5
-            prefix = [x for x in range(n)
-                      if x != start and x != mate and rng.random() < 0.2]
-            rng.shuffle(prefix)
+            picks = [x for x in range(n)
+                     if x != start and x != mate and rng.random() < 0.2]
+            rng.shuffle(picks)
+            steps = []  # (vertex, weight of the edge into it, matched)
+            for x in picks:
+                if any(x == y for y, _, _ in steps):
+                    continue
+                steps.append((x, 1, False))
+                if st_.mate_of(x) != FREE:
+                    steps.append((st_.mate_of(x), st_.stored_weight(x), True))
             if seeded:
-                prefix.append(mate)
+                steps.append((mate, 1, False))
+            steps.append((start, st_.stored_weight(start) if seeded else 1, seeded))
             max_len = rng.randint(1, 9)
             runs = []
             for walk in (extend_walk, partial(reference_extend_walk, stops=stops)):
                 state = walk_rng.getstate()
                 path = WalkPath()
-                for x in prefix:
-                    if path.nodes:
-                        append_step(path, x, 1, False)
-                    else:
-                        start_path(path, x)
-                if path.nodes:
-                    w = st_.stored_weight(start) if seeded else 1
-                    append_step(path, start, w, seeded)
-                path = walk(g, st_, path, start, max_len, walk_rng)
+                start_path(path, steps[0][0])
+                for x, w, flag in steps[1:]:
+                    append_step(path, x, w, flag)
+                path = walk(g, st_, path, max_len, walk_rng)
                 runs.append((path.nodes, path.weights, path.matched,
                              walk_rng.getstate()))
                 walk_rng.setstate(state)
             assert runs[0] == runs[1]
+            validate_walk_path(path, st_)
             walk_rng.setstate(runs[0][-1])
     assert {1, 2, 3, 4, 5, 7, 8, 9, 16, 17} <= degrees
-    assert stops["attempts exhausted"] and stops["mate on path"], stops
+    assert stops["attempts exhausted"], stops
 
 
-# -- apply_path_matching / improve_along_path ---------------------------------
-
-
-def test_apply_rejects_bad_selection():
-    st_ = MatchingState(4)
-    path = make_path([5, 3, 4])
-    with pytest.raises(ValueError):
-        apply_path_matching(st_, path, [3])
-    with pytest.raises(ValueError):
-        apply_path_matching(st_, path, [1, 0])
-    with pytest.raises(ValueError):
-        apply_path_matching(st_, path, [0, 1])
+# -- apply_path_matching ------------------------------------------------------
 
 
 def test_apply_replaces_matched_edges():
@@ -356,41 +327,3 @@ def test_apply_leaves_off_path_mates_alone():
     apply_path_matching(st_, path, [0, 2])
     assert st_.mate_of(4) == 5
     assert st_.stored_weight(4) == 8
-
-
-def test_improve_applies_strict_gain():
-    st_ = MatchingState(4)
-    st_.match_edge(1, 2, 3)
-    path = make_path([5, 3, 4], [False, True, False])
-    assert improve_along_path(st_, path)
-    assert st_.total_weight == 9
-
-
-def test_improve_refuses_tie_and_optimal():
-    st_ = MatchingState(4)
-    st_.match_edge(1, 2, 5)
-    # DP best on the path is the matched middle edge itself: tie, no rewrite
-    path = make_path([1, 5, 1], [False, True, False])
-    assert not improve_along_path(st_, path)
-    assert st_.mate_of(1) == 2
-    assert st_.total_weight == 5
-    assert not improve_along_path(st_, WalkPath())
-
-
-def test_improve_never_decreases_weight():
-    rng = random.Random(11)
-    for trial in range(300):
-        k = rng.randint(1, 10)
-        weights = [rng.randint(1, 50) for _ in range(k)]
-        st_ = MatchingState(k + 1)
-        flags = [False] * k
-        # alternate-matched suffix pattern chosen at random
-        i = rng.randrange(k)
-        while i < k:
-            flags[i] = True
-            st_.match_edge(i, i + 1, weights[i])
-            i += 2
-        path = make_path(weights, flags)
-        before = st_.total_weight
-        improve_along_path(st_, path)
-        assert st_.total_weight >= before

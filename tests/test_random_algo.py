@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,15 @@ from dynmatch.errors import ReplayError
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.replay import random_walk_factory, replay
 from dynmatch.harness.streams import gen_insertion_stream, gen_undo_suffix
-from dynmatch.matching import MatchingAuditor
+from dynmatch.matching import FREE, MatchingAuditor
 from dynmatch.oracle import exact_mwm
+from dynmatch import random_walk
+from dynmatch.paths import extend_walk
 from dynmatch.random_walk import BETA, RandomConfig, RandomWalkMwm
 
 from conftest import build_graph
 from support.matching import matching_weight_recompute
+from support.paths import validate_walk_path
 from support.random_walk import ReferenceRandomWalkMwm
 
 TRACER_PY = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -149,6 +153,89 @@ def test_delete_unmatched_edge_between_matched_vertices_is_noop():
     algo.handle_delete(1, 2)
     assert algo.matched_pairs() == [(0, 1), (2, 3)]
     assert algo.weight == 20
+    algo.audit(deep=True)
+
+
+# -- seed and walk closure ----------------------------------------------
+
+
+class _CheckedSeeds(RandomWalkMwm):
+    """Checks every seed it lays; counts insert seeds whose new edge an
+    earlier walk of the campaign has already matched."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.matched_new_edge_seeds = 0
+
+    def _seed_insert(self, path, u, v, w) -> None:
+        super()._seed_insert(path, u, v, w)
+        validate_walk_path(path, self.state)
+        self.matched_new_edge_seeds += self.state.mate_of(u) == v
+
+    def _seed_anchor(self, path, anchor) -> None:
+        super()._seed_anchor(path, anchor)
+        validate_walk_path(path, self.state, open_head=True)
+
+
+def _checked_extend_walk(graph, state, path, max_len, rng):
+    extend_walk(graph, state, path, max_len, rng)
+    validate_walk_path(path, state)
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=10),
+    density=st.sampled_from([0.3, 0.6, 0.9]),
+    graph_seed=st.integers(min_value=0, max_value=2**32),
+    new=st.tuples(
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=1, max_value=30),
+    ),
+    rematch=st.booleans(),
+    doomed=st.integers(min_value=0),
+    seed=st.integers(min_value=0, max_value=2**32),
+    num_walks=st.integers(min_value=1, max_value=8),
+)
+def test_seeds_and_finished_walks_are_closed(
+    n, density, graph_seed, new, rematch, doomed, seed, num_walks
+):
+    # extend_walk trusts its seed to be simple and closed and keeps it so;
+    # every seed laid and every walk finished must pass validate_walk_path,
+    # a lone anchor's pending matched edge excepted.  The graph and the
+    # matching are random; each campaign runs its full walk budget.
+    rng = random.Random(graph_seed)
+    g = DynamicGraph(n)
+    cfg = RandomConfig(num_walks=num_walks, stop_early=False)
+    algo = _CheckedSeeds(g, cfg, seed)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                g.insert_edge(u, v, rng.randint(1, 30))
+    state = algo.state
+    for u, v, w in rng.sample(sorted(g.edges()), g.edge_count()):
+        free = state.mate_of(u) == FREE and state.mate_of(v) == FREE
+        if free and rng.random() < 0.5:
+            state.match_edge(u, v, w)
+    u, v, w = new[0] % n, new[1] % n, new[2]
+    with mock.patch.object(random_walk, "extend_walk", _checked_extend_walk):
+        if u != v and not g.has_edge(u, v):
+            g.insert_edge(u, v, w)
+            if rematch:
+                # As if an earlier walk of this campaign had matched the
+                # new edge: its seed is then the edge alone, matched.
+                for x in (u, v):
+                    if state.mate_of(x) != FREE:
+                        state.unmatch(x)
+                state.match_edge(u, v, w)
+            algo.handle_insert(u, v, w)
+            assert algo.matched_new_edge_seeds >= rematch
+        live = sorted(g.edges())
+        if live:
+            u, v, _ = live[doomed % len(live)]
+            g.delete_edge(u, v)
+            algo.handle_delete(u, v)
     algo.audit(deep=True)
 
 
