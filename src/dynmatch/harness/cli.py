@@ -1,15 +1,14 @@
 """Command-line entry point.
 
 Subcommands:
-  run      replay a stream through an algorithm, report per-rep results; the
-           input is a static edge list or a temporal stream, told apart by
-           its text (see _is_temporal)
-  gen      generate an update stream file (random insertion order, optional
-           undo suffix)
+  run      replay a temporal stream file through an algorithm, report
+           per-rep results
+  gen      shuffle a static edge list or a random graph into a stream file,
+           optional undo suffix; no other subcommand builds a stream
   profile  turn a results CSV into a performance-profile TSV over the tau
            grid 0.50, 0.51, ..., 1.00
 
-Seeds default to 1.
+Seeds default to 1; run --seed seeds only the algorithm's repetitions.
 
 Exit codes: 0 on success, 2 on bad arguments, parse errors, replay errors,
 invariant violations found in audit mode, or an oracle-limit breach when the
@@ -91,18 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--input",
         required=True,
-        help="static edge list or temporal stream; the format is read from "
-        "the text",
+        help="temporal stream file, such as gen writes",
     )
     p_run.add_argument("--algo", required=True, choices=ALGO_CHOICES)
-    p_run.add_argument("--seed", type=int, default=1, help="master seed")
+    p_run.add_argument("--seed", type=int, default=1, help="repetitions' seed")
     p_run.add_argument("--reps", type=positive_int, default=10, help="repetitions")
-    p_run.add_argument(
-        "--undo-percent",
-        type=percent,
-        default=0.0,
-        help="append an undo suffix reverting the last X%% of ops",
-    )
     p_run.add_argument(
         "--audit",
         action="store_true",
@@ -188,38 +180,14 @@ def _open_out(args, mode: str) -> TextIO:
         args.error(f"cannot write --out: {exc}")
 
 
-def _is_temporal(text: str) -> bool:
-    """Whether text is a temporal stream rather than a static edge list.
-
-    The first line that tells them apart decides: a ``# n=K`` hint or a
-    data line of more than one field means temporal, a data line of one
-    field (the static vertex count) means static.  Text with neither,
-    blank or comments only, goes to the static parser, which reports it
-    as empty.
-    """
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("#"):
-            if line[1:].replace(" ", "").startswith("n="):
-                return True
-        elif line:
-            return len(line.split()) > 1
-    return False
-
-
 def _load_stream(args) -> UpdateStream:
-    text = _read_input(args)
-    if _is_temporal(text):
-        stream = parse_temporal(text)
-        dropped = {k: v for k, v in stream.warnings.items() if v}
-        if dropped:
-            print(f"warning: cleaned temporal input: {dropped}", file=sys.stderr)
-        return stream
-    parsed = parse_static_edgelist(text)
-    skipped = {k: v for k, v in parsed.warnings.items() if v}
-    if skipped:
-        print(f"warning: skipped lines in edge list: {skipped}", file=sys.stderr)
-    return gen_insertion_stream(parsed.n, parsed.edges, args.seed)
+    stream = parse_temporal(_read_input(args))
+    if not stream.n:
+        raise StreamParseError(1, "empty input: no '# n=K' hint and no record")
+    dropped = {k: v for k, v in stream.warnings.items() if v}
+    if dropped:
+        print(f"warning: cleaned temporal input: {dropped}", file=sys.stderr)
+    return stream
 
 
 def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig | None]:
@@ -268,16 +236,15 @@ def cmd_run(args) -> int:
         # Fail on an unwritable path before any replay, not after the last.
         _open_out(args, "a").close()
     stream = _load_stream(args)
-    if args.undo_percent:
-        stream = gen_undo_suffix(stream, args.undo_percent, args.seed + 1)
+    graph = final_graph(stream)
     if isinstance(config, RandomConfig) and config.theorem_mode and not config.stop_early:
         # The budget peaks at the stream's largest degree: refuse a run one
         # of whose campaigns could never finish before it starts.
-        config.walk_budget(final_graph(stream).max_degree_seen(), stream.n)
+        config.walk_budget(graph.max_degree_seen(), stream.n)
 
     if args.opt == "auto":
         try:
-            _, opt = exact_mwm(final_graph(stream))
+            _, opt = exact_mwm(graph)
         except OracleLimitError as exc:
             print(f"warning: skipping OPT: {exc}", file=sys.stderr)
 
@@ -348,6 +315,9 @@ def cmd_gen(args) -> int:
         edges = [(u, v, None) for u, v in sorted(seen)]
     else:
         parsed = parse_static_edgelist(_read_input(args))
+        skipped = {k: v for k, v in parsed.warnings.items() if v}
+        if skipped:
+            print(f"warning: skipped lines in edge list: {skipped}", file=sys.stderr)
         n, edges = parsed.n, parsed.edges
     stream = gen_insertion_stream(n, edges, args.seed)
     if args.undo_percent:

@@ -77,13 +77,14 @@ def perf_profile(
     Multiple repetitions of one (algorithm, instance) pair are collapsed to
     their geometric-mean objective before scoring.  Raises ValueError naming
     the row (1 = first after the header) and the column when a needed cell
-    is missing or a number is not finite.
+    is missing or a number is not finite, and naming both rows when two give
+    one instance different OPT values.
     """
     for t in taus:
         if not 0 < t <= 1:
             raise ValueError(f"tau values must be in (0, 1], got {t}")
     weights: dict[tuple[str, str], list[float]] = {}
-    opts: dict[tuple[str, str], float] = {}
+    opts: dict[str, tuple[float, int]] = {}  # instance -> (OPT, first row)
     skipped = 0
     for i, row in enumerate(rows, 1):
         algo = _cell(row, i, "algorithm")
@@ -95,13 +96,17 @@ def perf_profile(
         if opt <= 0:
             skipped += 1
             continue
-        key = (algo, inst)
-        weights.setdefault(key, []).append(_number(row, i, "final_weight"))
-        opts[key] = opt
+        first_opt, first = opts.setdefault(inst, (opt, i))
+        if opt != first_opt:
+            raise ValueError(
+                f"results rows {first} and {i} give instance {inst!r} two OPT "
+                f"values, {first_opt:g} and {opt:g}"
+            )
+        weights.setdefault((algo, inst), []).append(_number(row, i, "final_weight"))
     ratios: dict[str, list[float]] = {}
-    for (algo, _inst), ws in weights.items():
+    for (algo, inst), ws in weights.items():
         objective = geometric_mean(ws) if all(w > 0 for w in ws) else 0.0
-        ratios.setdefault(algo, []).append(objective / opts[(algo, _inst)])
+        ratios.setdefault(algo, []).append(objective / opts[inst][0])
     taus_list = list(taus)
     # Absolute 1e-12 slack absorbs the exp/log round-trip error of the
     # geometric mean so exact-OPT runs still count at tau = 1.0.

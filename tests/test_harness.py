@@ -629,6 +629,17 @@ def test_perf_profile_skips_rows_without_opt():
     assert profile.instances["algo"] == 1
 
 
+def test_perf_profile_refuses_two_opts_for_one_instance():
+    # One static list shuffled with two seeds is two graphs; filed under one
+    # instance name, the second OPT used to overwrite the first.
+    rows = [row("u.graph", "random", 162, 209), row("u.graph", "random", 135, 150)]
+    with pytest.raises(ValueError) as exc:
+        perf_profile(rows, [0.5])
+    assert "results rows 1 and 2 give instance 'u.graph' two OPT values" in str(
+        exc.value
+    )
+
+
 def test_perf_profile_tsv_shape():
     rows = [row("a", "beta", 90, 100), row("a", "alpha", 70, 100)]
     text = perf_profile(rows, [0.8, 0.95]).to_tsv()
@@ -645,6 +656,13 @@ def test_perf_profile_tsv_shape():
 def static_file(tmp_path):
     path = tmp_path / "toy.graph"
     path.write_text("6\n0 1 8\n2 3 6\n4 5 4\n1 2 2\n")
+    return path
+
+
+@pytest.fixture()
+def stream_file(tmp_path):
+    path = tmp_path / "toy.stream"
+    path.write_text("# n=6\n0 1 8 0 +\n2 3 6 1 +\n4 5 4 2 +\n1 2 2 3 +\n")
     return path
 
 
@@ -711,26 +729,26 @@ def test_readme_library_quickstart_runs(capsys):
     assert capsys.readouterr().out == "10 [(0, 1), (3, 4)]\n"
 
 
-def test_cli_run_all_algorithms(static_file, tmp_path):
+def test_cli_run_all_algorithms(stream_file, tmp_path):
     for algo in ("random", "level-walk", "level-bfs", "oracle"):
         assert main([
-            "run", "--input", str(static_file), "--algo", algo,
+            "run", "--input", str(stream_file), "--algo", algo,
             "--seed", "2", "--reps", "1",
         ]) == 0
 
 
-def test_cli_run_level_flags(static_file, capsys):
+def test_cli_run_level_flags(stream_file, capsys):
     # --epsilon configures whichever algorithm runs.
     cases = (("level-bfs", "0.1", "bfs"), ("level-walk", "0.5", "walk"))
     for algo, epsilon, kind in cases:
         assert main([
-            "run", "--input", str(static_file), "--algo", algo,
+            "run", "--input", str(stream_file), "--algo", algo,
             "--seed", "2", "--reps", "1", "--epsilon", epsilon,
         ]) == 0
         assert f"{algo} [eps={epsilon},mcm={kind}]" in capsys.readouterr().out
 
 
-def test_cli_mcm_flag_contradiction_rejected(static_file):
+def test_cli_mcm_flag_contradiction_rejected(stream_file):
     # --algo and --epsilon alone configure the per-level subroutine;
     # there are no flags to set it apart from them.
     for flags in (
@@ -741,7 +759,7 @@ def test_cli_mcm_flag_contradiction_rejected(static_file):
     ):
         with pytest.raises(SystemExit) as exc:
             main([
-                "run", "--input", str(static_file), "--algo", "level-bfs",
+                "run", "--input", str(stream_file), "--algo", "level-bfs",
                 "--reps", "1", *flags,
             ])
         assert exc.value.code == 2, flags
@@ -749,8 +767,8 @@ def test_cli_mcm_flag_contradiction_rejected(static_file):
 
 def test_cli_theorem_mode_beyond_float_range_runs(tmp_path, capsys):
     # The analysed walk budget 3^2003 * ln 4 saturates instead of crashing.
-    star = tmp_path / "star.graph"
-    star.write_text("4\n0 1 5\n0 2 3\n0 3 4\n")
+    star = tmp_path / "star.stream"
+    star.write_text("0 1 5 0 +\n0 2 3 1 +\n0 3 4 2 +\n")
     assert main([
         "run", "--input", str(star), "--algo", "random", "--theorem-mode",
         "--epsilon", "0.001", "--reps", "1",
@@ -768,8 +786,8 @@ def test_cli_theorem_mode_without_stop_early_refuses_unfinishable_budget(
 ):
     # The star's centre reaches degree 3, where no campaign could finish;
     # the run is refused before its first op instead of spinning.
-    star = tmp_path / "star.graph"
-    star.write_text("4\n0 1 5\n0 2 3\n0 3 4\n")
+    star = tmp_path / "star.stream"
+    star.write_text("0 1 5 0 +\n0 2 3 1 +\n0 3 4 2 +\n")
     code = main([
         "run", "--input", str(star), "--algo", "random", "--theorem-mode",
         "--no-stop-early", "--epsilon", epsilon, "--reps", "1",
@@ -781,14 +799,14 @@ def test_cli_theorem_mode_without_stop_early_refuses_unfinishable_budget(
     assert captured.out == ""
 
 
-def test_cli_opt_flag_forms(static_file, capsys):
+def test_cli_opt_flag_forms(stream_file, capsys):
     assert main([
-        "run", "--input", str(static_file), "--algo", "random",
+        "run", "--input", str(stream_file), "--algo", "random",
         "--seed", "1", "--reps", "1", "--opt", "18",
     ]) == 0
     assert "ratio" in capsys.readouterr().out
     assert main([
-        "run", "--input", str(static_file), "--algo", "random",
+        "run", "--input", str(stream_file), "--algo", "random",
         "--seed", "1", "--reps", "1", "--opt", "none",
     ]) == 0
     assert "ratio" not in capsys.readouterr().out
@@ -838,8 +856,10 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="opt-below-one"),
         pytest.param(RUN + ["--algo", "random", "--reps", "0"],
                      id="reps-zero"),
-        pytest.param(RUN + ["--algo", "random", "--undo-percent", "150"],
+        pytest.param(["gen", "--random", "10", "20", "--undo-percent", "150"],
                      id="undo-percent-above-100"),
+        pytest.param(RUN + ["--algo", "random", "--undo-percent", "25"],
+                     id="run-undo-percent-flag-removed"),
         pytest.param(RUN + ["--algo", "random", "--input", "no-such.graph"],
                      id="input-missing"),
         pytest.param(["gen", "--random", "2000000", "3"],
@@ -865,13 +885,13 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
     ],
 )
 def test_cli_bad_arguments_exit_2(
-    static_file, tmp_path, capsys, argv
+    stream_file, tmp_path, capsys, argv
 ):
     # A bad argument is a usage error: exit 2 with a one-line message, raised
     # before any replay starts.
     header = "instance,algorithm,final_weight,opt_weight\n"
     paths = {
-        "{input}": static_file,
+        "{input}": stream_file,
         "{results}": tmp_path / "results.csv",
         "{bad_weight}": tmp_path / "bad_weight.csv",
         "{unwritable}": tmp_path / "no-such-dir" / "out",
@@ -887,7 +907,7 @@ def test_cli_bad_arguments_exit_2(
     assert captured.out == ""
 
 
-def test_cli_usage_errors_name_the_bad_cell_and_path(static_file, tmp_path, capsys):
+def test_cli_usage_errors_name_the_bad_cell_and_path(stream_file, tmp_path, capsys):
     results = tmp_path / "results.csv"
     header = "instance,algorithm,final_weight,opt_weight\n"
     results.write_text(header + "toy,random,9,10\ntoy,random,heavy,10\n")
@@ -898,17 +918,22 @@ def test_cli_usage_errors_name_the_bad_cell_and_path(static_file, tmp_path, caps
     with pytest.raises(SystemExit):
         main(["profile", "--results", str(results)])
     assert "results row 1 has no 'algorithm' column" in capsys.readouterr().err
+    results.write_text(header + "u.graph,random,162,209\nu.graph,random,135,150\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--results", str(results)])
+    assert exc.value.code == 2
+    assert "results rows 1 and 2 give instance 'u.graph'" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main([
-            "run", "--input", str(static_file), "--algo", "random",
+            "run", "--input", str(stream_file), "--algo", "random",
             "--out", str(tmp_path / "no-such-dir" / "results.csv"),
         ])
     assert "cannot write --out: " in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.graph"
-    bad.write_text("3\n0 1 0\n")
+    bad = tmp_path / "bad.stream"
+    bad.write_text("0 1 0 0 +\n")  # weights below 1 are refused
     assert main(["run", "--input", str(bad), "--algo", "random"]) == 2
 
 
@@ -916,9 +941,8 @@ def test_cli_oracle_algo_beyond_limits_exits_cleanly(tmp_path, capsys):
     # The exact baseline must actually solve the instance, so an oracle-limit
     # breach is a clean diagnostic (exit 2), not a traceback.  A 30-vertex
     # cycle is one component over the 20-vertex cap.
-    big = tmp_path / "big.graph"
-    lines = ["30"] + [f"{i} {(i + 1) % 30} 5" for i in range(30)]
-    big.write_text("\n".join(lines) + "\n")
+    big = tmp_path / "big.stream"
+    big.write_text("".join(f"{i} {(i + 1) % 30} 5 {i} +\n" for i in range(30)))
     code = main([
         "run", "--input", str(big), "--algo", "oracle",
         "--reps", "1", "--opt", "none",
@@ -961,40 +985,38 @@ def test_cli_non_finite_temporal_input_exits_2(tmp_path, capsys, algo, record):
 @pytest.mark.parametrize(
     "algo, text",
     [
-        ("level-walk", "2\n0 1 1.7e308\n"),
-        ("level-walk", f"2\n0 1 {10**400}\n"),
-        ("random", "4\n0 1 1.7e308\n2 3 1.7e308\n"),
+        ("level-walk", "0 1 1.7e308 0 +\n"),
+        ("level-walk", f"0 1 {10**400} 0 +\n"),
+        ("random", "0 1 1.7e308 0 +\n2 3 1.7e308 1 +\n"),
     ],
     ids=["level-walk-float", "level-walk-401-digits", "random-two-edges"],
 )
 def test_cli_weight_above_ceiling_exits_2(tmp_path, capsys, algo, text):
     # Each used to end in an OverflowError traceback or a weight=inf, ratio=nan
     # row with exit 0.
-    big = tmp_path / "big.graph"
+    big = tmp_path / "big.stream"
     big.write_text(text)
     code = main(["run", "--input", str(big), "--algo", algo, "--reps", "1"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "error: line 2: weight" in captured.err
+    assert "error: line 1: weight" in captured.err
     assert "Traceback" not in captured.err
     assert "nan" not in captured.out
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "argv, text, message",
     [
-        (f"0 1 5 0 +\n0 {10**12} 5 1 +\n", "error: line 2: vertex id"),
-        (f"{10**12}\n0 1 5\n", "error: line 1: vertex count"),
+        (["run", "--algo", "level-walk", "--reps", "1"],
+         f"0 1 5 0 +\n0 {10**12} 5 1 +\n", "error: line 2: vertex id"),
+        (["gen"], f"{10**12}\n0 1 5\n", "error: line 1: vertex count"),
     ],
     ids=["temporal-id", "static-count"],
 )
-def test_cli_vertex_count_above_ceiling_exits_2(tmp_path, capsys, text, message):
+def test_cli_vertex_count_above_ceiling_exits_2(tmp_path, capsys, argv, text, message):
     bad = tmp_path / "big.input"
     bad.write_text(text)
-    code = main([
-        "run", "--input", str(bad), "--algo", "level-walk",
-        "--seed", "1", "--reps", "1",
-    ])
+    code = main([*argv, "--input", str(bad), "--seed", "1"])
     captured = capsys.readouterr()
     assert code == 2
     assert message in captured.err
@@ -1005,8 +1027,6 @@ def test_cli_vertex_count_above_ceiling_exits_2(tmp_path, capsys, text, message)
     "text, n, num_ops",
     [
         pytest.param(None, 6, 5, id="gen-output"),
-        pytest.param("# toy graph\n# weights 1-9\n6\n0 1 8\n2 3\n", 6, 2,
-                     id="static-after-comments"),
         pytest.param("0 1 5 0 +\n1 2 4 1\n0 1 0 2 -\n", 3, 3,
                      id="temporal-without-hint"),
         pytest.param("# n=7\n", 7, 0, id="hint-only"),
@@ -1016,8 +1036,8 @@ def test_cli_vertex_count_above_ceiling_exits_2(tmp_path, capsys, text, message)
 def test_cli_run_reads_the_input_format_from_the_text(
     tmp_path, static_file, capsys, text, n, num_ops
 ):
-    # A '# n=K' hint or a first data line of several fields is a temporal
-    # stream; a first data line of one field is a static vertex count.
+    # run reads temporal streams only; n comes from the '# n=K' hint or the
+    # largest id, and a file with neither is empty.
     path = tmp_path / "input.txt"
     if text is None:
         assert main([
@@ -1042,21 +1062,43 @@ def test_cli_run_reads_the_input_format_from_the_text(
     assert (int(result["n"]), int(result["num_ops"])) == (n, num_ops)
 
 
-def test_cli_seed_defaults_to_1(static_file, tmp_path):
+def test_cli_run_refuses_a_static_edge_list(static_file, capsys):
+    # Only gen shuffles a static list into a stream; run would otherwise
+    # score a different graph for every --seed under one instance name.
+    code = main(["run", "--input", str(static_file), "--algo", "random"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: line 1: expected 'u v w ts [op]'" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_gen_reports_skipped_edge_list_lines(tmp_path, capsys):
+    edges = tmp_path / "messy.graph"
+    edges.write_text("3\n0 1 5\n2 2 7\n1 0 4\n1 2\n")
+    out = tmp_path / "messy.stream"
+    assert main(["gen", "--input", str(edges), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: skipped lines in edge list: " in err
+    assert "'self_loops': 1, 'duplicates': 1" in err
+    assert len(parse_temporal(out.read_text()).ops) == 2
+
+
+def test_cli_seed_defaults_to_1(stream_file, tmp_path):
     csv_file = tmp_path / "results.csv"
     assert main([
-        "run", "--input", str(static_file), "--algo", "random", "--reps", "2",
+        "run", "--input", str(stream_file), "--algo", "random", "--reps", "2",
         "--out", str(csv_file),
     ]) == 0
     with csv_file.open(newline="") as fh:
         assert [r["seed"] for r in csv.DictReader(fh)] == ["1000", "1001"]
 
 
-def test_cli_profile_subcommand(tmp_path, static_file, capsys):
+def test_cli_profile_subcommand(tmp_path, stream_file, capsys):
     csv_file = tmp_path / "results.csv"
     for algo in ("random", "level-walk"):
         assert main([
-            "run", "--input", str(static_file), "--algo", algo, "--seed", "4",
+            "run", "--input", str(stream_file), "--algo", algo, "--seed", "4",
             "--reps", "2", "--out", str(csv_file), "--label", "toy",
         ]) == 0
     capsys.readouterr()
