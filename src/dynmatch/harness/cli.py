@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import math
 import random
 import sys
@@ -180,8 +181,8 @@ def _open_out(args, mode: str) -> TextIO:
         args.error(f"cannot write --out: {exc}")
 
 
-def _load_stream(args) -> UpdateStream:
-    stream = parse_temporal(_read_input(args))
+def _load_stream(args, text: str) -> UpdateStream:
+    stream = parse_temporal(text)
     if not stream.n:
         raise StreamParseError(1, "empty input: no '# n=K' hint and no record")
     dropped = {k: v for k, v in stream.warnings.items() if v}
@@ -235,7 +236,8 @@ def cmd_run(args) -> int:
     if args.out:
         # Fail on an unwritable path before any replay, not after the last.
         _open_out(args, "a").close()
-    stream = _load_stream(args)
+    text = _read_input(args)
+    stream = _load_stream(args, text)
     graph = final_graph(stream)
     if isinstance(config, RandomConfig) and config.theorem_mode and not config.stop_early:
         # The budget peaks at the stream's largest degree: refuse a run one
@@ -248,7 +250,9 @@ def cmd_run(args) -> int:
         except OracleLimitError as exc:
             print(f"warning: skipping OPT: {exc}", file=sys.stderr)
 
-    instance = args.label or Path(args.input).name
+    # The text's digest keeps two streams of one file name apart in profile.
+    digest = hashlib.sha256(text.encode()).hexdigest()[:8]
+    instance = args.label or f"{Path(args.input).name}@{digest}"
     results = run_repetitions(
         stream,
         factory,

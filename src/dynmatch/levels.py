@@ -285,7 +285,7 @@ class LevelMwm:
         vmate = view._mate
         vmw = view._mw
         cover = self._cover
-        master_w = self.graph._weight
+        weight_of = self.graph.weight_or_none
         levels = self.levels
         pos = self._pos
         queues = [level.changed for level in levels]
@@ -306,7 +306,7 @@ class LevelMwm:
                     m = vmate[x]
                     # The weight test catches a delete and re-insert at
                     # another weight between two refreshes.
-                    if m == y and vmw[x] == master_w.get(edge_key(x, m)):
+                    if m == y and vmw[x] == weight_of(x, m):
                         continue
                     # x's kept pair has left level i's matching; its
                     # partner re-decides from level i.
@@ -323,13 +323,13 @@ class LevelMwm:
                             view.unmatch(e)
                             cover[e] = cover[m] = -1
                             queues[pos[j]].add(m)
-                    key = edge_key(x, y)
-                    try:
-                        view.match_edge(x, y, master_w[key])
-                    except KeyError:
+                    w = weight_of(x, y)
+                    if w is None:
                         raise MatchingCorruptionError(
-                            f"level {i} matching pair {key} is not a master-graph edge"
-                        ) from None
+                            f"level {i} matching pair {edge_key(x, y)} is not "
+                            "a master-graph edge"
+                        )
+                    view.match_edge(x, y, w)
                     cover[x] = cover[y] = i
                 elif cover[x] < 0 and p > 0:
                     queues[p - 1].add(x)
@@ -386,11 +386,11 @@ class LevelMwm:
         neighbors, each once, filed under the class of the edge's weight,
         heaviest class first."""
         eps = self.config.epsilon
-        weight = self.graph._weight
-        master = self.graph._adj
-        for u, (row, neg) in enumerate(zip(self.adjacency._adj, self.adjacency._neg)):
+        master = zip(self.graph._adj, self.graph._wts)
+        adjacency = zip(self.adjacency._adj, self.adjacency._neg)
+        for u, ((row, neg), (nbrs, wts)) in enumerate(zip(adjacency, master)):
             have = {(v, -c) for v, c in zip(row, neg)}
-            want = {(v, level_index(weight[edge_key(u, v)], eps)) for v in master[u]}
+            want = {(v, level_index(w, eps)) for v, w in zip(nbrs, wts)}
             if not len(row) == len(neg) == len(have) or have != want:
                 raise MatchingCorruptionError(
                     f"level adjacency of vertex {u}: membership drift in "
@@ -417,24 +417,23 @@ def merge_levels(structure: LevelMwm) -> MatchingState:
     # Write the output state's internals directly -- a vertex is covered
     # iff its mate is set, so the kept pairs are vertex-disjoint, and
     # candidate pairs are canonical (min, max).
-    master_w = graph._weight
+    weight_of = graph.weight_or_none
     mate = out._mate
     mw = out._mw
     total: Weight = 0
-    try:
-        for level in reversed(structure.levels):
-            for pair in level.state.matched_pairs():
-                u, v = pair
-                if mate[u] != FREE or mate[v] != FREE:
-                    continue
-                w = master_w[pair]
-                mate[u] = v
-                mate[v] = u
-                mw[u] = mw[v] = w
-                total += w
-    except KeyError as exc:
-        raise MatchingCorruptionError(
-            f"level matching pair {exc.args[0]} is not a master-graph edge"
-        ) from None
+    for level in reversed(structure.levels):
+        for pair in level.state.matched_pairs():
+            u, v = pair
+            if mate[u] != FREE or mate[v] != FREE:
+                continue
+            w = weight_of(u, v)
+            if w is None:
+                raise MatchingCorruptionError(
+                    f"level matching pair {pair} is not a master-graph edge"
+                )
+            mate[u] = v
+            mate[v] = u
+            mw[u] = mw[v] = w
+            total += w
     out.total_weight = total
     return out

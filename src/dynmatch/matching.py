@@ -149,7 +149,9 @@ class MatchingAuditor:
     Δ (state or graph internals written directly) is only seen by the deep
     check: it forgets every verified pair and runs the same check with
     every vertex in Δ, in O(n).  The state keeps nothing but per-vertex
-    entries and the total, so that check covers all of it.
+    entries and the total, so that check covers all of it.  The graph keeps
+    each edge's weight at both endpoints; a shallow check reads the copy in
+    the shorter row, and the deep check reads both and requires them equal.
 
     Construction runs the deep check, so the first audit is always full.
     """
@@ -190,7 +192,7 @@ class MatchingAuditor:
         # ... and verify and count the pairs there now.
         mate = state._mate
         mw = state._mw
-        gw = self.graph._weight
+        weight_of = self._weight_copies if deep else self.graph.weight_or_none
         for x in touched:
             y = mate[x]
             if y == FREE:
@@ -213,7 +215,7 @@ class MatchingAuditor:
                     f"weights {w!r} and {mw[y]!r}"
                 )
             key = edge_key(x, y)
-            stored = gw.get(key)
+            stored = weight_of(x, y)
             if stored is None:
                 raise MatchingCorruptionError(
                     f"matched pair {key} is not an edge of the graph"
@@ -230,3 +232,18 @@ class MatchingAuditor:
             weight[x] = weight[y] = w
             self._total += w
         _check_total(state.total_weight, self._total)
+
+    def _weight_copies(self, x: int, y: int) -> Weight | None:
+        """Weight of edge (x, y) read from both endpoints' rows, None when
+        neither lists it; raises when the two copies differ."""
+        wts = self.graph._wts
+        row_x = self.graph._adj[x]
+        row_y = self.graph._adj[y]
+        at_x = wts[x][row_x.index(y)] if y in row_x else None
+        at_y = wts[y][row_y.index(x)] if x in row_y else None
+        if at_x != at_y:
+            raise MatchingCorruptionError(
+                f"edge {edge_key(x, y)} stores weight {at_x!r} at vertex {x} "
+                f"but {at_y!r} at vertex {y}"
+            )
+        return at_x

@@ -91,7 +91,7 @@ def extend_walk(
     mate = state._mate
     mw = state._mw
     adjs = graph._adj
-    gw = graph._weight
+    wts = graph._wts
     on_path = set(nodes)
     getrandbits = rng.getrandbits
     # The path's other end of the last edge; FREE (never a mate) if none.
@@ -119,7 +119,7 @@ def extend_walk(
                     break
             else:
                 break
-            weights.append(gw[(current, nxt) if current < nxt else (nxt, current)])
+            weights.append(wts[current][r])
             matched.append(False)
         nodes.append(nxt)
         on_path.add(nxt)

@@ -16,14 +16,13 @@ def matching_weight_recompute(state: MatchingState, graph: DynamicGraph) -> Weig
     MatchingCorruptionError when a matched pair is not an edge of the graph.
     """
     total: Weight = 0
-    gw = graph._weight
     for pair in state.matched_pairs():
-        try:
-            total += gw[pair]
-        except KeyError:
+        w = graph.weight_or_none(*pair)
+        if w is None:
             raise MatchingCorruptionError(
                 f"matched pair {pair} is not an edge of the graph"
-            ) from None
+            )
+        total += w
     return total
 
 

@@ -125,17 +125,16 @@ def test_round_trip_rebuild_after_1e5_ops():
     assert {edge_key(u, v) for u, v, _ in g.edges()} == present
 
 
-def test_neighbor_order_matches_position_indexed_model_after_1e4_ops():
-    # The random walks draw adj[r], so the list order itself is pinned: it
-    # must equal the swap-remove order of position-dict bookkeeping.
-    rng = random.Random(7)
-    n = 200
+def _replay_against_position_indexed_model(n, pairs, rng):
+    """Toggle each drawn pair in a DynamicGraph and in the model, with a
+    random weight on insert, comparing both row lists after every op.  The
+    random walks draw adj[r] and read the weight at r, so the row order
+    itself is pinned: it must equal the swap-remove order of position-dict
+    bookkeeping.  Returns the largest degree seen."""
     g = DynamicGraph(n)
     model = PositionIndexedGraph(n)
     edges = 0
-    for _ in range(10_000):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
+    for u, v in pairs:
         if u == v:
             continue
         if model.has_edge(u, v):
@@ -143,14 +142,41 @@ def test_neighbor_order_matches_position_indexed_model_after_1e4_ops():
             model.delete(u, v)
             edges -= 1
         else:
-            assert g.insert_edge(u, v, 1)
-            model.insert(u, v)
+            w = rng.randint(1, 100)
+            assert g.insert_edge(u, v, w)
+            model.insert(u, v, w)
             edges += 1
-        assert g._adj == model.adj
-        assert g.has_edge(u, v) == g.has_edge(v, u) == model.has_edge(u, v)
+        assert list(map(list, g._adj)) == model.adj
+        assert list(map(list, g._wts)) == model.wts
+        present = model.has_edge(u, v)
+        assert g.has_edge(u, v) == g.has_edge(v, u) == present
+        if present:
+            assert g.weight(u, v) == g.weight(v, u) == model.weight(u, v)
         assert g.edge_count() == edges
         assert g.degree(u) == len(model.adj[u])
         assert g.degree(v) == len(model.adj[v])
+    return g.max_degree_seen()
+
+
+def test_neighbor_order_matches_position_indexed_model_after_1e4_ops():
+    rng = random.Random(7)
+    n = 200
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(10_000)]
+    _replay_against_position_indexed_model(n, pairs, rng)
+
+
+def test_neighbor_order_matches_position_indexed_model_at_a_hub():
+    # Half the ops toggle an edge at vertex 0, which so reaches a degree in
+    # the hundreds: lookups there scan the leaf's row, deletes the hub's.
+    rng = random.Random(11)
+    n = 600
+    pairs = [
+        (0, rng.randrange(n)) if rng.random() < 0.5 else (rng.randrange(n), rng.randrange(n))
+        for _ in range(10_000)
+    ]
+    for i in range(0, len(pairs), 2):  # the hub at either end of the call
+        pairs[i] = pairs[i][::-1]
+    assert _replay_against_position_indexed_model(n, pairs, rng) >= 200
 
 
 def test_neighbors_view_tracks_mutation():

@@ -3,6 +3,7 @@
 import csv
 import math
 import random
+import re
 import shlex
 import time
 from pathlib import Path
@@ -1113,6 +1114,39 @@ def test_cli_profile_subcommand(tmp_path, stream_file, capsys):
     for line in lines[1:]:
         for cell in line.split("\t")[1:]:
             assert 0.0 <= float(cell) <= 1.0
+
+
+def test_cli_profile_keeps_two_streams_of_one_file_name_apart(tmp_path, capsys):
+    # One graph (OPT 24) in two insertion orders, both saved as s.stream:
+    # the random walk ends at 24 on one and at 17 on the other.  Pooled
+    # under the file name they were one instance at ratio 0.84.
+    static = tmp_path / "g.graph"
+    static.write_text("6\n0 1 10\n1 2 10\n3 4 7\n2 4 10\n1 5 5\n1 3 14\n1 4 10\n")
+    csv_file = tmp_path / "results.csv"
+    for seed, name in ((1, "a"), (2, "b")):
+        (tmp_path / name).mkdir()
+        stream = tmp_path / name / "s.stream"
+        assert main(["gen", "--input", str(static), "--seed", str(seed), "--out", str(stream)]) == 0
+        assert main([
+            "run", "--input", str(stream), "--algo", "random", "--reps", "2",
+            "--out", str(csv_file),
+        ]) == 0
+    with csv_file.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    by_instance = {}
+    for r in rows:
+        assert r["opt_weight"] == "24"
+        by_instance.setdefault(r["instance"], []).append(float(r["final_weight"]))
+    assert len(by_instance) == 2
+    assert all(re.fullmatch(r"s\.stream@[0-9a-f]{8}", name) for name in by_instance)
+    assert sorted(by_instance.values()) == [[17, 17], [24, 24]]
+    capsys.readouterr()
+    assert main(["profile", "--results", str(csv_file)]) == 0
+    fractions = dict(line.split("\t") for line in capsys.readouterr().out.splitlines())
+    # Two instances: one at 17/24 = 0.708, one at 1.
+    assert (fractions["0.7000"], fractions["0.7100"], fractions["1.0000"]) == (
+        "1.0000", "0.5000", "0.5000"
+    )
 
 
 def test_cli_gen_random_graph(tmp_path):

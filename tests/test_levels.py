@@ -20,6 +20,7 @@ from dynmatch.levels import (
 from dynmatch.matching import FREE
 from dynmatch.mcm import DynamicMcm, McmConfig
 from dynmatch.oracle import exact_mwm
+from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
 from conftest import build_graph, random_graph
 from support.levels import ExactLevelMwm, level_edges
@@ -721,3 +722,38 @@ def test_one_weight_class_builds_one_level():
     peak, count = peak_bytes(100_000, [100] * 10)
     assert count == 1
     assert peak <= 15e6, peak
+
+
+def peak_bytes_of_ten_edges(n, algorithm=None):
+    """Peak traced memory of a master graph on n vertices, and of the
+    algorithm built on it if one is given, over 10 disjoint edges."""
+    tracemalloc.start()
+    try:
+        g = DynamicGraph(n)
+        algo = algorithm(g) if algorithm else None
+        for k in range(10):
+            g.insert_edge(2 * k, 2 * k + 1, k + 1)
+            if algo:
+                algo.handle_insert(2 * k, 2 * k + 1, k + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if algo:
+        assert algo.weight == 55
+    return peak
+
+
+def test_master_graph_memory_grows_with_the_edges():
+    # An isolated vertex costs a pointer per row list.  With a list per
+    # vertex this took 64.4 MB.
+    peak = peak_bytes_of_ten_edges(10**6)
+    assert peak <= 20e6, peak
+
+
+def test_random_walk_memory_on_a_large_vertex_set():
+    # The graph's two row lists and the matching's mates and weights.  With
+    # a list per vertex in the graph this took 80.5 MB.
+    peak = peak_bytes_of_ten_edges(
+        10**6, lambda g: RandomWalkMwm(g, RandomConfig(epsilon=1, num_walks=5), seed=1)
+    )
+    assert peak <= 36e6, peak

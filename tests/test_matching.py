@@ -225,12 +225,32 @@ def test_auditor_catches_asymmetric_mate_at_touched_vertex():
         auditor.check()
 
 
+def tamper_weight(g, a, b, w):
+    """Overwrite the copy of edge (a, b)'s weight that a's row keeps; no
+    watcher sees a write to the internals."""
+    g._wts[a][g._adj[a].index(b)] = w
+
+
 def test_deep_check_catches_tampering_at_untouched_vertex():
     g, st, auditor = audited_pairs()
-    g._weight[(2, 3)] = 7  # no watcher sees a write to the internals
+    tamper_weight(g, 2, 3, 7)
+    tamper_weight(g, 3, 2, 7)
     st.match_edge(4, 5, 3)  # an unrelated change elsewhere
     auditor.check()  # shallow: only 4 and 5 are inspected
     with pytest.raises(MatchingCorruptionError, match="stored weight"):
+        auditor.check(deep=True)
+
+
+@pytest.mark.parametrize("at, other, at_2, at_3", [(2, 3, 7, 2), (3, 2, 2, 7)])
+def test_deep_check_catches_one_tampered_weight_copy(at, other, at_2, at_3):
+    g, st, auditor = audited_pairs()
+    tamper_weight(g, at, other, 7)
+    st.match_edge(4, 5, 3)
+    auditor.check()  # shallow: the pair (2, 3) is not inspected
+    with pytest.raises(
+        MatchingCorruptionError,
+        match=rf"edge \(2, 3\) stores weight {at_2} at vertex 2 but {at_3} at vertex 3",
+    ):
         auditor.check(deep=True)
 
 
