@@ -10,9 +10,8 @@ Subcommands:
 
 Seeds default to 1; run --seed seeds only the algorithm's repetitions.
 
-Exit codes: 0 on success, 2 on bad arguments, parse errors, replay errors,
-invariant violations found in audit mode, or an oracle-limit breach when the
-exact baseline itself must solve the instance (--algo oracle).
+Exit codes: 0 on success, 2 on bad arguments, parse errors, replay errors
+or invariant violations found in audit mode.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from dynmatch.harness.profiles import (
 from dynmatch.harness.replay import (
     RESULT_FIELDS,
     level_factory,
-    oracle_factory,
     random_walk_factory,
     result_row,
     run_repetitions,
@@ -59,7 +57,7 @@ from dynmatch.levels import LevelConfig
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import BETA, RandomConfig
 
-ALGO_CHOICES = ("random", "level-walk", "level-bfs", "oracle")
+ALGO_CHOICES = ("random", "level-walk", "level-bfs")
 
 # Most edges `gen --random` generates: it holds every edge, the stream and
 # its text in memory, a few hundred bytes per edge.
@@ -131,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the analysed walk budget ceil(max_degree^(2/eps+3) * ln n)",
     )
 
-    p_run.add_argument(
-        "--oracle-interval",
-        type=positive_int,
-        default=100,
-        help="ops between exact recomputes for --algo oracle",
-    )
     p_run.set_defaults(func=cmd_run, error=p_run.error)
 
     p_gen = sub.add_parser("gen", help="generate an update stream file")
@@ -191,9 +183,9 @@ def _load_stream(args, text: str) -> UpdateStream:
     return stream
 
 
-def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig | None]:
-    """Returns (factory, config) for the chosen algorithm, with no config
-    for the oracle; raises ValueError on a bad option value."""
+def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig]:
+    """Returns (factory, config) for the chosen algorithm; raises ValueError
+    on a bad option value."""
     if args.algo == "random":
         config = RandomConfig(
             epsilon=args.epsilon,
@@ -202,13 +194,11 @@ def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig | None]:
             theorem_mode=args.theorem_mode,
         )
         return random_walk_factory(config), config
-    if args.algo in ("level-walk", "level-bfs"):
-        config = LevelConfig(
-            epsilon=args.epsilon,
-            mcm_kind=args.algo.split("-", 1)[1],
-        )
-        return level_factory(config), config
-    return oracle_factory(args.oracle_interval), None
+    config = LevelConfig(
+        epsilon=args.epsilon,
+        mcm_kind=args.algo.split("-", 1)[1],
+    )
+    return level_factory(config), config
 
 
 def _numeric_opt(args) -> float | None:
@@ -231,7 +221,7 @@ def cmd_run(args) -> int:
         factory, config = _build_factory(args)
     except ValueError as exc:
         args.error(str(exc))
-    config_label = config.label() if config else f"interval={args.oracle_interval}"
+    config_label = config.label()
     opt = _numeric_opt(args)
     if args.out:
         # Fail on an unwritable path before any replay, not after the last.
@@ -370,12 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except StreamParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ReplayError, MatchingCorruptionError, OracleLimitError) as exc:
-        # OracleLimitError surfaces when --algo oracle faces an instance too
-        # large for exact recomputation (--opt auto merely warns and skips).
+    except (StreamParseError, ReplayError, MatchingCorruptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,9 @@
 """Aggregation: geometric means and performance profiles.
 
-A performance profile answers, for each algorithm and quality threshold
-tau, what fraction of instances reached objective >= tau * OPT.  Fractions
-are non-increasing in tau by construction; instances without a recorded
-OPT are excluded and counted.
+A performance profile answers, for each algorithm config and quality
+threshold tau, what fraction of instances reached objective >= tau * OPT.
+Fractions are non-increasing in tau by construction; instances without a
+recorded OPT are excluded and counted.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ def _number(row: Mapping[str, object], i: int, column: str) -> float:
 @dataclass
 class PerfProfile:
     taus: list[float]
-    fractions: dict[str, list[float]]  # algorithm -> fraction per tau
-    instances: dict[str, int]  # algorithm -> scored instance count
+    fractions: dict[str, list[float]]  # "algorithm [config]" -> fraction per tau
+    instances: dict[str, int]  # column -> scored instance count
     skipped_no_opt: int
 
     def to_tsv(self) -> str:
@@ -72,9 +72,9 @@ def perf_profile(
     rows: Iterable[Mapping[str, object]], taus: Sequence[float]
 ) -> PerfProfile:
     """Build a profile from result rows (as dicts with instance, algorithm,
-    final_weight, opt_weight).
+    config, final_weight, opt_weight), one column per ``algorithm [config]``.
 
-    Multiple repetitions of one (algorithm, instance) pair are collapsed to
+    Multiple repetitions of one (column, instance) pair are collapsed to
     their geometric-mean objective before scoring.  Raises ValueError naming
     the row (1 = first after the header) and the column when a needed cell
     is missing or a number is not finite, and naming both rows when two give
@@ -87,7 +87,7 @@ def perf_profile(
     opts: dict[str, tuple[float, int]] = {}  # instance -> (OPT, first row)
     skipped = 0
     for i, row in enumerate(rows, 1):
-        algo = _cell(row, i, "algorithm")
+        algo = f"{_cell(row, i, 'algorithm')} [{_cell(row, i, 'config')}]"
         inst = _cell(row, i, "instance")
         if row.get("opt_weight") in ("", None):
             skipped += 1

@@ -16,7 +16,6 @@ from typing import Callable, Protocol
 from ..errors import MatchingCorruptionError, ReplayError
 from ..graph import DynamicGraph, Weight
 from ..levels import LevelConfig, LevelMwm
-from ..oracle import exact_mwm
 from ..random_walk import RandomConfig, RandomWalkMwm
 from .streams import INSERT, UpdateStream
 
@@ -41,72 +40,6 @@ class MatchingAlgorithm(Protocol):
 
 
 AlgoFactory = Callable[[DynamicGraph, int], MatchingAlgorithm]
-
-
-class OracleRecompute:
-    """Static baseline: recompute the exact matching every ``interval`` updates.
-
-    Between recomputes the reported matching is simply stale; querying the
-    weight after the stream forces a final solve (outside the timed loop).
-    """
-
-    name = "oracle"
-
-    def __init__(self, graph: DynamicGraph, interval: int) -> None:
-        if interval < 1:
-            raise ValueError(f"recompute interval must be >= 1, got {interval}")
-        self.graph = graph
-        self.interval = interval
-        self.recomputes = 0
-        self._ops_seen = 0
-        self._stale = True
-        self._pairs: list[tuple[int, int]] = []
-        self._weight: Weight = 0
-
-    def _solve(self) -> None:
-        self._pairs, self._weight = exact_mwm(self.graph)
-        self.recomputes += 1
-        self._stale = False
-
-    def _tick(self) -> None:
-        self._ops_seen += 1
-        self._stale = True
-        if self._ops_seen % self.interval == 0:
-            self._solve()
-
-    def handle_insert(self, u: int, v: int, w: Weight) -> None:
-        self._tick()
-
-    def handle_delete(self, u: int, v: int) -> None:
-        self._tick()
-
-    @property
-    def weight(self) -> Weight:
-        if self._stale:
-            self._solve()
-        return self._weight
-
-    def matched_pairs(self) -> list[tuple[int, int]]:
-        if self._stale:
-            self._solve()
-        return list(self._pairs)
-
-    def stats(self) -> dict[str, int]:
-        return {"successes": self.recomputes, "failures": 0}
-
-    def audit(self, deep: bool = False) -> None:
-        # The stored matching is allowed to lag the graph between solves;
-        # only a fresh solve is checkable.
-        if self._stale:
-            return
-        seen: set[int] = set()
-        for u, v in self._pairs:
-            if u in seen or v in seen or not self.graph.has_edge(u, v):
-                raise MatchingCorruptionError(
-                    f"oracle baseline pair ({u}, {v}) invalid"
-                )
-            seen.add(u)
-            seen.add(v)
 
 
 @dataclass
@@ -148,9 +81,7 @@ def replay(
 
     The timed region is the graph mutation, the update handler and a read
     of the algorithm's weight, so LevelMwm's greedy merge, which runs on
-    the first read after an update, is timed with the update.  The
-    periodic oracle is not read per op: its read forces a solve, which it
-    owes only every ``interval`` ops.
+    the first read after an update, is timed with the update.
     """
     graph = DynamicGraph(stream.n)
     algo = factory(graph, seed)
@@ -158,7 +89,6 @@ def replay(
     total = 0.0
     worst = 0.0
     deep = False
-    read_weight = not isinstance(algo, OracleRecompute)
     for op in stream.ops:
         t0 = clock()
         if op.kind == INSERT:
@@ -173,8 +103,7 @@ def replay(
                     f"op {op.seq}: delete of absent edge ({op.u}, {op.v})"
                 )
             algo.handle_delete(op.u, op.v)
-        if read_weight:
-            algo.weight
+        algo.weight
         dt = clock() - t0
         total += dt
         if dt > worst:
@@ -280,10 +209,6 @@ def random_walk_factory(config: RandomConfig) -> AlgoFactory:
 
 def level_factory(config: LevelConfig) -> AlgoFactory:
     return lambda graph, seed: LevelMwm(graph, config, seed)
-
-
-def oracle_factory(interval: int) -> AlgoFactory:
-    return lambda graph, seed: OracleRecompute(graph, interval)
 
 
 # -- result CSV ----------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 A plain bitmask enumeration of maximum-weight matchings (a second route to
 ``dynmatch.oracle.exact_mwm`` that shares no search code with it), an exact
-maximum-cardinality matching, and the search for short weight-augmenting
-paths and cycles behind Proposition 1's bound w(M) >= ((k-1)/k) * w(M*).
+maximum-cardinality matching, the search for short weight-augmenting
+paths and cycles behind Proposition 1's bound w(M) >= ((k-1)/k) * w(M*),
+and the periodic exact recomputation that dynamic updates are timed against.
 """
 
 from __future__ import annotations
 
+import time
+
 from dynmatch.errors import OracleLimitError
 from dynmatch.graph import DynamicGraph, Weight, edge_key
+from dynmatch.harness.streams import INSERT, UpdateStream
 from dynmatch.matching import FREE, MatchingState
 from dynmatch.oracle import (
     Pair,
@@ -252,3 +256,22 @@ def verify_proposition1(graph: DynamicGraph, state: MatchingState, k: int) -> bo
     if isinstance(lhs, int) and isinstance(rhs, int):
         return lhs >= rhs
     return lhs >= rhs - 1e-9 * max(1.0, abs(rhs))
+
+
+def periodic_exact_time(stream: UpdateStream, interval: int) -> float:
+    """Seconds to apply ``stream`` to a graph and re-solve ``exact_mwm``
+    after every ``interval``-th op.  Like ``replay``, it times each op's
+    mutation and solve, not the loop around them."""
+    graph = DynamicGraph(stream.n)
+    clock = time.perf_counter
+    total = 0.0
+    for i, op in enumerate(stream.ops, 1):
+        t0 = clock()
+        if op.kind == INSERT:
+            graph.insert_edge(op.u, op.v, op.w)
+        else:
+            graph.delete_edge(op.u, op.v)
+        if i % interval == 0:
+            exact_mwm(graph)
+        total += clock() - t0
+    return total

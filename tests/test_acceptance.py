@@ -30,12 +30,11 @@ from conftest import (
 )
 from support.levels import BipartiteLevelMwm, ExactLevelMwm, level_edges
 from support.mcm import ExactBipartiteMcm
-from support.oracle import exact_mcm, verify_proposition1
+from support.oracle import exact_mcm, periodic_exact_time, verify_proposition1
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.profiles import geometric_mean
 from dynmatch.harness.replay import (
     level_factory,
-    oracle_factory,
     random_walk_factory,
     replay,
 )
@@ -488,10 +487,7 @@ def test_10_dynamic_updates_ten_times_cheaper_than_periodic_exact():
         replay(stream, random_walk_factory(cfg), seed=10_302).total_time
         for _ in range(3)
     )
-    exact = min(
-        replay(stream, oracle_factory(interval=100), seed=10_303).total_time
-        for _ in range(3)
-    )
+    exact = min(periodic_exact_time(stream, interval=100) for _ in range(3))
     assert 10 * dyn <= exact, (
         f"dynamic {dyn * 1e3:.1f}ms not 10x cheaper than periodic exact "
         f"{exact * 1e3:.1f}ms"

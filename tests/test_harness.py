@@ -20,9 +20,7 @@ from dynmatch.harness.profiles import (
     perf_profile,
 )
 from dynmatch.harness.replay import (
-    OracleRecompute,
     level_factory,
-    oracle_factory,
     random_walk_factory,
     rep_seed,
     replay,
@@ -44,7 +42,6 @@ from dynmatch.harness.streams import (
 )
 from dynmatch.levels import LevelConfig, LevelMwm
 from dynmatch.matching import FREE
-from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
 
@@ -282,7 +279,7 @@ def test_gen_streams_always_replayable():
         ]
         stream = gen_insertion_stream(n, edges, seed=trial)
         stream = gen_undo_suffix(stream, rng.choice((0, 10, 25, 50, 100)), seed=trial)
-        replay(stream, oracle_factory(10**9), seed=0)
+        replay(stream, walk_factory(), seed=0)
 
 
 # -- replay --------------------------------------------------------------------
@@ -373,19 +370,6 @@ def test_replay_deterministic_under_fixed_seed():
     assert outs[0].algorithm.matched_pairs() == outs[1].algorithm.matched_pairs()
     assert outs[0].algorithm.weight == outs[1].algorithm.weight
     assert outs[0].algorithm.walks_run == outs[1].algorithm.walks_run
-
-
-def test_oracle_recompute_baseline():
-    stream = gen_insertion_stream(
-        8, [(i, i + 1, 10 * (i + 1)) for i in range(7)], seed=4
-    )
-    out = replay(stream, oracle_factory(3), seed=0)
-    algo = out.algorithm
-    assert isinstance(algo, OracleRecompute)
-    assert algo.recomputes == len(stream.ops) // 3
-    _, opt = exact_mwm(out.graph)
-    assert algo.weight == opt  # final query forces a fresh solve
-    algo.audit()
 
 
 def test_replay_times_the_level_merge(monkeypatch):
@@ -490,11 +474,6 @@ def test_every_deep_audit_raises_matching_corruption():
     algo.adjacency.insert(0, 2, 0)  # behind the algorithm's back
     with pytest.raises(MatchingCorruptionError, match="membership"):
         algo.audit(deep=True)
-    stream = gen_insertion_stream(4, [(0, 1, 3), (2, 3, 4)], seed=1)
-    oracle = replay(stream, oracle_factory(1), seed=0).algorithm
-    oracle._pairs.append((1, 2))
-    with pytest.raises(MatchingCorruptionError, match="invalid"):
-        oracle.audit()
 
 
 def test_replay_runs_a_deep_audit_after_the_last_op(monkeypatch):
@@ -580,10 +559,11 @@ def test_geometric_mean_rejects_bad_inputs():
         geometric_mean([2.0, -1.0])
 
 
-def row(instance, algorithm, final_weight, opt_weight):
+def row(instance, algorithm, final_weight, opt_weight, config="eps=1"):
     return {
         "instance": instance,
         "algorithm": algorithm,
+        "config": config,
         "final_weight": final_weight,
         "opt_weight": opt_weight,
     }
@@ -591,15 +571,15 @@ def row(instance, algorithm, final_weight, opt_weight):
 
 def test_perf_profile_exact_run_scores_one_everywhere():
     profile = perf_profile([row("a", "algo", 357, 357)], [0.5, 0.9, 1.0])
-    assert profile.fractions["algo"] == [1.0, 1.0, 1.0]
-    assert profile.instances["algo"] == 1
+    assert profile.fractions["algo [eps=1]"] == [1.0, 1.0, 1.0]
+    assert profile.instances["algo [eps=1]"] == 1
     assert profile.skipped_no_opt == 0
 
 
 def test_perf_profile_counts_fraction_at_each_tau():
     rows = [row("a", "algo", 90, 100), row("b", "algo", 80, 100)]
     profile = perf_profile(rows, [0.75, 0.85, 0.95])
-    assert profile.fractions["algo"] == [1.0, 0.5, 0.0]
+    assert profile.fractions["algo [eps=1]"] == [1.0, 0.5, 0.0]
 
 
 def test_perf_profile_fractions_non_increasing_in_tau():
@@ -618,8 +598,8 @@ def test_perf_profile_collapses_repetitions_by_geometric_mean():
     rows = [row("a", "algo", w, 100) for w in (80, 90)]  # same instance
     profile = perf_profile(rows, [0.84, 0.85])
     gm = geometric_mean([80, 90]) / 100  # about 0.8485
-    assert profile.instances["algo"] == 1
-    assert profile.fractions["algo"] == [1.0, 0.0]
+    assert profile.instances["algo [eps=1]"] == 1
+    assert profile.fractions["algo [eps=1]"] == [1.0, 0.0]
     assert gm >= 0.84 and gm < 0.85
 
 
@@ -627,7 +607,7 @@ def test_perf_profile_skips_rows_without_opt():
     rows = [row("a", "algo", 90, 100), row("b", "algo", 90, ""), row("c", "algo", 9, None)]
     profile = perf_profile(rows, [0.5])
     assert profile.skipped_no_opt == 2
-    assert profile.instances["algo"] == 1
+    assert profile.instances["algo [eps=1]"] == 1
 
 
 def test_perf_profile_refuses_two_opts_for_one_instance():
@@ -641,11 +621,28 @@ def test_perf_profile_refuses_two_opts_for_one_instance():
     )
 
 
+def test_perf_profile_keeps_two_configs_of_one_algorithm_apart():
+    # Two configs of one algorithm are two columns, not two repetitions of
+    # one run pooled into a curve that matches neither.
+    rows = [
+        row("a", "level-walk", 100, 100, config="eps=0.1,mcm=walk"),
+        row("a", "level-walk", 85, 100, config="eps=2,mcm=walk"),
+    ]
+    profile = perf_profile(rows, [0.8, 0.9])
+    assert profile.fractions == {
+        "level-walk [eps=0.1,mcm=walk]": [1.0, 1.0],
+        "level-walk [eps=2,mcm=walk]": [1.0, 0.0],
+    }
+    rows[1].pop("config")
+    with pytest.raises(ValueError, match="results row 2 has no 'config' column"):
+        perf_profile(rows, [0.8])
+
+
 def test_perf_profile_tsv_shape():
     rows = [row("a", "beta", 90, 100), row("a", "alpha", 70, 100)]
     text = perf_profile(rows, [0.8, 0.95]).to_tsv()
     lines = text.strip().splitlines()
-    assert lines[0].split("\t") == ["tau", "alpha", "beta"]
+    assert lines[0].split("\t") == ["tau", "alpha [eps=1]", "beta [eps=1]"]
     assert lines[1].split("\t") == ["0.8000", "0.0000", "1.0000"]
     assert lines[2].split("\t") == ["0.9500", "0.0000", "0.0000"]
 
@@ -712,13 +709,13 @@ def readme_cli_commands():
 def test_readme_cli_example_runs_end_to_end(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = readme_cli_commands()
-    assert [argv[0] for argv in commands] == ["gen", "run", "run", "run", "profile"]
+    assert [argv[0] for argv in commands] == ["gen", "run", "run", "profile"]
     for argv in commands:
         assert main(argv) == 0, argv
-    # profile compares the two algorithms that wrote rows, one line per tau
+    # profile compares the two configs that wrote rows, one line per tau
     # in 0.50, 0.51, ..., 1.00.
     lines = capsys.readouterr().out.splitlines()
-    header = lines.index("tau\tlevel-bfs\trandom")
+    header = lines.index("tau\tlevel-bfs [eps=0.5,mcm=bfs]\trandom [eps=1,walks=5]")
     assert len(lines) - header - 1 == 51
 
 
@@ -731,7 +728,7 @@ def test_readme_library_quickstart_runs(capsys):
 
 
 def test_cli_run_all_algorithms(stream_file, tmp_path):
-    for algo in ("random", "level-walk", "level-bfs", "oracle"):
+    for algo in ("random", "level-walk", "level-bfs"):
         assert main([
             "run", "--input", str(stream_file), "--algo", algo,
             "--seed", "2", "--reps", "1",
@@ -844,8 +841,9 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="beta-flag-removed"),
         pytest.param(RUN + ["--algo", "random", "--temporal"],
                      id="temporal-flag-removed"),
-        pytest.param(RUN + ["--algo", "oracle", "--oracle-interval", "0"],
-                     id="oracle-interval-zero"),
+        pytest.param(RUN + ["--algo", "oracle"], id="oracle-algo-removed"),
+        pytest.param(RUN + ["--algo", "random", "--oracle-interval", "5"],
+                     id="oracle-interval-flag-removed"),
         pytest.param(RUN + ["--algo", "random", "--opt", "foo"],
                      id="opt-word"),
         pytest.param(RUN + ["--algo", "random", "--opt", "nan"], id="opt-nan"),
@@ -890,15 +888,17 @@ def test_cli_bad_arguments_exit_2(
 ):
     # A bad argument is a usage error: exit 2 with a one-line message, raised
     # before any replay starts.
-    header = "instance,algorithm,final_weight,opt_weight\n"
+    header = "instance,algorithm,config,final_weight,opt_weight\n"
     paths = {
         "{input}": stream_file,
         "{results}": tmp_path / "results.csv",
         "{bad_weight}": tmp_path / "bad_weight.csv",
         "{unwritable}": tmp_path / "no-such-dir" / "out",
     }
-    paths["{results}"].write_text(header + "toy,random,9,10\n")
-    paths["{bad_weight}"].write_text(header + "toy,random,9,10\ntoy,random,heavy,10\n")
+    paths["{results}"].write_text(header + "toy,random,eps=1,9,10\n")
+    paths["{bad_weight}"].write_text(
+        header + "toy,random,eps=1,9,10\ntoy,random,eps=1,heavy,10\n"
+    )
     with pytest.raises(SystemExit) as exc:
         main([str(paths.get(a, a)) for a in argv])
     assert exc.value.code == 2
@@ -910,8 +910,8 @@ def test_cli_bad_arguments_exit_2(
 
 def test_cli_usage_errors_name_the_bad_cell_and_path(stream_file, tmp_path, capsys):
     results = tmp_path / "results.csv"
-    header = "instance,algorithm,final_weight,opt_weight\n"
-    results.write_text(header + "toy,random,9,10\ntoy,random,heavy,10\n")
+    header = "instance,algorithm,config,final_weight,opt_weight\n"
+    results.write_text(header + "toy,random,eps=1,9,10\ntoy,random,eps=1,heavy,10\n")
     with pytest.raises(SystemExit):
         main(["profile", "--results", str(results)])
     assert "results row 2, column 'final_weight': 'heavy'" in capsys.readouterr().err
@@ -919,7 +919,9 @@ def test_cli_usage_errors_name_the_bad_cell_and_path(stream_file, tmp_path, caps
     with pytest.raises(SystemExit):
         main(["profile", "--results", str(results)])
     assert "results row 1 has no 'algorithm' column" in capsys.readouterr().err
-    results.write_text(header + "u.graph,random,162,209\nu.graph,random,135,150\n")
+    results.write_text(
+        header + "u.graph,random,eps=1,162,209\nu.graph,random,eps=1,135,150\n"
+    )
     with pytest.raises(SystemExit) as exc:
         main(["profile", "--results", str(results)])
     assert exc.value.code == 2
@@ -938,20 +940,18 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert main(["run", "--input", str(bad), "--algo", "random"]) == 2
 
 
-def test_cli_oracle_algo_beyond_limits_exits_cleanly(tmp_path, capsys):
-    # The exact baseline must actually solve the instance, so an oracle-limit
-    # breach is a clean diagnostic (exit 2), not a traceback.  A 30-vertex
-    # cycle is one component over the 20-vertex cap.
+def test_cli_opt_auto_beyond_oracle_limits_warns_and_runs(tmp_path, capsys):
+    # --opt auto skips OPT with a warning when the final graph is beyond the
+    # exact solver's limits: a 30-vertex cycle is one component over the
+    # 20-vertex cap.  The run itself goes on, with no ratio.
     big = tmp_path / "big.stream"
     big.write_text("".join(f"{i} {(i + 1) % 30} 5 {i} +\n" for i in range(30)))
-    code = main([
-        "run", "--input", str(big), "--algo", "oracle",
-        "--reps", "1", "--opt", "none",
-    ])
+    code = main(["run", "--input", str(big), "--algo", "random", "--reps", "1"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert "error:" in captured.err
+    assert code == 0
+    assert "warning: skipping OPT: " in captured.err
     assert "exceeds oracle limits" in captured.err
+    assert "ratio" not in captured.out
 
 
 def test_cli_temporal_cleaning_leaves_runnable_stream(tmp_path, capsys):
@@ -1106,7 +1106,9 @@ def test_cli_profile_subcommand(tmp_path, stream_file, capsys):
     tsv_file = tmp_path / "profile.tsv"
     assert main(["profile", "--results", str(csv_file), "--out", str(tsv_file)]) == 0
     lines = tsv_file.read_text().strip().splitlines()
-    assert lines[0].split("\t") == ["tau", "level-walk", "random"]
+    assert lines[0].split("\t") == [
+        "tau", "level-walk [eps=1,mcm=walk]", "random [eps=1,walks=1]"
+    ]
     # The fixed grid 0.50, 0.51, ..., 1.00.
     taus = [line.split("\t")[0] for line in lines[1:]]
     assert taus == [f"{t:.4f}" for t in default_tau_grid()]
