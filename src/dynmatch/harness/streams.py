@@ -10,6 +10,10 @@ Two input formats are understood:
   vertex count when ids alone underestimate it.
 
 Either way the vertex count is at most MAX_N_HINT, so ids are below it.
+The temporal parser gives every op that names one vertex the same int
+object, whatever the token's spelling (``7``, ``07``), so the graph and the
+algorithms that store those ops' endpoints hold one object per vertex, not
+one per op.
 
 Cleaning is the same for both: self-loops are dropped, duplicate inserts
 and deletes of absent edges are dropped (first occurrence wins), and every
@@ -100,6 +104,14 @@ def _parse_vertex(token: str, line_no: int) -> int:
     return u
 
 
+def _intern_vertex(token: str, line_no: int, ids: dict[str | int, int]) -> int:
+    """Parse a vertex token not in ``ids`` and file it there under its value,
+    so tokens of one value (``7``, ``07``) share one int object."""
+    u = _parse_vertex(token, line_no)
+    u = ids[token] = ids.setdefault(u, u)
+    return u
+
+
 def parse_static_edgelist(text: str) -> EdgeListFile:
     """Parse ``n`` then ``u v [w]`` lines into a cleaned edge list."""
     n: int | None = None
@@ -145,6 +157,9 @@ def parse_temporal(text: str) -> UpdateStream:
     """Parse timestamped ``u v w ts op`` records into a replayable stream."""
     records: list[tuple[float, int, int, int, Weight | None, str]] = []
     warnings = {"self_loops": 0, "duplicate_inserts": 0, "absent_deletes": 0}
+    # Each id token, and each id value, maps to the one int object every op
+    # naming that vertex carries; the table lives for this parse only.
+    ids: dict[str | int, int] = {}
     n_hint = 0
     order = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -164,8 +179,12 @@ def parse_temporal(text: str) -> UpdateStream:
         parts = line.split()
         if len(parts) not in (4, 5):
             raise StreamParseError(line_no, f"expected 'u v w ts [op]', got {line!r}")
-        u = _parse_vertex(parts[0], line_no)
-        v = _parse_vertex(parts[1], line_no)
+        u = ids.get(parts[0])
+        if u is None:
+            u = _intern_vertex(parts[0], line_no, ids)
+        v = ids.get(parts[1])
+        if v is None:
+            v = _intern_vertex(parts[1], line_no, ids)
         if u >= MAX_N_HINT or v >= MAX_N_HINT:
             raise StreamParseError(
                 line_no,

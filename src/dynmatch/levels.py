@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import MatchingCorruptionError
 from .graph import MAX_WEIGHT, DynamicGraph, Weight, edge_key
@@ -83,14 +84,22 @@ def level_index(w: Weight, epsilon: float) -> int:
     return i
 
 
+# _NEG_CLASS[c] is -c, one int object per class any level can have: ints
+# below -5 are not cached, so each adjacency entry would otherwise hold its
+# own copy.
+_NEG_CLASS = tuple(-c for c in range(level_index(MAX_WEIGHT, MIN_SAFE_EPSILON) + 1))
+
+
 class LevelAdjacency:
     """Every current edge once, filed under its class, as the levels read it.
 
     ``_adj[u]`` lists u's neighbors heaviest class first, in arrival order
     within a class; ``_neg[u]`` holds their negated classes, so it ascends
     and u's level-i neighbors are the first ``bisect_right(_neg[u], -i)``
-    entries of ``_adj[u]``.  Both are the shared empty tuple until u's first
-    edge.  An update shifts the tail of one list pair per endpoint, so it
+    entries of ``_adj[u]``.  The entries of one class are all the same int
+    object, ``_NEG_CLASS[c]``; the vertices are the objects the caller
+    passed.  Both lists are the shared empty tuple until u's first edge.
+    An update shifts the tail of one list pair per endpoint, so it
     costs O(degree) element moves.
     """
 
@@ -106,13 +115,14 @@ class LevelAdjacency:
         class >= c."""
         adj = self._adj
         negs = self._neg
+        key = _NEG_CLASS[c]
         for a, b in ((u, v), (v, u)):
             neg = negs[a]
             if not neg:
                 neg = negs[a] = []
                 adj[a] = []
-            i = bisect_right(neg, -c)
-            neg.insert(i, -c)
+            i = bisect_right(neg, key)
+            neg.insert(i, key)
             adj[a].insert(i, b)
 
     def delete(self, u: int, v: int) -> int:
@@ -138,10 +148,11 @@ class _Level:
     ``degree(u)`` entries of ``_adj[u]``.
     """
 
-    __slots__ = ("index", "n", "_adj", "_neg", "worker", "changed")
+    __slots__ = ("index", "_key", "n", "_adj", "_neg", "worker", "changed")
 
     def __init__(self, index: int, adjacency: LevelAdjacency, make_worker, above) -> None:
         self.index = index
+        self._key = _NEG_CLASS[index]
         self.n = adjacency.n
         self._adj = adjacency._adj
         self._neg = adjacency._neg
@@ -158,7 +169,7 @@ class _Level:
         self.changed = self.worker.state.watch()
 
     def degree(self, u: int) -> int:
-        return bisect_right(self._neg[u], -self.index)
+        return bisect_right(self._neg[u], self._key)
 
     @property
     def state(self) -> UnitMatching:
@@ -386,11 +397,13 @@ class LevelMwm:
         neighbors, each once, filed under the class of the edge's weight,
         heaviest class first."""
         eps = self.config.epsilon
+        # Each distinct weight's class, worked out once per audit.
+        class_of = cache(lambda w: level_index(w, eps))
         master = zip(self.graph._adj, self.graph._wts)
         adjacency = zip(self.adjacency._adj, self.adjacency._neg)
         for u, ((row, neg), (nbrs, wts)) in enumerate(zip(adjacency, master)):
             have = {(v, -c) for v, c in zip(row, neg)}
-            want = {(v, level_index(w, eps)) for v, w in zip(nbrs, wts)}
+            want = {(v, class_of(w)) for v, w in zip(nbrs, wts)}
             if not len(row) == len(neg) == len(have) or have != want:
                 raise MatchingCorruptionError(
                     f"level adjacency of vertex {u}: membership drift in "

@@ -183,6 +183,57 @@ def test_temporal_round_trip_through_format_stream():
     ]
 
 
+# Ids above 256, whose ints Python does not cache, so a fresh int per token
+# would show as a second object.
+SHARED_ID_TEXT = (
+    "# n=1000\n"
+    "700 701 5 0 +\n"
+    "0700 900 3 1 +\n"
+    "701 900 4 2 +\n"
+    "00700 701 0 3 -\n"
+    "7 0700 9 4 +\n"
+    "07 901 2 5 +\n"
+)
+
+
+def objects_by_id(stream):
+    """Vertex value -> ids of the int objects the stream's ops carry for it."""
+    seen: dict[int, set[int]] = {}
+    for op in stream.ops:
+        for x in (op.u, op.v):
+            seen.setdefault(x, set()).add(id(x))
+    return seen
+
+
+def test_parse_temporal_gives_one_int_object_per_vertex_id():
+    stream = parse_temporal(SHARED_ID_TEXT)
+    seen = objects_by_id(stream)
+    assert sorted(seen) == [7, 700, 701, 900, 901]
+    assert all(len(objs) == 1 for objs in seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [walk_factory(), level_factory(LevelConfig(epsilon=0.1))],
+    ids=["walk", "level"],
+)
+def test_replay_keeps_the_parsed_vertex_objects(factory):
+    stream = parse_temporal(SHARED_ID_TEXT)
+    shared = {x: next(iter(objs)) for x, objs in objects_by_id(stream).items()}
+    out = replay(stream, factory, seed=1)
+    graph = out.graph
+    for x in shared:
+        assert all(id(y) == shared[y] for y in graph._adj[x]), x
+    mates = (
+        out.algorithm.state._mate
+        if isinstance(out.algorithm, RandomWalkMwm)
+        else out.algorithm._view._mate
+    )
+    matched = [m for m in mates if m != FREE]
+    assert matched
+    assert all(id(m) == shared[m] for m in matched)
+
+
 # -- generators ----------------------------------------------------------------
 
 

@@ -640,6 +640,44 @@ def test_deep_audit_names_the_vertex_of_a_corrupted_adjacency():
         algo.audit(deep=True)
 
 
+def test_deep_audit_classes_non_integer_weights_by_value():
+    # 1.05 and 1.2 share an integer part but not a class at eps=0.1, and 1
+    # and 1.0 are one value: the audit's per-weight class memo must keep
+    # the first pair apart and may merge the second.
+    g = build_graph(6, [])
+    algo = make_level_algo(g, epsilon=0.1)
+    for (u, v, w) in ((0, 1, 1.05), (0, 2, 1.2), (3, 4, 1), (3, 5, 1.0)):
+        g.insert_edge(u, v, w)
+        algo.handle_insert(u, v, w)
+    algo.audit(deep=True)
+    adj, neg = algo.adjacency._adj, algo.adjacency._neg
+    assert (adj[0], neg[0]) == ([2, 1], [-1, 0])
+    adj[0][:], neg[0][:] = [1, 2], [0, 0]  # the 1.2 edge filed under class 0
+    with pytest.raises(
+        MatchingCorruptionError,
+        match=r"vertex 0: .* extra \[\(2, 0\)\], missing \[\(2, 1\)\]",
+    ):
+        algo.audit(deep=True)
+
+
+def test_adjacency_files_each_class_under_one_int_object():
+    # Classes above 5 negate to ints Python does not cache; every entry of
+    # one class, up to the top class of MAX_WEIGHT, is the same object.
+    g = random_graph(40, 150, seed=7)
+    algo = make_level_algo(g, epsilon=MIN_SAFE_EPSILON)
+    u, v = next((u, v) for u in range(40) for v in range(u) if not g.has_edge(u, v))
+    g.insert_edge(u, v, MAX_WEIGHT)
+    algo.handle_insert(u, v, MAX_WEIGHT)
+    objects: dict[int, set[int]] = {}
+    for neg in algo.adjacency._neg:
+        for c in neg:
+            objects.setdefault(c, set()).add(id(c))
+    assert -level_index(MAX_WEIGHT, MIN_SAFE_EPSILON) in objects
+    assert len([c for c in objects if c < -5]) > 5
+    assert all(len(ids) == 1 for ids in objects.values()), objects
+    algo.audit(deep=True)
+
+
 @pytest.mark.parametrize("u, v", [(4, 5), (5, 4)])
 def test_deep_audit_names_the_level_of_a_one_sided_mate(u, v):
     # The mate list is a level's only record of its matching, so a write
