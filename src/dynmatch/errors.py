@@ -28,5 +28,4 @@ class StreamParseError(ValueError):
 
 
 class ReplayError(RuntimeError):
-    """Raised when an update stream cannot be applied to the graph, or
-    when its replay could never finish."""
+    """Raised when an update stream cannot be applied to the graph."""

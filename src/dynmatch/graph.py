@@ -45,7 +45,7 @@ class DynamicGraph:
     a delete scans both endpoints' rows, O(deg u + deg v).
     """
 
-    __slots__ = ("n", "_adj", "_wts", "_m", "_max_degree_seen", "_watchers")
+    __slots__ = ("n", "_adj", "_wts", "_m", "_watchers")
 
     def __init__(self, n: int) -> None:
         if n < 0:
@@ -54,7 +54,6 @@ class DynamicGraph:
         self._adj: list[list[int] | tuple[()]] = [_EMPTY] * n
         self._wts: list[list[Weight] | tuple[()]] = [_EMPTY] * n
         self._m = 0
-        self._max_degree_seen = 0
         self._watchers: list[set[int]] = []
 
     def watch(self) -> set[int]:
@@ -107,9 +106,6 @@ class DynamicGraph:
         for touched in self._watchers:
             touched.add(u)
             touched.add(v)
-        d = max(len(adj_u), len(adj_v))
-        if d > self._max_degree_seen:
-            self._max_degree_seen = d
         return True
 
     def delete_edge(self, u: int, v: int) -> bool:
@@ -181,10 +177,6 @@ class DynamicGraph:
 
     def edge_count(self) -> int:
         return self._m
-
-    def max_degree_seen(self) -> int:
-        """Largest degree any vertex has ever had (never decreases)."""
-        return self._max_degree_seen
 
     def edges(self) -> Iterator[tuple[int, int, Weight]]:
         """All current edges as (u, v, w) with u < v, in O(n + m)."""

@@ -123,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help=f"abort a campaign after {BETA} consecutive failed walks",
     )
-    walk.add_argument(
-        "--theorem-mode",
-        action="store_true",
-        help="use the analysed walk budget ceil(max_degree^(2/eps+3) * ln n)",
-    )
 
     p_run.set_defaults(func=cmd_run, error=p_run.error)
 
@@ -191,7 +186,6 @@ def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig]:
             epsilon=args.epsilon,
             num_walks=args.walks,
             stop_early=args.stop_early,
-            theorem_mode=args.theorem_mode,
         )
         return random_walk_factory(config), config
     config = LevelConfig(
@@ -228,15 +222,10 @@ def cmd_run(args) -> int:
         _open_out(args, "a").close()
     text = _read_input(args)
     stream = _load_stream(args, text)
-    graph = final_graph(stream)
-    if isinstance(config, RandomConfig) and config.theorem_mode and not config.stop_early:
-        # The budget peaks at the stream's largest degree: refuse a run one
-        # of whose campaigns could never finish before it starts.
-        config.walk_budget(graph.max_degree_seen(), stream.n)
 
     if args.opt == "auto":
         try:
-            _, opt = exact_mwm(graph)
+            _, opt = exact_mwm(final_graph(stream))
         except OracleLimitError as exc:
             print(f"warning: skipping OPT: {exc}", file=sys.stderr)
 

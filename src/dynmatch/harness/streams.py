@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from ..errors import StreamParseError
@@ -155,13 +156,12 @@ def parse_static_edgelist(text: str) -> EdgeListFile:
 
 def parse_temporal(text: str) -> UpdateStream:
     """Parse timestamped ``u v w ts op`` records into a replayable stream."""
-    records: list[tuple[float, int, int, int, Weight | None, str]] = []
+    records: list[tuple[float, int, int, Weight | None, str]] = []
     warnings = {"self_loops": 0, "duplicate_inserts": 0, "absent_deletes": 0}
     # Each id token, and each id value, maps to the one int object every op
     # naming that vertex carries; the table lives for this parse only.
     ids: dict[str | int, int] = {}
     n_hint = 0
-    order = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -203,13 +203,12 @@ def parse_temporal(text: str) -> UpdateStream:
         if u == v:
             warnings["self_loops"] += 1
             continue
-        records.append((ts, order, u, v, w, op))
-        order += 1
-    records.sort()  # (ts, order) is unique: no later field is ever compared
+        records.append((ts, u, v, w, op))
+    records.sort(key=itemgetter(0))  # stable: ties keep file order
     present: set[tuple[int, int]] = set()
     ops: list[UpdateOp] = []
     max_id = -1
-    for ts, _order, u, v, w, op in records:
+    for _ts, u, v, w, op in records:
         key = edge_key(u, v)
         if op == "+":
             if key in present:

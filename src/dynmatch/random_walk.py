@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import ReplayError
 from .graph import DynamicGraph, Weight
 from .matching import FREE, MatchingAuditor, MatchingState
 from . import paths
@@ -34,16 +32,14 @@ class RandomConfig:
     """Tuning knobs for the walk-based matcher.
 
     epsilon, with 2/epsilon finite, drives the walk length
-    ceil(2/epsilon + 3); num_walks is the per-campaign walk count unless
-    theorem_mode replaces it with ceil(Delta^(2/epsilon+3) * ln n), the
-    count under which the quality guarantee holds with high probability.
-    stop_early aborts a campaign after BETA consecutive unsuccessful walks.
+    ceil(2/epsilon + 3); num_walks is the per-campaign walk count.
+    stop_early aborts a campaign after BETA consecutive unsuccessful walks,
+    so with num_walks <= BETA it never ends one early.
     """
 
     epsilon: float = 1.0
     num_walks: int = 1
     stop_early: bool = True
-    theorem_mode: bool = False
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < math.inf and 2.0 / self.epsilon < math.inf):
@@ -51,42 +47,18 @@ class RandomConfig:
                 "epsilon must be finite and > 0 with 2/epsilon finite, "
                 f"got {self.epsilon}"
             )
-        if self.num_walks < 1:
-            raise ValueError(f"num_walks must be >= 1, got {self.num_walks}")
+        if not isinstance(self.num_walks, int) or self.num_walks < 1:
+            raise ValueError(
+                f"num_walks must be an integer >= 1, got {self.num_walks!r}"
+            )
 
     @property
     def walk_length(self) -> int:
         """Edge budget per walk, seed edges included."""
         return math.ceil(2.0 / self.epsilon + 3.0)
 
-    def walk_budget(self, max_degree: int, n: int) -> int:
-        """Walks per campaign on n vertices with this max degree seen.
-
-        A theorem-mode budget beyond any float saturates at sys.maxsize
-        with stop_early; without it, one beyond sys.maxsize raises
-        ReplayError, since such a campaign could never finish.
-        """
-        if not self.theorem_mode:
-            return self.num_walks
-        n = max(n, 2)
-        power = 2.0 / self.epsilon + 3.0
-        try:
-            budget = max(1, math.ceil(max_degree**power * math.log(n)))
-        except OverflowError:
-            budget = math.inf
-        if budget > sys.maxsize and not self.stop_early:
-            raise ReplayError(
-                f"theorem-mode walk budget ceil({max_degree}^{power:g} * ln {n}) = "
-                f"{budget:.3g} walks exceeds sys.maxsize; a campaign without "
-                "stop_early cannot finish"
-            )
-        # Beyond any float: walk until stop_early ends the campaign.
-        return sys.maxsize if budget == math.inf else budget
-
     def label(self) -> str:
         parts = [f"eps={self.epsilon:g}", f"walks={self.num_walks}"]
-        if self.theorem_mode:
-            parts.append("theorem")
         if not self.stop_early:
             parts.append("no-stop-early")
         return ",".join(parts)
@@ -150,7 +122,6 @@ class RandomWalkMwm:
         consecutive failures abort the campaign; the failure counter resets
         on every success and is local to this campaign.
         """
-        budget = self._walk_budget()
         cfg = self.config
         graph = self.graph
         state = self.state
@@ -164,7 +135,7 @@ class RandomWalkMwm:
         walks = 0
         successes = 0
         consecutive_failures = 0
-        for _ in range(budget):
+        for _ in range(cfg.num_walks):
             nodes.clear()
             weights.clear()
             matched.clear()
@@ -191,9 +162,6 @@ class RandomWalkMwm:
         self.walks_run += walks
         self.walks_improved += successes
         return successes
-
-    def _walk_budget(self) -> int:
-        return self.config.walk_budget(self.graph.max_degree_seen(), self.graph.n)
 
     # -- seed paths ----------------------------------------------------------
 

@@ -1,13 +1,20 @@
-"""The per-walk campaign loop that ``RandomWalkMwm.run_walk_campaign`` fuses.
+"""Test-side variants of ``RandomWalkMwm``'s campaign.
 
-Each walk gets a fresh ``WalkPath``, the full path DP with its backtrack
-runs on every walk, and the walk rewrites the matching when the DP's weight
-strictly beats the path's matched weight.  The shipped campaign must match
-it in matchings, walk counters and RNG draws.
+``reference_walk_campaign`` is the per-walk loop that
+``RandomWalkMwm.run_walk_campaign`` fuses: each walk gets a fresh
+``WalkPath``, the full path DP with its backtrack runs on every walk, and the
+walk rewrites the matching when the DP's weight strictly beats the path's
+matched weight.  The shipped campaign must match it in matchings, walk
+counters and RNG draws.
+
+``TheoremRandomWalkMwm`` runs the shipped campaign with the walk count of
+the paper's analysis, for the acceptance test that checks it.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from itertools import compress
 
 from dynmatch.paths import WalkPath, apply_path_matching, extend_walk, mwm_on_path
@@ -16,11 +23,10 @@ from dynmatch.random_walk import BETA, RandomWalkMwm
 
 def reference_walk_campaign(algo: RandomWalkMwm, seed_builder, *args) -> int:
     """Run ``algo``'s campaign one walk at a time; returns success count."""
-    budget = algo._walk_budget()
     cfg = algo.config
     successes = 0
     consecutive_failures = 0
-    for _ in range(budget):
+    for _ in range(cfg.num_walks):
         path = WalkPath()
         seed_builder(path, *args)
         extend_walk(algo.graph, algo.state, path, cfg.walk_length, algo.rng)
@@ -43,3 +49,28 @@ class ReferenceRandomWalkMwm(RandomWalkMwm):
 
     def run_walk_campaign(self, seed_builder, *args) -> int:
         return reference_walk_campaign(self, seed_builder, *args)
+
+
+class TheoremRandomWalkMwm(RandomWalkMwm):
+    """``RandomWalkMwm`` whose campaigns run ceil(Delta^(2/eps+3) * ln n)
+    walks, Delta the largest degree seen so far: the count under which the
+    quality guarantee holds with high probability.  The configured
+    num_walks is replaced before each campaign."""
+
+    def __init__(self, graph, config, seed: int) -> None:
+        super().__init__(graph, config, seed)
+        self.max_degree_seen = max(map(graph.degree, range(graph.n)), default=0)
+
+    def handle_insert(self, u: int, v: int, w) -> None:
+        degree = max(self.graph.degree(u), self.graph.degree(v))
+        self.max_degree_seen = max(self.max_degree_seen, degree)
+        super().handle_insert(u, v, w)
+
+    def walk_budget(self) -> int:
+        power = 2.0 / self.config.epsilon + 3.0
+        n = max(self.graph.n, 2)
+        return max(1, math.ceil(self.max_degree_seen**power * math.log(n)))
+
+    def run_walk_campaign(self, seed_builder, *args) -> int:
+        self.config = dataclasses.replace(self.config, num_walks=self.walk_budget())
+        return super().run_walk_campaign(seed_builder, *args)

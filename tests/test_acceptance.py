@@ -31,6 +31,7 @@ from conftest import (
 from support.levels import BipartiteLevelMwm, ExactLevelMwm, level_edges
 from support.mcm import ExactBipartiteMcm
 from support.oracle import exact_mcm, periodic_exact_time, verify_proposition1
+from support.random_walk import TheoremRandomWalkMwm
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.profiles import geometric_mean
 from dynmatch.harness.replay import (
@@ -361,10 +362,8 @@ def test_04_theorem_budget_walks_reach_half_optimum():
             deg[v] += 1
             edges.append((key[0], key[1], rng.randint(1, 100)))
         g = DynamicGraph(n)
-        algo = RandomWalkMwm(
-            g,
-            RandomConfig(epsilon=1.0, theorem_mode=True, stop_early=False),
-            seed=900 + i,
+        algo = TheoremRandomWalkMwm(
+            g, RandomConfig(epsilon=1.0, stop_early=False), seed=900 + i
         )
         for u, v, w in edges:
             g.insert_edge(u, v, w)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import dynmatch.harness.cli as cli_mod
 import dynmatch.harness.replay as replay_mod
 from dynmatch.errors import MatchingCorruptionError, ReplayError, StreamParseError
 from dynmatch.graph import DynamicGraph
@@ -814,40 +815,6 @@ def test_cli_mcm_flag_contradiction_rejected(stream_file):
         assert exc.value.code == 2, flags
 
 
-def test_cli_theorem_mode_beyond_float_range_runs(tmp_path, capsys):
-    # The analysed walk budget 3^2003 * ln 4 saturates instead of crashing.
-    star = tmp_path / "star.stream"
-    star.write_text("0 1 5 0 +\n0 2 3 1 +\n0 3 4 2 +\n")
-    assert main([
-        "run", "--input", str(star), "--algo", "random", "--theorem-mode",
-        "--epsilon", "0.001", "--reps", "1",
-    ]) == 0
-    assert "random [eps=0.001,walks=1,theorem]" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize(
-    "epsilon, budget",
-    [("0.05", "ceil(3^43 * ln 4) = 4.55e+20 walks"), ("0.001", "ceil(3^2003 * ln 4)")],
-    ids=["beyond-maxsize", "beyond-float-range"],
-)
-def test_cli_theorem_mode_without_stop_early_refuses_unfinishable_budget(
-    tmp_path, capsys, epsilon, budget
-):
-    # The star's centre reaches degree 3, where no campaign could finish;
-    # the run is refused before its first op instead of spinning.
-    star = tmp_path / "star.stream"
-    star.write_text("0 1 5 0 +\n0 2 3 1 +\n0 3 4 2 +\n")
-    code = main([
-        "run", "--input", str(star), "--algo", "random", "--theorem-mode",
-        "--no-stop-early", "--epsilon", epsilon, "--reps", "1",
-    ])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert f"error: theorem-mode walk budget {budget}" in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-
-
 def test_cli_opt_flag_forms(stream_file, capsys):
     assert main([
         "run", "--input", str(stream_file), "--algo", "random",
@@ -859,6 +826,19 @@ def test_cli_opt_flag_forms(stream_file, capsys):
         "--seed", "1", "--reps", "1", "--opt", "none",
     ]) == 0
     assert "ratio" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("opt", ["none", "18"])
+def test_cli_builds_the_final_graph_only_for_opt_auto(stream_file, monkeypatch, opt):
+    # Only --opt auto solves the final graph; the other forms never build it.
+    def refuse(stream):
+        raise AssertionError("final_graph built without --opt auto")
+
+    monkeypatch.setattr(cli_mod, "final_graph", refuse)
+    assert main([
+        "run", "--input", str(stream_file), "--algo", "random",
+        "--reps", "1", "--opt", opt,
+    ]) == 0
 
 
 RUN = ["run", "--input", "{input}", "--reps", "1"]
@@ -895,6 +875,8 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
         pytest.param(RUN + ["--algo", "oracle"], id="oracle-algo-removed"),
         pytest.param(RUN + ["--algo", "random", "--oracle-interval", "5"],
                      id="oracle-interval-flag-removed"),
+        pytest.param(RUN + ["--algo", "random", "--theorem-mode"],
+                     id="theorem-flag-removed"),
         pytest.param(RUN + ["--algo", "random", "--opt", "foo"],
                      id="opt-word"),
         pytest.param(RUN + ["--algo", "random", "--opt", "nan"], id="opt-nan"),

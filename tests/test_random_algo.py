@@ -3,7 +3,6 @@
 import importlib.util
 import math
 import random
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynmatch.errors import ReplayError
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.replay import random_walk_factory, replay
 from dynmatch.harness.streams import gen_insertion_stream, gen_undo_suffix
@@ -24,7 +22,7 @@ from dynmatch.random_walk import BETA, RandomConfig, RandomWalkMwm
 from conftest import build_graph
 from support.matching import matching_weight_recompute
 from support.paths import validate_walk_path
-from support.random_walk import ReferenceRandomWalkMwm
+from support.random_walk import ReferenceRandomWalkMwm, TheoremRandomWalkMwm
 
 TRACER_PY = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -46,6 +44,8 @@ def test_config_validation():
             RandomConfig(epsilon=eps)
     with pytest.raises(ValueError):
         RandomConfig(num_walks=0)
+    with pytest.raises(ValueError, match="integer"):
+        RandomConfig(num_walks=2.5)
 
 
 def test_walk_length_from_epsilon():
@@ -58,7 +58,6 @@ def test_walk_length_from_epsilon():
 def test_config_label():
     assert RandomConfig(epsilon=0.5, num_walks=7).label() == "eps=0.5,walks=7"
     assert RandomConfig().label() == "eps=1,walks=1"
-    assert "theorem" in RandomConfig(theorem_mode=True).label()
     assert "no-stop-early" in RandomConfig(stop_early=False).label()
 
 
@@ -382,48 +381,9 @@ def test_tracer_sees_every_walk_and_one_dp_per_improvement():
 
 def test_theorem_mode_budget_value():
     g = build_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
-    algo = make_algo(g, epsilon=1.0, theorem_mode=True)
+    algo = TheoremRandomWalkMwm(g, RandomConfig(epsilon=1.0), 7)
     # max degree seen is 2, so the budget is ceil(2^5 * ln 4).
-    assert algo._walk_budget() == math.ceil(32 * math.log(4))
-
-
-def test_theorem_mode_budget_floor_is_one():
-    g = build_graph(2, [])
-    algo = make_algo(g, theorem_mode=True)
-    assert algo._walk_budget() == 1
-
-
-def test_theorem_mode_budget_saturates_beyond_float_range():
-    # Star with max degree 3: 3^(2/0.001 + 3) overflows a float.
-    g = build_graph(4, [(0, 1, 5), (0, 2, 3), (0, 3, 4)])
-    algo = make_algo(g, epsilon=0.001, theorem_mode=True)
-    assert algo._walk_budget() == sys.maxsize
-    # A budget that fits in a float is the formula's value.
-    algo = make_algo(g, epsilon=0.01, theorem_mode=True)
-    assert algo._walk_budget() == math.ceil(3.0**203 * math.log(4))
-    # The saturated campaign runs until stop_early ends it.
-    g = build_graph(4, [(0, 1, 5), (0, 2, 3)])
-    algo = make_algo(g, epsilon=0.001, theorem_mode=True)
-    g.insert_edge(0, 3, 4)
-    algo.handle_insert(0, 3, 4)
-    assert algo.walks_run - algo.walks_improved >= BETA
-    algo.audit(deep=True)
-
-
-def test_theorem_mode_budget_beyond_maxsize_without_stop_early_raises():
-    # Without stop_early such a campaign would walk for ever; the budget
-    # that still fits in sys.maxsize runs as before.
-    cfg = RandomConfig(epsilon=0.05, theorem_mode=True, stop_early=False)
-    assert cfg.walk_budget(2, 4) == math.ceil(2.0**43 * math.log(4))
-    for degree in (3, 1000):  # beyond sys.maxsize, then beyond any float
-        with pytest.raises(ReplayError, match=rf"ceil\({degree}\^43 \* ln 4\)"):
-            cfg.walk_budget(degree, 4)
-    g = build_graph(4, [(0, 1, 5), (0, 2, 3)])
-    algo = make_algo(g, epsilon=0.05, theorem_mode=True, stop_early=False)
-    g.insert_edge(0, 3, 4)
-    with pytest.raises(ReplayError, match="cannot finish"):
-        algo.handle_insert(0, 3, 4)
-    assert algo.walks_run == 0
+    assert algo.walk_budget() == math.ceil(32 * math.log(4))
 
 
 def test_single_improving_edge_found_on_first_walk():
