@@ -31,17 +31,13 @@ from dynmatch.errors import (
     ReplayError,
     StreamParseError,
 )
-from dynmatch.harness.profiles import (
-    default_tau_grid,
-    geometric_mean,
-    perf_profile,
-)
+from dynmatch.harness.profiles import beats_opt, objective, perf_profile
 from dynmatch.harness.replay import (
-    RESULT_FIELDS,
+    MAX_REPS,
     level_factory,
     random_walk_factory,
-    result_row,
-    run_repetitions,
+    rep_seed,
+    replay,
 )
 from dynmatch.harness.streams import (
     MAX_N_HINT,
@@ -64,10 +60,10 @@ ALGO_CHOICES = ("random", "level-walk", "level-bfs")
 MAX_GEN_EDGES = 10**6
 
 
-def positive_int(text: str) -> int:
+def repetitions(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= MAX_REPS:
+        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_REPS}], got {value}")
     return value
 
 
@@ -93,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--algo", required=True, choices=ALGO_CHOICES)
     p_run.add_argument("--seed", type=int, default=1, help="repetitions' seed")
-    p_run.add_argument("--reps", type=positive_int, default=10, help="repetitions")
+    p_run.add_argument(
+        "--reps", type=repetitions, default=10, help=f"repetitions, at most {MAX_REPS}"
+    )
     p_run.add_argument(
         "--audit",
         action="store_true",
@@ -107,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         "supplies a precomputed OPT (every weight is at least 1)",
     )
     p_run.add_argument("--out", help="append result rows to this CSV file")
-    p_run.add_argument("--label", help="instance label for result rows")
     p_run.add_argument(
         "--epsilon",
         type=float,
@@ -216,7 +213,7 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         args.error(str(exc))
     config_label = config.label()
-    opt = _numeric_opt(args)
+    opt = given_opt = _numeric_opt(args)
     if args.out:
         # Fail on an unwritable path before any replay, not after the last.
         _open_out(args, "a").close()
@@ -231,47 +228,54 @@ def cmd_run(args) -> int:
 
     # The text's digest keeps two streams of one file name apart in profile.
     digest = hashlib.sha256(text.encode()).hexdigest()[:8]
-    instance = args.label or f"{Path(args.input).name}@{digest}"
-    results = run_repetitions(
-        stream,
-        factory,
-        algorithm=args.algo,
-        config=config_label,
-        reps=args.reps,
-        master_seed=args.seed,
-        instance=instance,
-        opt_weight=opt,
-        audit=args.audit,
-    )
+    instance = f"{Path(args.input).name}@{digest}"
+    rows = []
+    for rep in range(args.reps):
+        seed = rep_seed(args.seed, rep)
+        out = replay(stream, factory, seed, audit=args.audit)
+        weight = out.algorithm.weight
+        if given_opt is not None and beats_opt(weight, given_opt):
+            args.error(
+                f"--opt {given_opt:g} is below repetition {rep}'s weight "
+                f"{weight:g}: no matching outweighs OPT"
+            )
+        ratio = f"  ratio={weight / opt:.4f}" if opt else ""
+        print(f"rep {rep}: weight={weight:g}  time={out.total_time:.4f}s{ratio}")
+        stats = out.algorithm.stats()
+        rows.append({
+            "instance": instance,
+            "algorithm": args.algo,
+            "config": config_label,
+            "seed": seed,
+            "repetition": rep,
+            "n": stream.n,
+            "num_ops": out.num_ops,
+            "final_weight": weight,
+            "opt_weight": "" if opt is None else opt,
+            "total_time": out.total_time,
+            "mean_op_time": out.mean_op_time,
+            "max_op_time": out.max_op_time,
+            "successes": stats.get("successes", 0),
+            "failures": stats.get("failures", 0),
+            "opt_ratio": f"{weight / opt:.6f}" if opt else "",
+        })
 
-    for r in results:
-        ratio = "" if r.opt_ratio is None else f"  ratio={r.opt_ratio:.4f}"
-        print(
-            f"rep {r.repetition}: weight={r.final_weight:g}  "
-            f"time={r.total_time:.4f}s{ratio}"
-        )
-    weights = [r.final_weight for r in results]
-    gm = (
-        geometric_mean(weights)
-        if weights and all(w > 0 for w in weights)
-        else (sum(weights) / len(weights) if weights else 0.0)
-    )
+    gm = objective([row["final_weight"] for row in rows])
     summary = (
         f"{args.algo} [{config_label}] on {instance}: "
-        f"geo-mean weight {gm:.2f} over {len(results)} reps"
+        f"geo-mean weight {gm:.2f} over {len(rows)} reps"
     )
-    if opt is not None and opt > 0:
+    if opt:
         summary += f", OPT {opt:g} (geo-mean ratio {gm / opt:.4f})"
     print(summary)
 
     if args.out:
-        with _open_out(args, "a") as out:
-            writer = csv.DictWriter(out, fieldnames=RESULT_FIELDS)
-            if out.tell() == 0:
+        with _open_out(args, "a") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            if fh.tell() == 0:
                 writer.writeheader()
-            for r in results:
-                writer.writerow(result_row(r))
-        print(f"appended {len(results)} rows to {args.out}")
+            writer.writerows(rows)
+        print(f"appended {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -324,7 +328,7 @@ def cmd_profile(args) -> int:
     if not rows:
         args.error(f"no result rows in {args.results}")
     try:
-        profile = perf_profile(rows, default_tau_grid())
+        profile = perf_profile(rows)
     except ValueError as exc:
         args.error(f"{args.results}: {exc}")
     if profile.skipped_no_opt:

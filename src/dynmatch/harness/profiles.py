@@ -25,9 +25,20 @@ def geometric_mean(values: Sequence[float]) -> float:
     return math.exp(logs / len(values))
 
 
-def default_tau_grid() -> list[float]:
-    """0.50, 0.51, ..., 1.00: the grid ``dynmatch profile`` scores."""
-    return [round(0.50 + 0.01 * k, 2) for k in range(51)]
+# The grid ``dynmatch profile`` scores: 0.50, 0.51, ..., 1.00.
+TAUS = tuple(round(0.50 + 0.01 * k, 2) for k in range(51))
+
+
+def objective(weights: Sequence[float]) -> float:
+    """One column's score on one instance over its repetitions: the
+    geometric mean of their final weights, 0 when any weighs nothing."""
+    return geometric_mean(weights) if all(w > 0 for w in weights) else 0.0
+
+
+def beats_opt(weight: float, opt: float) -> bool:
+    """True when ``weight`` exceeds ``opt`` by more than a relative 1e-9,
+    float rounding aside.  No matching outweighs OPT, so that OPT is wrong."""
+    return weight > opt * (1 + 1e-9)
 
 
 def _cell(row: Mapping[str, object], i: int, column: str) -> str:
@@ -52,7 +63,6 @@ def _number(row: Mapping[str, object], i: int, column: str) -> float:
 
 @dataclass
 class PerfProfile:
-    taus: list[float]
     fractions: dict[str, list[float]]  # "algorithm [config]" -> fraction per tau
     instances: dict[str, int]  # column -> scored instance count
     skipped_no_opt: int
@@ -60,7 +70,7 @@ class PerfProfile:
     def to_tsv(self) -> str:
         algos = sorted(self.fractions)
         lines = ["\t".join(["tau"] + algos)]
-        for i, tau in enumerate(self.taus):
+        for i, tau in enumerate(TAUS):
             row = [f"{tau:.4f}"] + [
                 f"{self.fractions[a][i]:.4f}" for a in algos
             ]
@@ -68,21 +78,17 @@ class PerfProfile:
         return "\n".join(lines) + "\n"
 
 
-def perf_profile(
-    rows: Iterable[Mapping[str, object]], taus: Sequence[float]
-) -> PerfProfile:
+def perf_profile(rows: Iterable[Mapping[str, object]]) -> PerfProfile:
     """Build a profile from result rows (as dicts with instance, algorithm,
     config, final_weight, opt_weight), one column per ``algorithm [config]``.
 
     Multiple repetitions of one (column, instance) pair are collapsed to
-    their geometric-mean objective before scoring.  Raises ValueError naming
-    the row (1 = first after the header) and the column when a needed cell
-    is missing or a number is not finite, and naming both rows when two give
-    one instance different OPT values.
+    their ``objective`` before scoring at each of ``TAUS``.  Raises
+    ValueError naming the row (1 = first after the header) and the column
+    when a needed cell is missing or a number is not finite, naming both
+    rows when two give one instance different OPT values, and naming the
+    row when its final_weight beats its opt_weight.
     """
-    for t in taus:
-        if not 0 < t <= 1:
-            raise ValueError(f"tau values must be in (0, 1], got {t}")
     weights: dict[tuple[str, str], list[float]] = {}
     opts: dict[str, tuple[float, int]] = {}  # instance -> (OPT, first row)
     skipped = 0
@@ -102,21 +108,24 @@ def perf_profile(
                 f"results rows {first} and {i} give instance {inst!r} two OPT "
                 f"values, {first_opt:g} and {opt:g}"
             )
-        weights.setdefault((algo, inst), []).append(_number(row, i, "final_weight"))
+        weight = _number(row, i, "final_weight")
+        if beats_opt(weight, opt):
+            raise ValueError(
+                f"results row {i}: final_weight {weight:g} exceeds its "
+                f"opt_weight {opt:g}"
+            )
+        weights.setdefault((algo, inst), []).append(weight)
     ratios: dict[str, list[float]] = {}
     for (algo, inst), ws in weights.items():
-        objective = geometric_mean(ws) if all(w > 0 for w in ws) else 0.0
-        ratios.setdefault(algo, []).append(objective / opts[inst][0])
-    taus_list = list(taus)
+        ratios.setdefault(algo, []).append(objective(ws) / opts[inst][0])
     # Absolute 1e-12 slack absorbs the exp/log round-trip error of the
     # geometric mean so exact-OPT runs still count at tau = 1.0.
     fractions = {
-        algo: [sum(1 for r in rs if r >= t - 1e-12) / len(rs) for t in taus_list]
+        algo: [sum(1 for r in rs if r >= t - 1e-12) / len(rs) for t in TAUS]
         for algo, rs in ratios.items()
     }
     instances = {algo: len(rs) for algo, rs in ratios.items()}
     return PerfProfile(
-        taus=taus_list,
         fractions=fractions,
         instances=instances,
         skipped_no_opt=skipped,

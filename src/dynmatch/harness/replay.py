@@ -10,7 +10,7 @@ bit-identical matchings.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from ..errors import MatchingCorruptionError, ReplayError
@@ -130,74 +130,14 @@ def _audit(algo: MatchingAlgorithm, deep: bool, where: str) -> None:
         raise MatchingCorruptionError(f"{where}: {exc}") from exc
 
 
-@dataclass
-class RunResult:
-    """One row per (instance, algorithm, repetition); the CSV schema."""
-
-    instance: str
-    algorithm: str
-    config: str
-    seed: int
-    repetition: int
-    n: int
-    num_ops: int
-    final_weight: Weight
-    opt_weight: Weight | None
-    total_time: float
-    mean_op_time: float
-    max_op_time: float
-    successes: int
-    failures: int
-
-    @property
-    def opt_ratio(self) -> float | None:
-        if not self.opt_weight:
-            return None
-        return self.final_weight / self.opt_weight
+# rep_seed gives distinct seeds only below this many repetitions per master
+# seed: repetition 1000 of seed 1 would be repetition 0 of seed 2.
+MAX_REPS = 1000
 
 
 def rep_seed(master_seed: int, repetition: int) -> int:
-    """Per-repetition seed; distinct for reps < 1000 per master seed."""
-    return master_seed * 1000 + repetition
-
-
-def run_repetitions(
-    stream: UpdateStream,
-    factory: AlgoFactory,
-    *,
-    algorithm: str,
-    config: str,
-    reps: int,
-    master_seed: int,
-    instance: str = "stream",
-    opt_weight: Weight | None = None,
-    audit: bool = False,
-) -> list[RunResult]:
-    """Replay ``reps`` times with derived seeds; one RunResult per repetition."""
-    results = []
-    for rep in range(reps):
-        seed = rep_seed(master_seed, rep)
-        out = replay(stream, factory, seed, audit=audit)
-        stats = out.algorithm.stats()
-        results.append(
-            RunResult(
-                instance=instance,
-                algorithm=algorithm,
-                config=config,
-                seed=seed,
-                repetition=rep,
-                n=stream.n,
-                num_ops=out.num_ops,
-                final_weight=out.algorithm.weight,
-                opt_weight=opt_weight,
-                total_time=out.total_time,
-                mean_op_time=out.mean_op_time,
-                max_op_time=out.max_op_time,
-                successes=stats.get("successes", 0),
-                failures=stats.get("failures", 0),
-            )
-        )
-    return results
+    """Per-repetition seed; distinct for repetitions below MAX_REPS."""
+    return master_seed * MAX_REPS + repetition
 
 
 # -- factories ---------------------------------------------------------------
@@ -210,16 +150,3 @@ def random_walk_factory(config: RandomConfig) -> AlgoFactory:
 def level_factory(config: LevelConfig) -> AlgoFactory:
     return lambda graph, seed: LevelMwm(graph, config, seed)
 
-
-# -- result CSV ----------------------------------------------------------------
-
-RESULT_FIELDS = [f.name for f in fields(RunResult)] + ["opt_ratio"]
-
-
-def result_row(result: RunResult) -> dict[str, object]:
-    row = {name: getattr(result, name) for name in RESULT_FIELDS[:-1]}
-    ratio = result.opt_ratio
-    row["opt_ratio"] = "" if ratio is None else f"{ratio:.6f}"
-    if result.opt_weight is None:
-        row["opt_weight"] = ""
-    return row

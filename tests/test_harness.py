@@ -15,18 +15,12 @@ import dynmatch.harness.replay as replay_mod
 from dynmatch.errors import MatchingCorruptionError, ReplayError, StreamParseError
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.cli import main
-from dynmatch.harness.profiles import (
-    default_tau_grid,
-    geometric_mean,
-    perf_profile,
-)
+from dynmatch.harness.profiles import TAUS, geometric_mean, perf_profile
 from dynmatch.harness.replay import (
     level_factory,
     random_walk_factory,
     rep_seed,
     replay,
-    result_row,
-    run_repetitions,
 )
 from dynmatch.harness.streams import (
     DELETE,
@@ -559,36 +553,40 @@ def test_rep_seed_distinct_per_repetition():
     assert rep_seed(43, 0) not in seeds
 
 
-def test_run_repetitions_rows_and_ratio_formatting():
-    stream = gen_insertion_stream(6, [(0, 1, 8), (2, 3, 6), (4, 5, 4)], seed=7)
-    results = run_repetitions(
-        stream,
-        walk_factory(),
-        algorithm="random",
-        config="eps=1,walks=1",
-        reps=3,
-        master_seed=5,
-        instance="toy",
-        opt_weight=18,
-    )
-    assert [r.repetition for r in results] == [0, 1, 2]
-    assert [r.seed for r in results] == [5000, 5001, 5002]
-    assert all(r.final_weight == 18 for r in results)  # disjoint edges
-    row = result_row(results[0])
-    assert row["opt_ratio"] == "1.000000"
-    assert row["instance"] == "toy"
+RESULT_HEADER = [
+    "instance", "algorithm", "config", "seed", "repetition", "n", "num_ops",
+    "final_weight", "opt_weight", "total_time", "mean_op_time", "max_op_time",
+    "successes", "failures", "opt_ratio",
+]
 
-    free = run_repetitions(
-        stream,
-        walk_factory(),
-        algorithm="random",
-        config="c",
-        reps=1,
-        master_seed=5,
-    )[0]
-    assert free.opt_ratio is None
-    assert result_row(free)["opt_ratio"] == ""
-    assert result_row(free)["opt_weight"] == ""
+
+def test_cli_run_rows_and_ratio_formatting(tmp_path, capsys):
+    # cmd_run names the CSV columns; this pins their order and cell formats.
+    stream = gen_insertion_stream(6, [(0, 1, 8), (2, 3, 6), (4, 5, 4)], seed=7)
+    path = tmp_path / "toy.stream"
+    path.write_text(format_stream(stream))
+    for opt in ("18", "none"):
+        csv_file = tmp_path / f"results-{opt}.csv"
+        assert main([
+            "run", "--input", str(path), "--algo", "random", "--seed", "5",
+            "--reps", "3", "--opt", opt, "--out", str(csv_file),
+        ]) == 0
+        with csv_file.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == RESULT_HEADER
+        assert [r["repetition"] for r in rows] == ["0", "1", "2"]
+        assert [r["seed"] for r in rows] == ["5000", "5001", "5002"]
+        assert all(r["final_weight"] == "18" for r in rows)  # disjoint edges
+        (instance,) = {r["instance"] for r in rows}
+        assert re.fullmatch(r"toy\.stream@[0-9a-f]{8}", instance)
+        if opt == "18":
+            assert {(r["opt_weight"], r["opt_ratio"]) for r in rows} == {
+                ("18.0", "1.000000")
+            }
+        else:
+            assert {(r["opt_weight"], r["opt_ratio"]) for r in rows} == {("", "")}
+    capsys.readouterr()
 
 
 # -- aggregation -----------------------------------------------------------------
@@ -621,17 +619,22 @@ def row(instance, algorithm, final_weight, opt_weight, config="eps=1"):
     }
 
 
+def at(profile, column, *taus):
+    """The profile's fractions for ``column`` at the grid points ``taus``."""
+    return [profile.fractions[column][TAUS.index(t)] for t in taus]
+
+
 def test_perf_profile_exact_run_scores_one_everywhere():
-    profile = perf_profile([row("a", "algo", 357, 357)], [0.5, 0.9, 1.0])
-    assert profile.fractions["algo [eps=1]"] == [1.0, 1.0, 1.0]
+    profile = perf_profile([row("a", "algo", 357, 357)])
+    assert profile.fractions["algo [eps=1]"] == [1.0] * len(TAUS)
     assert profile.instances["algo [eps=1]"] == 1
     assert profile.skipped_no_opt == 0
 
 
 def test_perf_profile_counts_fraction_at_each_tau():
     rows = [row("a", "algo", 90, 100), row("b", "algo", 80, 100)]
-    profile = perf_profile(rows, [0.75, 0.85, 0.95])
-    assert profile.fractions["algo [eps=1]"] == [1.0, 0.5, 0.0]
+    profile = perf_profile(rows)
+    assert at(profile, "algo [eps=1]", 0.75, 0.85, 0.95) == [1.0, 0.5, 0.0]
 
 
 def test_perf_profile_fractions_non_increasing_in_tau():
@@ -641,23 +644,23 @@ def test_perf_profile_fractions_non_increasing_in_tau():
         for k in range(40)
         for algo in ("x", "y")
     ]
-    profile = perf_profile(rows, default_tau_grid())
+    profile = perf_profile(rows)
     for fracs in profile.fractions.values():
         assert all(a >= b for a, b in zip(fracs, fracs[1:]))
 
 
 def test_perf_profile_collapses_repetitions_by_geometric_mean():
     rows = [row("a", "algo", w, 100) for w in (80, 90)]  # same instance
-    profile = perf_profile(rows, [0.84, 0.85])
+    profile = perf_profile(rows)
     gm = geometric_mean([80, 90]) / 100  # about 0.8485
     assert profile.instances["algo [eps=1]"] == 1
-    assert profile.fractions["algo [eps=1]"] == [1.0, 0.0]
+    assert at(profile, "algo [eps=1]", 0.84, 0.85) == [1.0, 0.0]
     assert gm >= 0.84 and gm < 0.85
 
 
 def test_perf_profile_skips_rows_without_opt():
     rows = [row("a", "algo", 90, 100), row("b", "algo", 90, ""), row("c", "algo", 9, None)]
-    profile = perf_profile(rows, [0.5])
+    profile = perf_profile(rows)
     assert profile.skipped_no_opt == 2
     assert profile.instances["algo [eps=1]"] == 1
 
@@ -667,7 +670,7 @@ def test_perf_profile_refuses_two_opts_for_one_instance():
     # instance name, the second OPT used to overwrite the first.
     rows = [row("u.graph", "random", 162, 209), row("u.graph", "random", 135, 150)]
     with pytest.raises(ValueError) as exc:
-        perf_profile(rows, [0.5])
+        perf_profile(rows)
     assert "results rows 1 and 2 give instance 'u.graph' two OPT values" in str(
         exc.value
     )
@@ -680,23 +683,35 @@ def test_perf_profile_keeps_two_configs_of_one_algorithm_apart():
         row("a", "level-walk", 100, 100, config="eps=0.1,mcm=walk"),
         row("a", "level-walk", 85, 100, config="eps=2,mcm=walk"),
     ]
-    profile = perf_profile(rows, [0.8, 0.9])
-    assert profile.fractions == {
-        "level-walk [eps=0.1,mcm=walk]": [1.0, 1.0],
-        "level-walk [eps=2,mcm=walk]": [1.0, 0.0],
-    }
+    profile = perf_profile(rows)
+    assert sorted(profile.fractions) == [
+        "level-walk [eps=0.1,mcm=walk]", "level-walk [eps=2,mcm=walk]"
+    ]
+    assert at(profile, "level-walk [eps=0.1,mcm=walk]", 0.8, 0.9) == [1.0, 1.0]
+    assert at(profile, "level-walk [eps=2,mcm=walk]", 0.8, 0.9) == [1.0, 0.0]
     rows[1].pop("config")
     with pytest.raises(ValueError, match="results row 2 has no 'config' column"):
-        perf_profile(rows, [0.8])
+        perf_profile(rows)
 
 
 def test_perf_profile_tsv_shape():
     rows = [row("a", "beta", 90, 100), row("a", "alpha", 70, 100)]
-    text = perf_profile(rows, [0.8, 0.95]).to_tsv()
+    text = perf_profile(rows).to_tsv()
     lines = text.strip().splitlines()
+    assert len(lines) == 1 + len(TAUS)
     assert lines[0].split("\t") == ["tau", "alpha [eps=1]", "beta [eps=1]"]
-    assert lines[1].split("\t") == ["0.8000", "0.0000", "1.0000"]
-    assert lines[2].split("\t") == ["0.9500", "0.0000", "0.0000"]
+    assert lines[1 + TAUS.index(0.8)].split("\t") == ["0.8000", "0.0000", "1.0000"]
+    assert lines[1 + TAUS.index(0.95)].split("\t") == ["0.9500", "0.0000", "0.0000"]
+
+
+def test_perf_profile_refuses_a_weight_above_its_opt():
+    # No matching outweighs OPT: such a row used to score 1.0 at every tau.
+    rows = [row("a", "algo", 90, 100), row("b", "algo", 668, 1)]
+    with pytest.raises(ValueError, match="results row 2: final_weight 668 exceeds"):
+        perf_profile(rows)
+    # Float rounding is not a heavier matching.
+    profile = perf_profile([row("a", "algo", 0.1 + 0.2, 0.3)])
+    assert at(profile, "algo [eps=1]", 1.0) == [1.0]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -729,7 +744,6 @@ def test_cli_gen_then_run_round_trip(tmp_path, static_file, capsys):
     code = main([
         "run", "--input", str(stream_file), "--algo", "random",
         "--seed", "5", "--reps", "2", "--audit", "--out", str(csv_file),
-        "--label", "toy",
     ])
     assert code == 0
     out = capsys.readouterr().out
@@ -738,7 +752,7 @@ def test_cli_gen_then_run_round_trip(tmp_path, static_file, capsys):
     with csv_file.open(newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
-    assert rows[0]["instance"] == "toy"
+    assert re.fullmatch(r"toy\.stream@[0-9a-f]{8}", rows[0]["instance"])
     assert rows[0]["algorithm"] == "random"
     assert float(rows[0]["opt_ratio"]) <= 1.0
 
@@ -877,6 +891,8 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="oracle-interval-flag-removed"),
         pytest.param(RUN + ["--algo", "random", "--theorem-mode"],
                      id="theorem-flag-removed"),
+        pytest.param(RUN + ["--algo", "random", "--label", "x"],
+                     id="label-flag-removed"),
         pytest.param(RUN + ["--algo", "random", "--opt", "foo"],
                      id="opt-word"),
         pytest.param(RUN + ["--algo", "random", "--opt", "nan"], id="opt-nan"),
@@ -886,8 +902,14 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="opt-subnormal"),
         pytest.param(RUN + ["--algo", "random", "--opt", "0.5"],
                      id="opt-below-one"),
+        # The toy stream's matchings weigh at least 8.
+        pytest.param(RUN + ["--algo", "random", "--opt", "1"],
+                     id="impossible-opt"),
         pytest.param(RUN + ["--algo", "random", "--reps", "0"],
                      id="reps-zero"),
+        # Repetition 1000 of seed 1 would be repetition 0 of seed 2.
+        pytest.param(RUN + ["--algo", "random", "--reps", "1001"],
+                     id="reps-above-1000"),
         pytest.param(["gen", "--random", "10", "20", "--undo-percent", "150"],
                      id="undo-percent-above-100"),
         pytest.param(RUN + ["--algo", "random", "--undo-percent", "25"],
@@ -920,7 +942,8 @@ def test_cli_bad_arguments_exit_2(
     stream_file, tmp_path, capsys, argv
 ):
     # A bad argument is a usage error: exit 2 with a one-line message, raised
-    # before any replay starts.
+    # before any replay starts, or for an --opt a repetition outweighs, before
+    # that repetition prints its line.
     header = "instance,algorithm,config,final_weight,opt_weight\n"
     paths = {
         "{input}": stream_file,
@@ -959,6 +982,21 @@ def test_cli_usage_errors_name_the_bad_cell_and_path(stream_file, tmp_path, caps
         main(["profile", "--results", str(results)])
     assert exc.value.code == 2
     assert "results rows 1 and 2 give instance 'u.graph'" in capsys.readouterr().err
+    results.write_text(header + "toy,random,eps=1,668,1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--results", str(results)])
+    assert exc.value.code == 2
+    assert "results row 1: final_weight 668 exceeds its opt_weight 1" in (
+        capsys.readouterr().err
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "run", "--input", str(stream_file), "--algo", "random", "--reps", "1",
+            "--opt", "1", "--out", str(results),
+        ])
+    assert exc.value.code == 2
+    assert "--opt 1 is below repetition 0's weight 18" in capsys.readouterr().err
+    assert results.read_text() == header + "toy,random,eps=1,668,1\n"
     with pytest.raises(SystemExit):
         main([
             "run", "--input", str(stream_file), "--algo", "random",
@@ -1133,9 +1171,13 @@ def test_cli_profile_subcommand(tmp_path, stream_file, capsys):
     for algo in ("random", "level-walk"):
         assert main([
             "run", "--input", str(stream_file), "--algo", algo, "--seed", "4",
-            "--reps", "2", "--out", str(csv_file), "--label", "toy",
+            "--reps", "2", "--out", str(csv_file),
         ]) == 0
     capsys.readouterr()
+    with csv_file.open(newline="") as fh:
+        instances = {r["instance"] for r in csv.DictReader(fh)}
+    assert len(instances) == 1
+    assert re.fullmatch(r"toy\.stream@[0-9a-f]{8}", instances.pop())
     tsv_file = tmp_path / "profile.tsv"
     assert main(["profile", "--results", str(csv_file), "--out", str(tsv_file)]) == 0
     lines = tsv_file.read_text().strip().splitlines()
@@ -1144,7 +1186,7 @@ def test_cli_profile_subcommand(tmp_path, stream_file, capsys):
     ]
     # The fixed grid 0.50, 0.51, ..., 1.00.
     taus = [line.split("\t")[0] for line in lines[1:]]
-    assert taus == [f"{t:.4f}" for t in default_tau_grid()]
+    assert taus == [f"{t:.4f}" for t in TAUS]
     assert (taus[0], taus[-1], len(taus)) == ("0.5000", "1.0000", 51)
     for line in lines[1:]:
         for cell in line.split("\t")[1:]:
