@@ -21,7 +21,7 @@ from .errors import (
 )
 from .graph import DynamicGraph
 from .levels import LevelConfig, LevelMwm
-from .mcm import DynamicMcm, McmConfig
+from .mcm import DynamicMcm
 from .random_walk import RandomConfig, RandomWalkMwm
 
 __version__ = "0.1.0"
@@ -33,7 +33,6 @@ __all__ = [
     "LevelConfig",
     "LevelMwm",
     "MatchingCorruptionError",
-    "McmConfig",
     "OracleLimitError",
     "RandomConfig",
     "RandomWalkMwm",

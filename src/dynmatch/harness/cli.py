@@ -51,7 +51,7 @@ from dynmatch.harness.streams import (
 )
 from dynmatch.levels import LevelConfig
 from dynmatch.oracle import exact_mwm
-from dynmatch.random_walk import BETA, RandomConfig
+from dynmatch.random_walk import RandomConfig
 
 ALGO_CHOICES = ("random", "level-walk", "level-bfs")
 
@@ -113,13 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     walk = p_run.add_argument_group("random-walk options")
-    walk.add_argument("--walks", type=int, default=1, help="walks per campaign")
-    walk.add_argument(
-        "--stop-early",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help=f"abort a campaign after {BETA} consecutive failed walks",
-    )
+    walk.add_argument("--walks", type=int, help="walks per campaign (default 1)")
 
     p_run.set_defaults(func=cmd_run, error=p_run.error)
 
@@ -179,12 +173,11 @@ def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig]:
     """Returns (factory, config) for the chosen algorithm; raises ValueError
     on a bad option value."""
     if args.algo == "random":
-        config = RandomConfig(
-            epsilon=args.epsilon,
-            num_walks=args.walks,
-            stop_early=args.stop_early,
-        )
+        walks = 1 if args.walks is None else args.walks
+        config = RandomConfig(epsilon=args.epsilon, num_walks=walks)
         return random_walk_factory(config), config
+    if args.walks is not None:
+        args.error(f"--walks applies to --algo random only, not {args.algo}")
     config = LevelConfig(
         epsilon=args.epsilon,
         mcm_kind=args.algo.split("-", 1)[1],
@@ -215,8 +208,13 @@ def cmd_run(args) -> int:
     config_label = config.label()
     opt = given_opt = _numeric_opt(args)
     if args.out:
-        # Fail on an unwritable path before any replay, not after the last.
+        # Fail on an unwritable path before any replay, not after the last,
+        # and leave the path as found until the rows are written.
+        out_path = Path(args.out)
+        existed = out_path.exists()
         _open_out(args, "a").close()
+        if not existed:
+            out_path.unlink()
     text = _read_input(args)
     stream = _load_stream(args, text)
 

@@ -31,7 +31,7 @@ from functools import cache
 from .errors import MatchingCorruptionError
 from .graph import MAX_WEIGHT, DynamicGraph, Weight, edge_key
 from .matching import FREE, MatchingAuditor, MatchingState, UnitMatching
-from .mcm import DynamicMcm, McmConfig
+from .mcm import DynamicMcm
 
 # Below this, level counts explode (levels scale with 1/eps).
 MIN_SAFE_EPSILON = 0.1
@@ -60,6 +60,11 @@ class LevelConfig:
             raise ValueError(
                 f"mcm_kind must be 'walk' or 'bfs', got {self.mcm_kind!r}"
             )
+
+    @property
+    def search_depth(self) -> int:
+        """Edge budget per search; at least 1 so a free edge is always seen."""
+        return max(1, math.ceil(2.0 / self.epsilon - 1.0))
 
     def label(self) -> str:
         return f"eps={self.epsilon:g},mcm={self.mcm_kind}"
@@ -208,7 +213,6 @@ class LevelMwm:
         self.graph = graph
         self.config = config
         self.seed = seed
-        self._mcm_config = McmConfig(epsilon=config.epsilon, kind=config.mcm_kind)
         self.adjacency = LevelAdjacency(graph.n)
         self.levels: list[_Level] = []
         # _pos[c]: position of level c in ``levels``.
@@ -224,7 +228,7 @@ class LevelMwm:
     def _make_worker(self, level: _Level) -> DynamicMcm:
         # Independent stream per level, derived from (seed, index) so
         # creation order cannot matter.
-        return DynamicMcm(level, self._mcm_config, self.seed * 1_000_003 + level.index)
+        return DynamicMcm(level, self.config, self.seed * 1_000_003 + level.index)
 
     # -- update handlers ------------------------------------------------------
 

@@ -34,41 +34,16 @@ cycles.
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import MatchingCorruptionError
 from .graph import DynamicGraph
 from .matching import FREE, UnitMatching
 
-
-@dataclass(frozen=True)
-class McmConfig:
-    """Knobs for the cardinality subroutines.
-
-    epsilon sets the search depth ceil(2/epsilon - 1) of both strategies;
-    2/epsilon must be finite.  kind selects the search, once, when a
-    DynamicMcm is built.
-    """
-
-    epsilon: float = 1.0
-    kind: str = "walk"
-
-    def __post_init__(self) -> None:
-        if not (0 < self.epsilon < math.inf and 2.0 / self.epsilon < math.inf):
-            raise ValueError(
-                "epsilon must be finite and > 0 with 2/epsilon finite, "
-                f"got {self.epsilon}"
-            )
-        if self.kind not in ("walk", "bfs"):
-            raise ValueError(f"kind must be 'walk' or 'bfs', got {self.kind!r}")
-
-    @property
-    def search_depth(self) -> int:
-        """Edge budget per search; at least 1 so a free edge is always seen."""
-        return max(1, math.ceil(2.0 / self.epsilon - 1.0))
+if TYPE_CHECKING:  # levels imports this module at run time
+    from .levels import LevelConfig
 
 
 class DynamicMcm:
@@ -80,10 +55,11 @@ class DynamicMcm:
     ``audit`` read only ``graph.n``, ``graph._adj`` and ``graph.degree``,
     and of ``_adj[u]`` only its first ``degree(u)`` entries, so a LevelMwm
     level passes itself: its prefix of the shared level adjacency (see
-    levels.py).
+    levels.py).  ``config`` is the owning structure's LevelConfig: its
+    mcm_kind picks the search and its search_depth bounds each one.
     """
 
-    def __init__(self, graph: DynamicGraph, config: McmConfig, seed: int) -> None:
+    def __init__(self, graph: DynamicGraph, config: LevelConfig, seed: int) -> None:
         self.graph = graph
         self.config = config
         self._depth = config.search_depth
@@ -91,7 +67,7 @@ class DynamicMcm:
         self.rng = random.Random(seed)
         self.attempts = 0
         self.successes = 0
-        self._search = self._walk_once if config.kind == "walk" else self._bfs
+        self._search = self._walk_once if config.mcm_kind == "walk" else self._bfs
 
     # -- update handlers -----------------------------------------------------
 

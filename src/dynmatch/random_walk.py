@@ -23,7 +23,7 @@ from .matching import FREE, MatchingAuditor, MatchingState
 from . import paths
 from .paths import WalkPath, extend_walk
 
-# Consecutive failed walks after which stop_early ends a campaign.
+# Consecutive failed walks after which a campaign ends.
 BETA = 5
 
 
@@ -32,14 +32,13 @@ class RandomConfig:
     """Tuning knobs for the walk-based matcher.
 
     epsilon, with 2/epsilon finite, drives the walk length
-    ceil(2/epsilon + 3); num_walks is the per-campaign walk count.
-    stop_early aborts a campaign after BETA consecutive unsuccessful walks,
-    so with num_walks <= BETA it never ends one early.
+    ceil(2/epsilon + 3); num_walks is the per-campaign walk budget.  A
+    campaign ends early after BETA consecutive unsuccessful walks, so with
+    num_walks <= BETA it runs its full budget.
     """
 
     epsilon: float = 1.0
     num_walks: int = 1
-    stop_early: bool = True
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < math.inf and 2.0 / self.epsilon < math.inf):
@@ -58,10 +57,7 @@ class RandomConfig:
         return math.ceil(2.0 / self.epsilon + 3.0)
 
     def label(self) -> str:
-        parts = [f"eps={self.epsilon:g}", f"walks={self.num_walks}"]
-        if not self.stop_early:
-            parts.append("no-stop-early")
-        return ",".join(parts)
+        return f"eps={self.epsilon:g},walks={self.num_walks}"
 
 
 class RandomWalkMwm:
@@ -118,16 +114,16 @@ class RandomWalkMwm:
         ``mwm_on_path``'s recurrence in its order but without its selection
         flags.  Only when that value strictly beats the path's matched weight
         (a few percent of walks) does ``mwm_on_path`` run with its backtrack
-        and ``apply_path_matching`` rewrite the matching.  With stop_early, BETA
-        consecutive failures abort the campaign; the failure counter resets
-        on every success and is local to this campaign.
+        and ``apply_path_matching`` rewrite the matching.  BETA consecutive
+        failures end the campaign; the failure counter resets on every
+        success and is local to this campaign.
         """
         cfg = self.config
         graph = self.graph
         state = self.state
         rng = self.rng
         max_len = cfg.walk_length
-        stop_after = BETA if cfg.stop_early else 0  # 0: never stop early
+        stop_after = BETA  # read per campaign, so a test can patch BETA
         path = WalkPath()
         nodes = path.nodes
         weights = path.weights

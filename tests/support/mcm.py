@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import deque
 
 from dynmatch.matching import FREE
-from dynmatch.mcm import DynamicMcm, McmConfig
+from dynmatch.levels import LevelConfig
+from dynmatch.mcm import DynamicMcm
 
 
 def augment_from(mcm: DynamicMcm, start: int, seed: dict[int, int] | None = None) -> bool:
@@ -21,7 +22,7 @@ def augment_from(mcm: DynamicMcm, start: int, seed: dict[int, int] | None = None
     ``seed`` is an overlay {vertex: mate} of changes not yet written to the
     state (handle_insert's swap); the search reads every mate through it,
     and ``start`` must be free there.  The search, a walk or a BFS per
-    config.kind, extends a copy of the seed to an augmenting path, which
+    config.mcm_kind, extends a copy of the seed to an augmenting path, which
     ``_commit`` writes together with the seed.  A failed attempt writes
     nothing, so the matching and every watch() set stay as they were.  The
     attempt is counted as the handlers count theirs.
@@ -78,7 +79,7 @@ class ExactBipartiteMcm(DynamicMcm):
     """
 
     def __init__(self, graph, seed: int) -> None:
-        super().__init__(graph, McmConfig(kind="bfs"), seed)
+        super().__init__(graph, LevelConfig(mcm_kind="bfs"), seed)
         self._depth = graph.n
 
     def handle_insert(self, u: int, v: int) -> None:

@@ -9,6 +9,9 @@ counters and RNG draws.
 
 ``TheoremRandomWalkMwm`` runs the shipped campaign with the walk count of
 the paper's analysis, for the acceptance test that checks it.
+
+``full_budget()`` lifts the early stop, so that every campaign started
+inside it runs all its walks.
 """
 
 from __future__ import annotations
@@ -16,9 +19,17 @@ from __future__ import annotations
 import dataclasses
 import math
 from itertools import compress
+from unittest import mock
 
+from dynmatch import random_walk
 from dynmatch.paths import WalkPath, apply_path_matching, extend_walk, mwm_on_path
-from dynmatch.random_walk import BETA, RandomWalkMwm
+from dynmatch.random_walk import RandomWalkMwm
+
+
+def full_budget():
+    """Context manager under which no campaign ends before its last walk:
+    the BETA consecutive failures that end one never come."""
+    return mock.patch.object(random_walk, "BETA", math.inf)
 
 
 def reference_walk_campaign(algo: RandomWalkMwm, seed_builder, *args) -> int:
@@ -39,7 +50,7 @@ def reference_walk_campaign(algo: RandomWalkMwm, seed_builder, *args) -> int:
             consecutive_failures = 0
         else:
             consecutive_failures += 1
-            if cfg.stop_early and consecutive_failures >= BETA:
+            if consecutive_failures >= random_walk.BETA:
                 break
     return successes
 

@@ -31,7 +31,7 @@ from conftest import (
 from support.levels import BipartiteLevelMwm, ExactLevelMwm, level_edges
 from support.mcm import ExactBipartiteMcm
 from support.oracle import exact_mcm, periodic_exact_time, verify_proposition1
-from support.random_walk import TheoremRandomWalkMwm
+from support.random_walk import TheoremRandomWalkMwm, full_budget
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.profiles import geometric_mean
 from dynmatch.harness.replay import (
@@ -362,12 +362,11 @@ def test_04_theorem_budget_walks_reach_half_optimum():
             deg[v] += 1
             edges.append((key[0], key[1], rng.randint(1, 100)))
         g = DynamicGraph(n)
-        algo = TheoremRandomWalkMwm(
-            g, RandomConfig(epsilon=1.0, stop_early=False), seed=900 + i
-        )
-        for u, v, w in edges:
-            g.insert_edge(u, v, w)
-            algo.handle_insert(u, v, w)
+        algo = TheoremRandomWalkMwm(g, RandomConfig(epsilon=1.0), seed=900 + i)
+        with full_budget():
+            for u, v, w in edges:
+                g.insert_edge(u, v, w)
+                algo.handle_insert(u, v, w)
         _, opt = exact_mwm(g)
         if 2 * algo.weight >= opt:
             ok += 1
@@ -433,11 +432,12 @@ def test_06_walk_budget_trend_and_epsilon_saturation(desk_suite):
 def test_07_hundred_walks_reach_ninety_percent_optimum(desk_suite):
     """100 full-budget walks land within 10% of the optimum on 18+/20."""
     t0 = time.perf_counter()
-    cfg = RandomConfig(epsilon=1e-3, num_walks=100, stop_early=False)
+    cfg = RandomConfig(epsilon=1e-3, num_walks=100)
     hits = 0
     worst = 1.0
     for idx, (_name, _n, stream, opt) in enumerate(desk_suite):
-        out = replay(stream, random_walk_factory(cfg), seed=7000 + idx)
+        with full_budget():
+            out = replay(stream, random_walk_factory(cfg), seed=7000 + idx)
         ratio = out.algorithm.weight / opt
         worst = min(worst, ratio)
         if ratio >= 0.90:

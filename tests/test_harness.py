@@ -893,6 +893,13 @@ RUN = ["run", "--input", "{input}", "--reps", "1"]
                      id="theorem-flag-removed"),
         pytest.param(RUN + ["--algo", "random", "--label", "x"],
                      id="label-flag-removed"),
+        pytest.param(RUN + ["--algo", "random", "--no-stop-early"],
+                     id="stop-early-flag-removed"),
+        pytest.param(RUN + ["--algo", "random", "--stop-early"],
+                     id="stop-early-on-removed"),
+        # --walks configures the random-walk matcher only.
+        pytest.param(RUN + ["--algo", "level-walk", "--walks", "7"],
+                     id="walks-with-level"),
         pytest.param(RUN + ["--algo", "random", "--opt", "foo"],
                      id="opt-word"),
         pytest.param(RUN + ["--algo", "random", "--opt", "nan"], id="opt-nan"),
@@ -1003,6 +1010,33 @@ def test_cli_usage_errors_name_the_bad_cell_and_path(stream_file, tmp_path, caps
             "--out", str(tmp_path / "no-such-dir" / "results.csv"),
         ])
     assert "cannot write --out: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "before",
+    [
+        pytest.param(None, id="absent"),
+        pytest.param(b"", id="empty"),
+        pytest.param(b"instance,final_weight\r\ntoy,9\r\n", id="with-rows"),
+    ],
+)
+def test_cli_run_exit_2_leaves_out_as_found(stream_file, tmp_path, before):
+    # The toy stream's matchings weigh at least 8, so --opt 1 exits 2 after
+    # the first replay: an absent --out stays absent, an existing one
+    # byte-identical.
+    out = tmp_path / "results.csv"
+    if before is not None:
+        out.write_bytes(before)
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "run", "--input", str(stream_file), "--algo", "random", "--reps", "1",
+            "--opt", "1", "--out", str(out),
+        ])
+    assert exc.value.code == 2
+    if before is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == before
 
 
 def test_cli_parse_error_exit_code(tmp_path):

@@ -18,7 +18,7 @@ from dynmatch.levels import (
     merge_levels,
 )
 from dynmatch.matching import FREE
-from dynmatch.mcm import DynamicMcm, McmConfig
+from dynmatch.mcm import DynamicMcm
 from dynmatch.oracle import exact_mwm
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
@@ -130,9 +130,7 @@ def test_config_nested_mcm_defaults():
             algo.handle_insert(u, v, w)
         assert len(algo.levels) > 1
         for level in algo.levels:
-            assert level.worker.config == McmConfig(
-                epsilon=cfg.epsilon, kind=cfg.mcm_kind
-            )
+            assert level.worker.config is cfg
     assert LevelConfig().label() == "eps=1,mcm=walk"
 
 

@@ -1,6 +1,5 @@
 """Cardinality-matching subroutines: walks, bounded BFS, update handlers."""
 
-import math
 import random
 
 import pytest
@@ -10,7 +9,8 @@ from hypothesis import strategies as st
 from dynmatch.errors import MatchingCorruptionError
 from dynmatch.graph import DynamicGraph
 from dynmatch.matching import FREE
-from dynmatch.mcm import DynamicMcm, McmConfig
+from dynmatch.levels import LevelConfig
+from dynmatch.mcm import DynamicMcm
 
 from conftest import build_graph, random_bipartite_edges
 from support.graph import random_neighbor
@@ -18,8 +18,8 @@ from support.mcm import ExactBipartiteMcm, augment_from
 from support.oracle import exact_mcm
 
 
-def make_mcm(graph, *, seed=11, **cfg):
-    return DynamicMcm(graph, McmConfig(**cfg), seed)
+def make_mcm(graph, *, seed=11, kind="walk", **cfg):
+    return DynamicMcm(graph, LevelConfig(mcm_kind=kind, **cfg), seed)
 
 
 def snapshot(mcm):
@@ -34,20 +34,12 @@ def snapshot(mcm):
 # -- config ---------------------------------------------------------------
 
 
-def test_config_validation():
-    for eps in (0, math.inf, math.nan, 1e-320):  # 2/1e-320 overflows
-        with pytest.raises(ValueError):
-            McmConfig(epsilon=eps)
-    with pytest.raises(ValueError):
-        McmConfig(kind="dfs")
-
-
 def test_search_depth_values():
-    assert McmConfig(epsilon=1.0).search_depth == 1
-    assert McmConfig(epsilon=0.5).search_depth == 3
-    assert McmConfig(epsilon=1 / 3).search_depth == 5
-    assert McmConfig(epsilon=0.4).search_depth == 4
-    assert McmConfig(epsilon=2.0).search_depth == 1  # floor of one step
+    assert LevelConfig(epsilon=1.0).search_depth == 1
+    assert LevelConfig(epsilon=0.5).search_depth == 3
+    assert LevelConfig(epsilon=1 / 3).search_depth == 5
+    assert LevelConfig(epsilon=0.4).search_depth == 4
+    assert LevelConfig(epsilon=2.0).search_depth == 1  # floor of one step
 
 
 # -- random-walk augmentation ----------------------------------------------

@@ -22,7 +22,11 @@ from dynmatch.random_walk import BETA, RandomConfig, RandomWalkMwm
 from conftest import build_graph
 from support.matching import matching_weight_recompute
 from support.paths import validate_walk_path
-from support.random_walk import ReferenceRandomWalkMwm, TheoremRandomWalkMwm
+from support.random_walk import (
+    ReferenceRandomWalkMwm,
+    TheoremRandomWalkMwm,
+    full_budget,
+)
 
 TRACER_PY = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -58,7 +62,6 @@ def test_walk_length_from_epsilon():
 def test_config_label():
     assert RandomConfig(epsilon=0.5, num_walks=7).label() == "eps=0.5,walks=7"
     assert RandomConfig().label() == "eps=1,walks=1"
-    assert "no-stop-early" in RandomConfig(stop_early=False).label()
 
 
 # -- insert handling ----------------------------------------------------
@@ -206,7 +209,7 @@ def test_seeds_and_finished_walks_are_closed(
     # matching are random; each campaign runs its full walk budget.
     rng = random.Random(graph_seed)
     g = DynamicGraph(n)
-    cfg = RandomConfig(num_walks=num_walks, stop_early=False)
+    cfg = RandomConfig(num_walks=num_walks)
     algo = _CheckedSeeds(g, cfg, seed)
     for u in range(n):
         for v in range(u + 1, n):
@@ -218,7 +221,9 @@ def test_seeds_and_finished_walks_are_closed(
         if free and rng.random() < 0.5:
             state.match_edge(u, v, w)
     u, v, w = new[0] % n, new[1] % n, new[2]
-    with mock.patch.object(random_walk, "extend_walk", _checked_extend_walk):
+    with full_budget(), mock.patch.object(
+        random_walk, "extend_walk", _checked_extend_walk
+    ):
         if u != v and not g.has_edge(u, v):
             g.insert_edge(u, v, w)
             if rematch:
@@ -260,9 +265,10 @@ def test_campaign_budget_smaller_than_beta_runs_out_first():
 
 def test_campaign_without_stop_early_runs_full_budget():
     g = build_graph(2, [(0, 1, 10)])
-    algo = make_algo(g, num_walks=20, stop_early=False)
+    algo = make_algo(g, num_walks=20)
     algo.state.match_edge(0, 1, 10)
-    assert algo.run_walk_campaign(algo._seed_anchor, 0) == 0
+    with full_budget():
+        assert algo.run_walk_campaign(algo._seed_anchor, 0) == 0
     assert algo.walks_run == 20
 
 
@@ -326,14 +332,13 @@ def _snapshot(algo):
     epsilon=st.sampled_from([0.5, 1.0, 2.0]),
     # Up to 12 walks, so a campaign can still stop early after a success.
     num_walks=st.integers(min_value=1, max_value=12),
-    stop_early=st.booleans(),
     divisor=st.sampled_from([1, 7]),
 )
 def test_fused_campaign_matches_per_walk_reference(
-    n, toggles, seed, epsilon, num_walks, stop_early, divisor
+    n, toggles, seed, epsilon, num_walks, divisor
 ):
     # Each toggle inserts (u, v) when absent and deletes it when present.
-    cfg = RandomConfig(epsilon=epsilon, num_walks=num_walks, stop_early=stop_early)
+    cfg = RandomConfig(epsilon=epsilon, num_walks=num_walks)
     g_fused, g_ref = DynamicGraph(n), DynamicGraph(n)
     fused = _Fused(g_fused, cfg, seed)
     ref = _Reference(g_ref, cfg, seed)
