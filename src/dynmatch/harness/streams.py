@@ -65,9 +65,6 @@ class UpdateStream:
     ops: list[UpdateOp]
     warnings: dict[str, int] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
 
 @dataclass
 class EdgeListFile:

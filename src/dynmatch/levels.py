@@ -188,15 +188,9 @@ class LevelMwm:
     index.  The first edge of class c creates level c (see ``_ladder``)
     with the mates of the next level above it, or none if c is the new top
     class.  Every update writes the edge to the shared adjacency once and
-    then runs the handlers of those levels the edge belongs to, the
-    existing levels with index <= its class, whose worker can act on it.
-    The workers are DynamicMcm, which ignore an insert between two vertices
-    matched at their level and the delete of an edge unmatched at their
-    level between two matched vertices (see mcm.py); the dispatch reads the
-    level's mates and skips those calls.  A worker that could act on such
-    an update, such as one that keeps a maximum matching, needs every call.
-    A graph that holds edges at construction is adopted edge by edge, in
-    canonical order.
+    then calls the worker of every level the edge belongs to, the existing
+    levels with index <= its class, bottom up.  A graph that holds edges at
+    construction is adopted edge by edge, in canonical order.
 
     The merged matching is a view kept incrementally and brought up to date
     on read: each level records the vertices whose mate changed, and the
@@ -252,31 +246,21 @@ class LevelMwm:
         """React to edge (u, v, w) having been inserted into the master graph.
 
         The edge joins every level with index <= level_index(w); their
-        workers see it heaviest first, except at a level where u and v are
-        both matched: a DynamicMcm ignores that insert."""
+        workers then see the insert, bottom up."""
         c = level_index(w, self.config.epsilon)
         p = self._ladder(c)
         self.adjacency.insert(u, v, c)
-        for level in reversed(self.levels[: p + 1]):
-            worker = level.worker
-            mate = worker.state._mate
-            if mate[u] == FREE or mate[v] == FREE:
-                worker.handle_insert(u, v)
+        for level in self.levels[: p + 1]:
+            level.worker.handle_insert(u, v)
 
     def handle_delete(self, u: int, v: int) -> None:
         """React to edge (u, v) having been deleted from the master graph.
 
         The edge leaves every level at once; the workers of the levels with
-        index <= its class then see the delete, bottom up, except at a
-        level where the edge was unmatched and u and v are both matched: a
-        DynamicMcm ignores that delete."""
+        index <= its class then see the delete, bottom up."""
         c = self.adjacency.delete(u, v)
         for level in self.levels[: self._pos.get(c, -1) + 1]:
-            worker = level.worker
-            mate = worker.state._mate
-            mu = mate[u]
-            if mu == v or mu == FREE or mate[v] == FREE:
-                worker.handle_delete(u, v)
+            level.worker.handle_delete(u, v)
 
     # -- merged view -------------------------------------------------------------
 

@@ -24,7 +24,6 @@ failed attempt that runs no search and draws nothing.
 Two updates leave the matching, the watch() sets and the RNG untouched: an
 insert between two matched vertices, and a delete of an unmatched edge
 between two matched vertices (no endpoint is free, so no attempt starts).
-LevelMwm relies on this to skip those calls.
 
 The searches are approximate by design: the depth bound cuts long
 augmenting paths, an insert between two matched vertices is ignored, and

@@ -46,9 +46,10 @@ class RandomConfig:
                 "epsilon must be finite and > 0 with 2/epsilon finite, "
                 f"got {self.epsilon}"
             )
-        if not isinstance(self.num_walks, int) or self.num_walks < 1:
+        walks = self.num_walks
+        if isinstance(walks, bool) or not isinstance(walks, int) or walks < 1:
             raise ValueError(
-                f"num_walks must be an integer >= 1, got {self.num_walks!r}"
+                f"num_walks must be an integer >= 1, got {walks!r}"
             )
 
     @property

@@ -3,8 +3,8 @@ and a reader of a level's edges for tests."""
 
 from __future__ import annotations
 
-from dynmatch.graph import DynamicGraph, Weight
-from dynmatch.levels import LevelMwm, _Level, level_index
+from dynmatch.graph import DynamicGraph
+from dynmatch.levels import LevelMwm, _Level
 from dynmatch.matching import UnitMatching
 
 from support.mcm import ExactBipartiteMcm
@@ -57,27 +57,10 @@ class ExactMcmBackend:
 class ExactLevelMwm(LevelMwm):
     """LevelMwm whose levels each keep a maximum-cardinality matching, so
     the greedy merge is within 2(1+eps) of the optimum after every update.
-    The config's mcm_kind is not used.
-
-    Its handlers call the worker of every level the edge belongs to.
-    LevelMwm skips the calls a DynamicMcm ignores, but an insert between
-    two vertices matched at a level can open an augmenting path through the
-    new edge there, which an exact level must take."""
+    The config's mcm_kind is not used."""
 
     def _make_worker(self, level: _Level) -> ExactMcmBackend:
         return ExactMcmBackend(level)
-
-    def handle_insert(self, u: int, v: int, w: Weight) -> None:
-        c = level_index(w, self.config.epsilon)
-        p = self._ladder(c)
-        self.adjacency.insert(u, v, c)
-        for level in reversed(self.levels[: p + 1]):
-            level.worker.handle_insert(u, v)
-
-    def handle_delete(self, u: int, v: int) -> None:
-        c = self.adjacency.delete(u, v)
-        for level in self.levels[: self._pos.get(c, -1) + 1]:
-            level.worker.handle_delete(u, v)
 
 
 class BipartiteLevelMwm(ExactLevelMwm):

@@ -161,13 +161,13 @@ def test_standalone_safe_mode_mcm_digest_unchanged(churn_prefix):
 
 
 # The level workers' counters and RNG streams on the same prefix: stats()
-# and every level's RNG state every 1000 ops.  A dispatch that skips a
-# worker call or an attempt that draws differently changes these even where
-# the merged matching comes out the same.  Recorded at commit 893a2cf, and
-# both re-recorded when a level came to exist only for a class that has had
-# an edge: level creation order changed them, since a level made later
-# starts with a copy of the mates of the level above and counts no attempts
-# for the updates before its class's first edge.
+# and every level's RNG state every 1000 ops.  A fan-out that misses a level
+# the edge belongs to, or an attempt that draws differently, changes these
+# even where the merged matching comes out the same.  Recorded at commit
+# 893a2cf, and both re-recorded when a level came to exist only for a class
+# that has had an edge: level creation order changed them, since a level
+# made later starts with a copy of the mates of the level above and counts
+# no attempts for the updates before its class's first edge.
 LEVEL_STREAM_GOLDEN = {
     "level-walk-0.1": (
         GOLDEN["level-walk-0.1"][0],

@@ -259,10 +259,9 @@ def level_prefixes(level):
 def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
     # The delete takes the edge out of the shared adjacency, so out of the
     # prefix of every level with index <= its class, then calls the workers
-    # of those levels whose worker can act, and leaves every level above
-    # alone.  Levels 0, 3 and 6 exist.  (1, 2) is unmatched at level 0,
-    # where 0-1 and 2-3 match both its ends, so the delete skips level 0's
-    # worker; at level 3, vertex 1 is free.
+    # of those levels, and leaves every level above alone.  Levels 0, 3 and
+    # 6 exist.  (1, 2) is unmatched at level 0, where 0-1 and 2-3 match
+    # both its ends, and its worker is called there all the same.
     g = build_graph(6, [])
     algo = make_level_algo(g, epsilon=1.0)
     for (u, v, w) in ((0, 1, 1), (2, 3, 8), (4, 5, 100), (1, 2, 8)):
@@ -279,7 +278,7 @@ def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
 
     monkeypatch.setattr(DynamicMcm, "handle_delete", recording_delete)
     for (u, v), top, called in (
-        ((1, 2), 3, [3]),
+        ((1, 2), 3, [0, 3]),
         ((2, 3), 3, [0, 3]),
         ((0, 1), 0, [0]),
         ((4, 5), 6, [0, 3, 6]),
@@ -304,9 +303,9 @@ def test_delete_visits_only_levels_holding_the_edge(monkeypatch):
 
 
 def test_delete_calls_only_levels_at_or_below_its_class(monkeypatch):
-    # Edge (0, 1) of class 3 is matched at every level that holds it, so
-    # its delete leaves both ends free there: every level with index <= 3
-    # is called, bottom up, and no level above.
+    # Edge (0, 1) of class 3 is matched at every level that holds it: its
+    # delete calls every level with index <= 3, bottom up, and no level
+    # above.
     g = build_graph(6, [])
     algo = make_level_algo(g, epsilon=1.0)
     for (u, v, w) in ((2, 3, 1), (0, 1, 8), (4, 5, 100)):
@@ -328,11 +327,37 @@ def test_delete_calls_only_levels_at_or_below_its_class(monkeypatch):
     algo.audit(deep=True)
 
 
+def test_insert_calls_every_level_at_or_below_its_class(monkeypatch):
+    # Levels 0, 3 and 6 exist.  (1, 2) of class 3 joins levels 0 and 3, so
+    # their workers are called, bottom up, although 0-1 and 2-3 match both
+    # its ends at level 0; level 6 is not called.
+    g = build_graph(6, [])
+    algo = make_level_algo(g, epsilon=1.0)
+    for (u, v, w) in ((0, 1, 1), (2, 3, 8), (4, 5, 100)):
+        g.insert_edge(u, v, w)
+        algo.handle_insert(u, v, w)
+    assert indices(algo) == [0, 3, 6]
+    assert [level_of(algo, 0).state.mate_of(x) for x in (1, 2)] == [0, 3]
+    called = []
+    original = DynamicMcm.handle_insert
+
+    def recording_insert(worker, u, v):
+        called.append(worker.graph.index)
+        return original(worker, u, v)
+
+    monkeypatch.setattr(DynamicMcm, "handle_insert", recording_insert)
+    g.insert_edge(1, 2, 8)
+    algo.handle_insert(1, 2, 8)
+    assert called == [0, 3]
+    algo.audit(deep=True)
+
+
 @pytest.mark.parametrize("kind", ["walk", "bfs"])
-def test_dispatch_skips_updates_a_level_worker_ignores(kind, monkeypatch):
+def test_level_keeps_no_trace_of_updates_its_worker_ignores(kind):
     # At level 0, 0-1 and 2-3 are matched.  Inserting (1, 2) there, and
-    # deleting it again while it is unmatched, calls no level-0 worker
-    # and leaves the level's mates, its change set and its RNG as they were.
+    # deleting it again while it is unmatched, reaches the level-0 worker,
+    # which leaves the level's mates, its change set, its RNG and its
+    # attempt count as they were.
     g = build_graph(4, [])
     algo = make_level_algo(g, epsilon=1.0, mcm_kind=kind)
     for u, v in ((0, 1), (2, 3)):
@@ -342,12 +367,6 @@ def test_dispatch_skips_updates_a_level_worker_ignores(kind, monkeypatch):
     level = algo.levels[0]
     before = (list(level.state._mate), level.worker.rng.getstate())
     assert before[0] == [1, 0, 3, 2]
-
-    def no_call(worker, u, v):
-        raise AssertionError(f"worker called for ({u}, {v})")
-
-    monkeypatch.setattr(DynamicMcm, "handle_insert", no_call)
-    monkeypatch.setattr(DynamicMcm, "handle_delete", no_call)
     g.insert_edge(1, 2, 1)
     algo.handle_insert(1, 2, 1)
     assert (list(level.state._mate), level.worker.rng.getstate()) == before
@@ -488,9 +507,9 @@ def test_exact_backend_meets_half_times_one_plus_eps_bound():
 def test_exact_levels_stay_maximum_after_every_op():
     # The bound above needs every exact level to hold a maximum matching of
     # its own edges after every op.  An insert between two vertices matched
-    # at a level can open an augmenting path through the new edge there, so
-    # LevelMwm may skip such a call only for workers that never act on it
-    # (DynamicMcm), never for the exact backend.
+    # at a level can open an augmenting path through the new edge there,
+    # which the exact backend must take, so every level it belongs to must
+    # see the call.
     for seed in range(200):
         g = DynamicGraph(8)
         algo = ExactLevelMwm(g, LevelConfig(epsilon=1.0), seed=13)

@@ -373,7 +373,7 @@ def test_insert_free_free_matches_directly():
 
 
 def test_insert_between_matched_vertices_unsafe_is_noop():
-    # LevelMwm skips this call, so it must write, count and draw nothing.
+    # Both ends matched: the insert must write, count and draw nothing.
     for kind in ("walk", "bfs"):
         g = build_graph(4, [(0, 1, 1), (2, 3, 1)])
         mcm = make_mcm(g, kind=kind)
@@ -437,7 +437,7 @@ def test_delete_matched_edge_in_p4_settles_at_cardinality_one():
 
 
 def test_delete_unmatched_edge_keeps_matching():
-    # Both ends matched: LevelMwm skips this call, so it must write, count
+    # Both ends matched and the edge unmatched: the delete must write, count
     # and draw nothing.
     for kind in ("walk", "bfs"):
         g = build_graph(4, [(0, 1, 1), (2, 3, 1), (1, 2, 1)])

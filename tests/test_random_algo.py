@@ -48,8 +48,9 @@ def test_config_validation():
             RandomConfig(epsilon=eps)
     with pytest.raises(ValueError):
         RandomConfig(num_walks=0)
-    with pytest.raises(ValueError, match="integer"):
-        RandomConfig(num_walks=2.5)
+    for walks in (2.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            RandomConfig(num_walks=walks)
 
 
 def test_walk_length_from_epsilon():
