@@ -31,27 +31,21 @@ from dynmatch.errors import (
     ReplayError,
     StreamParseError,
 )
+from dynmatch.graph import DynamicGraph
 from dynmatch.harness.profiles import beats_opt, objective, perf_profile
-from dynmatch.harness.replay import (
-    MAX_REPS,
-    level_factory,
-    random_walk_factory,
-    rep_seed,
-    replay,
-)
+from dynmatch.harness.replay import MAX_REPS, rep_seed, replay
 from dynmatch.harness.streams import (
     MAX_N_HINT,
     UpdateStream,
-    final_graph,
     format_stream,
     gen_insertion_stream,
     gen_undo_suffix,
     parse_static_edgelist,
     parse_temporal,
 )
-from dynmatch.levels import LevelConfig
+from dynmatch.levels import LevelConfig, LevelMwm
 from dynmatch.oracle import exact_mwm
-from dynmatch.random_walk import RandomConfig
+from dynmatch.random_walk import RandomConfig, RandomWalkMwm
 
 ALGO_CHOICES = ("random", "level-walk", "level-bfs")
 
@@ -169,20 +163,18 @@ def _load_stream(args, text: str) -> UpdateStream:
     return stream
 
 
-def _build_factory(args) -> tuple[object, RandomConfig | LevelConfig]:
-    """Returns (factory, config) for the chosen algorithm; raises ValueError
-    on a bad option value."""
+def _algorithm(args) -> tuple[type, RandomConfig | LevelConfig]:
+    """Returns (algorithm class, config) for the chosen algorithm; raises
+    ValueError on a bad option value."""
     if args.algo == "random":
         walks = 1 if args.walks is None else args.walks
-        config = RandomConfig(epsilon=args.epsilon, num_walks=walks)
-        return random_walk_factory(config), config
+        return RandomWalkMwm, RandomConfig(epsilon=args.epsilon, num_walks=walks)
     if args.walks is not None:
         args.error(f"--walks applies to --algo random only, not {args.algo}")
-    config = LevelConfig(
+    return LevelMwm, LevelConfig(
         epsilon=args.epsilon,
         mcm_kind=args.algo.split("-", 1)[1],
     )
-    return level_factory(config), config
 
 
 def _numeric_opt(args) -> float | None:
@@ -202,7 +194,7 @@ def _numeric_opt(args) -> float | None:
 
 def cmd_run(args) -> int:
     try:
-        factory, config = _build_factory(args)
+        cls, config = _algorithm(args)
     except ValueError as exc:
         args.error(str(exc))
     config_label = config.label()
@@ -218,28 +210,29 @@ def cmd_run(args) -> int:
     text = _read_input(args)
     stream = _load_stream(args, text)
 
-    if args.opt == "auto":
-        try:
-            _, opt = exact_mwm(final_graph(stream))
-        except OracleLimitError as exc:
-            print(f"warning: skipping OPT: {exc}", file=sys.stderr)
-
     # The text's digest keeps two streams of one file name apart in profile.
     digest = hashlib.sha256(text.encode()).hexdigest()[:8]
     instance = f"{Path(args.input).name}@{digest}"
     rows = []
     for rep in range(args.reps):
         seed = rep_seed(args.seed, rep)
-        out = replay(stream, factory, seed, audit=args.audit)
-        weight = out.algorithm.weight
+        algo = cls(DynamicGraph(stream.n), config, seed)
+        total_time, max_op_time = replay(stream, algo, audit=args.audit)
+        if rep == 0 and args.opt == "auto":
+            # Every repetition replays the same stream to this same graph.
+            try:
+                _, opt = exact_mwm(algo.graph)
+            except OracleLimitError as exc:
+                print(f"warning: skipping OPT: {exc}", file=sys.stderr)
+        weight = algo.weight
         if given_opt is not None and beats_opt(weight, given_opt):
             args.error(
                 f"--opt {given_opt:g} is below repetition {rep}'s weight "
                 f"{weight:g}: no matching outweighs OPT"
             )
         ratio = f"  ratio={weight / opt:.4f}" if opt else ""
-        print(f"rep {rep}: weight={weight:g}  time={out.total_time:.4f}s{ratio}")
-        stats = out.algorithm.stats()
+        print(f"rep {rep}: weight={weight:g}  time={total_time:.4f}s{ratio}")
+        stats = algo.stats()
         rows.append({
             "instance": instance,
             "algorithm": args.algo,
@@ -247,12 +240,12 @@ def cmd_run(args) -> int:
             "seed": seed,
             "repetition": rep,
             "n": stream.n,
-            "num_ops": out.num_ops,
+            "num_ops": len(stream.ops),
             "final_weight": weight,
             "opt_weight": "" if opt is None else opt,
-            "total_time": out.total_time,
-            "mean_op_time": out.mean_op_time,
-            "max_op_time": out.max_op_time,
+            "total_time": total_time,
+            "mean_op_time": total_time / len(stream.ops) if stream.ops else 0.0,
+            "max_op_time": max_op_time,
             "successes": stats.get("successes", 0),
             "failures": stats.get("failures", 0),
             "opt_ratio": f"{weight / opt:.6f}" if opt else "",

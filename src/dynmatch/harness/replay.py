@@ -3,66 +3,27 @@
 The replay loop owns graph mutation: it applies each op to the graph, then
 invokes the algorithm's handler and reads its weight, timing the three
 together.  Parsing, OPT computation, and audit checks stay outside the
-timed region.  Identical (stream, factory, seed) inputs replay to
-bit-identical matchings.
+timed region.  Identical (stream, algorithm class, config, seed) inputs
+replay to bit-identical matchings.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Protocol
 
 from ..errors import MatchingCorruptionError, ReplayError
-from ..graph import DynamicGraph, Weight
-from ..levels import LevelConfig, LevelMwm
-from ..random_walk import RandomConfig, RandomWalkMwm
 from .streams import INSERT, UpdateStream
 
 DEEP_AUDIT_EVERY = 500  # replay(audit=True) deep-audits ops whose seq it divides
 
 
-class MatchingAlgorithm(Protocol):
-    name: str
+def replay(stream: UpdateStream, algo, *, audit: bool = False) -> tuple[float, float]:
+    """Apply every op to ``algo.graph`` and ``algo``, timing each update.
 
-    def handle_insert(self, u: int, v: int, w: Weight) -> None: ...
-
-    def handle_delete(self, u: int, v: int) -> None: ...
-
-    @property
-    def weight(self) -> Weight: ...
-
-    def matched_pairs(self) -> list[tuple[int, int]]: ...
-
-    def stats(self) -> dict[str, int]: ...
-
-    def audit(self, deep: bool = False) -> None: ...
-
-
-AlgoFactory = Callable[[DynamicGraph, int], MatchingAlgorithm]
-
-
-@dataclass
-class ReplayOutcome:
-    algorithm: MatchingAlgorithm
-    graph: DynamicGraph
-    num_ops: int
-    total_time: float
-    max_op_time: float
-
-    @property
-    def mean_op_time(self) -> float:
-        return self.total_time / self.num_ops if self.num_ops else 0.0
-
-
-def replay(
-    stream: UpdateStream,
-    factory: AlgoFactory,
-    seed: int,
-    *,
-    audit: bool = False,
-) -> ReplayOutcome:
-    """Apply every op to a fresh graph and algorithm, timing each update.
+    ``algo`` is a RandomWalkMwm or LevelMwm built on an empty
+    ``DynamicGraph(stream.n)``; it and its graph end in the stream's final
+    state.  Returns the total and the largest time of one update, in
+    seconds.
 
     With audit=True the algorithm's invariants are checked after every op,
     outside the timed region; violations raise MatchingCorruptionError,
@@ -83,8 +44,7 @@ def replay(
     of the algorithm's weight, so LevelMwm's greedy merge, which runs on
     the first read after an update, is timed with the update.
     """
-    graph = DynamicGraph(stream.n)
-    algo = factory(graph, seed)
+    graph = algo.graph
     clock = time.perf_counter
     total = 0.0
     worst = 0.0
@@ -113,16 +73,10 @@ def replay(
             _audit(algo, deep, f"op {op.seq}")
     if audit and stream.ops and not deep:  # the tail since the last deep audit
         _audit(algo, True, "after the last op")
-    return ReplayOutcome(
-        algorithm=algo,
-        graph=graph,
-        num_ops=len(stream.ops),
-        total_time=total,
-        max_op_time=worst,
-    )
+    return total, worst
 
 
-def _audit(algo: MatchingAlgorithm, deep: bool, where: str) -> None:
+def _audit(algo, deep: bool, where: str) -> None:
     """Audit ``algo``; a failure is re-raised prefixed with ``where``."""
     try:
         algo.audit(deep=deep)
@@ -138,15 +92,4 @@ MAX_REPS = 1000
 def rep_seed(master_seed: int, repetition: int) -> int:
     """Per-repetition seed; distinct for repetitions below MAX_REPS."""
     return master_seed * MAX_REPS + repetition
-
-
-# -- factories ---------------------------------------------------------------
-
-
-def random_walk_factory(config: RandomConfig) -> AlgoFactory:
-    return lambda graph, seed: RandomWalkMwm(graph, config, seed)
-
-
-def level_factory(config: LevelConfig) -> AlgoFactory:
-    return lambda graph, seed: LevelMwm(graph, config, seed)
 

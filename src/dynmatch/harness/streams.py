@@ -31,7 +31,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from ..errors import StreamParseError
-from ..graph import MAX_WEIGHT, DynamicGraph, Weight, edge_key
+from ..graph import MAX_WEIGHT, Weight, edge_key
 
 INSERT = "insert"
 DELETE = "delete"
@@ -40,9 +40,9 @@ GEN_WEIGHT_LO = 1
 GEN_WEIGHT_HI = 100
 
 # Ceiling on the vertex count of either format, whether given (the static
-# first line, the temporal ``# n=K`` hint) or implied by the largest id: the
-# replay allocates O(n) per graph (and per level under LevelMwm) before
-# reading any op.
+# first line, the temporal ``# n=K`` hint) or implied by the largest id: a
+# run allocates O(n) for the graph and the algorithm before reading any op,
+# and LevelMwm O(n) more for each level when its class gets its first edge.
 MAX_N_HINT = 10**6
 
 
@@ -279,13 +279,3 @@ def format_stream(stream: UpdateStream) -> str:
             lines.append(f"{op.u} {op.v} 0 {op.seq} -")
     return "\n".join(lines) + "\n"
 
-
-def final_graph(stream: UpdateStream) -> DynamicGraph:
-    """Graph state after replaying every op (no algorithm attached)."""
-    g = DynamicGraph(stream.n)
-    for op in stream.ops:
-        if op.kind == INSERT:
-            g.insert_edge(op.u, op.v, op.w)
-        else:
-            g.delete_edge(op.u, op.v)
-    return g

@@ -67,7 +67,9 @@ class LevelConfig:
         return max(1, math.ceil(2.0 / self.epsilon - 1.0))
 
     def label(self) -> str:
-        return f"eps={self.epsilon:g},mcm={self.mcm_kind}"
+        eps = f"{self.epsilon:g}"  # exact where :g would merge two epsilons
+        eps = eps if float(eps) == self.epsilon else repr(self.epsilon)
+        return f"eps={eps},mcm={self.mcm_kind}"
 
 
 def level_index(w: Weight, epsilon: float) -> int:

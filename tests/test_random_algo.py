@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynmatch.graph import DynamicGraph
-from dynmatch.harness.replay import random_walk_factory, replay
+from dynmatch.harness.replay import replay
 from dynmatch.harness.streams import gen_insertion_stream, gen_undo_suffix
 from dynmatch.matching import FREE, MatchingAuditor
 from dynmatch.oracle import exact_mwm
@@ -378,7 +378,8 @@ def test_tracer_sees_every_walk_and_one_dp_per_improvement():
     )
     tracer = tracer_mod.Tracer()
     with tracer.installed():
-        algo = replay(stream, random_walk_factory(RandomConfig(num_walks=5)), 11).algorithm
+        algo = RandomWalkMwm(DynamicGraph(stream.n), RandomConfig(num_walks=5), 11)
+        replay(stream, algo)
     assert 0 < algo.walks_improved < algo.walks_run
     assert tracer.calls["paths.walk"] == algo.walks_run
     assert tracer.calls["paths.dp"] == algo.walks_improved
